@@ -3,10 +3,11 @@ ball arithmetic.
 
 A holonomic sequence satisfies a linear recurrence with polynomial
 coefficients; here the coefficients may additionally involve a real or
-complex parameter.  The package evaluates the n-th term by five
+complex parameter.  The package evaluates the n-th term by six
 interchangeable algorithms (naive iteration, exact binary splitting, fast
-multipoint evaluation, and three rectangular-splitting variants) and uses
-them for rising factorials and very-high-precision gamma computation.
+multipoint evaluation, and three rectangular-splitting variants) behind one
+entry point, eval_dispatch, and uses them for rising factorials and
+very-high-precision gamma computation.
 """
 
 from .balls import (Ball, BallDomainError, ComplexBall, add, add_int, div,
@@ -21,11 +22,8 @@ from .recmat import (DenominatorZeroError, RecMatrix, ScalarRecurrence,
                      product_binsplit_exact, product_naive,
                      rising_factorial_matrix, unroll_rational)
 from .engines import (ALGORITHMS, EvalPlan, EvalReport, OpCounter, PowerTable,
-                      SymmetryError, bivariate_delta, choose_m,
-                      default_algorithm, eval_binsplit_exact, eval_dispatch,
-                      eval_multipoint, eval_naive, eval_rect_delta,
-                      eval_rect_ps, eval_rect_split, eval_rect_split_taylor,
-                      make_plan)
+                      bivariate_delta, choose_m, default_algorithm,
+                      eval_dispatch, make_plan)
 from .special import (BernoulliCache, RisingDeltaCoeffs, StirlingParams,
                       bernoulli_even, gamma_1f1, gamma_stirling,
                       hyp1f1_gamma_matrix, rising_delta_coeffs,
@@ -36,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ball", "ComplexBall", "BallDomainError", "DenominatorZeroError",
-    "SymmetryError",
     "UniPoly", "BiPoly", "RecMatrix", "ScalarRecurrence",
     "EvalPlan", "EvalReport", "OpCounter", "PowerTable",
     "BernoulliCache", "RisingDeltaCoeffs", "StirlingParams",
@@ -49,8 +46,6 @@ __all__ = [
     "companion", "eval_factor", "product_naive", "product_binsplit_exact",
     "apply_to_vector", "unroll_rational", "rising_factorial_matrix",
     "choose_m", "default_algorithm", "make_plan", "eval_dispatch",
-    "eval_naive", "eval_binsplit_exact", "eval_multipoint", "eval_rect_ps",
-    "eval_rect_split", "eval_rect_split_taylor", "eval_rect_delta",
     "bivariate_delta",
     "rising_factorial", "rising_factorial_report", "rising_delta_coeffs",
     "bernoulli_even", "vsc_denominator", "stirling_params", "gamma_stirling",

@@ -985,10 +985,44 @@ def n_log(a, p):
 # decimal conversion
 # ---------------------------------------------------------------------------
 
+# decimal digits handled by one str()/int() call: far below CPython's
+# default limit of 4300 on int <-> str conversion, which therefore never
+# applies and is never raised
+_STR_CHUNK = 1000
+
+
 def _int_to_str(n) -> str:
+    """Decimal digits of an integer, by divide and conquer on the powers
+    10^(_STR_CHUNK 2^j)."""
     if HAVE_GMPY2:
         return _Z(n).digits(10)
-    return str(n)
+    n = int(n)
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    pows = [10 ** _STR_CHUNK]
+    while pows[-1] <= n:
+        pows.append(pows[-1] * pows[-1])
+
+    def padded(v, j):  # v < pows[j], as exactly _STR_CHUNK 2^j digits
+        if j == 0:
+            return str(v).zfill(_STR_CHUNK)
+        hi, lo = divmod(v, pows[j - 1])
+        return padded(hi, j - 1) + padded(lo, j - 1)
+
+    return padded(n, len(pows) - 1).lstrip("0") or "0"
+
+
+def _str_to_int(s: str) -> int:
+    """int(s) for an optionally signed decimal literal of any length."""
+    s = s.strip()
+    if len(s) <= _STR_CHUNK:
+        return int(s)
+    body = s[1:] if s[0] in "+-" else s
+    if not body.isdigit():
+        raise ValueError("invalid integer literal: %r" % s[:40])
+    k = len(body) // 2
+    v = _str_to_int(body[:-k]) * 10 ** k + _str_to_int(body[-k:])
+    return -v if s[0] == "-" else v
 
 
 def _pow10(k: int):
@@ -1055,7 +1089,7 @@ def _mid_to_decimal(man, exp: int, digits: int):
     k = digits - dexp
     d, inexact = _floor_scaled(man, exp, k)
     for _ in range(4):
-        nd = len(str(d)) if d else 1
+        nd = len(_int_to_str(d))
         if d and nd == digits:
             break
         k += digits - nd
@@ -1066,7 +1100,7 @@ def _mid_to_decimal(man, exp: int, digits: int):
             Fraction(1, 10 ** k) if k >= 0 else Fraction(10 ** (-k)))
     else:
         err_rm, err_re = 0, 0
-    s = str(d)
+    s = _int_to_str(d)
     point = len(s) - k
     if 0 < point <= len(s):
         out = s[:point] + ("." + s[point:] if point < len(s) else "")
@@ -1121,7 +1155,7 @@ def parse_decimal(s: str, p: int) -> Ball:
             return Ball(mid.man, mid.exp, *_rad_add(mid.rm, mid.re, um, ue))
     if "/" in s:
         num, den = s.split("/", 1)
-        return Ball.from_fraction(Fraction(int(num), int(den)), p)
+        return Ball.from_fraction(Fraction(_str_to_int(num), _str_to_int(den)), p)
     q = _decimal_fraction(s)
     return Ball.from_fraction(q, p)
 
@@ -1141,11 +1175,8 @@ def _decimal_fraction(s: str) -> Fraction:
         digits = mant.lstrip("+")
     if digits in ("", "-"):
         raise ValueError("empty decimal literal: %r" % s)
-    val = Fraction(int(digits))
+    val = Fraction(_str_to_int(digits))
     if e >= 0:
         return val * 10 ** e
     return val / 10 ** (-e)
 
-
-def parse_number(s: str, p: int) -> Ball:
-    return parse_decimal(s, p)

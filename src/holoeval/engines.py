@@ -33,13 +33,9 @@ from .recmat import (DenominatorZeroError, RecMatrix, eval_factor,
 ALGORITHMS = ("naive", "binsplit-exact", "multipoint", "rect-ps",
               "rect-split", "rect-delta")
 
-# default selection thresholds (overridable): naive below the first bound,
-# rect-delta up to the second, rect-split beyond
+# default selection thresholds: naive below the first bound, rect-delta up
+# to the second, rect-split beyond
 DEFAULT_THRESHOLDS = (32, 1000)
-
-
-class SymmetryError(ValueError):
-    """The matrix does not satisfy M(x, k+m) = M(x+m, k)."""
 
 
 @dataclass
@@ -65,7 +61,6 @@ class EvalPlan:
     prec: int
     guard: int
     subn: int | None = None  # rect-ps subproduct length
-    taylor: str = "auto"     # giant-step update: "auto" | "on" | "off"
 
     @property
     def work_prec(self) -> int:
@@ -94,8 +89,8 @@ def choose_m(algorithm: str, n: int, p: int):
     return max(1, min(m, n)), None
 
 
-def default_algorithm(n: int, thresholds=DEFAULT_THRESHOLDS) -> str:
-    lo, hi = thresholds
+def default_algorithm(n: int) -> str:
+    lo, hi = DEFAULT_THRESHOLDS
     if n < lo:
         return "naive"
     if n < hi:
@@ -104,7 +99,7 @@ def default_algorithm(n: int, thresholds=DEFAULT_THRESHOLDS) -> str:
 
 
 def make_plan(algorithm: str, n: int, p: int, m: int | None = None,
-              subn: int | None = None, taylor: str = "auto") -> EvalPlan:
+              subn: int | None = None) -> EvalPlan:
     if algorithm not in ALGORITHMS:
         raise ValueError("unknown algorithm %r (choose from %s)"
                          % (algorithm, ", ".join(ALGORITHMS)))
@@ -118,7 +113,7 @@ def make_plan(algorithm: str, n: int, p: int, m: int | None = None,
         subn = max(m, min(subn, max(n, 1)))
     else:
         subn = None
-    return EvalPlan(algorithm, m, p, guard_bits(n), subn, taylor)
+    return EvalPlan(algorithm, m, p, guard_bits(n), subn)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +286,7 @@ def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     boost = 64 + m_den * (den.deg_k() * max(n, 2).bit_length() + 8)
     for attempt in range(3):
         eff = EvalPlan("rect-split", m_den, plan.prec,
-                       plan.guard + attempt * boost, None, plan.taylor)
+                       plan.guard + attempt * boost)
         mat = _rect_split_core(sub, z, n, eff, counter)
         val = mat[0][0]
         if not val.contains_zero():
@@ -324,20 +319,9 @@ def _find_zero_index(M: RecMatrix, z, n: int, p: int):
 # the engines (numerator products)
 # ---------------------------------------------------------------------------
 
-def _naive_core(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
-    p = plan.work_prec
-    table = PowerTable(z, M.deg_x(), p, counter)
-    V = None
-    for i in range(n):
-        grid, _ = eval_factor(M, i)
-        counter.coeff += sum(len(e.coeffs) for row in grid for e in row)
-        S = [[table.eval_int_poly(e.coeffs, p, counter) for e in row]
-             for row in grid]
-        V = _accumulate(V, S, p, counter)
-    return V if V is not None else ball_identity(M.r, z)
-
-
 def _naive_leftover(M, z, V, start, count, table, p, counter):
+    """V <- M(z, start+count-1) ... M(z, start) V, one factor at a time;
+    V = None stands for the identity."""
     for i in range(start, start + count):
         grid, _ = eval_factor(M, i)
         counter.coeff += sum(len(e.coeffs) for row in grid for e in row)
@@ -358,8 +342,6 @@ def _exact_factor_matrices(M: RecMatrix, start: int, count: int, counter):
 
 def _binsplit_core(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     p = plan.work_prec
-    if n == 0:
-        return ball_identity(M.r, z)
     factors = _exact_factor_matrices(M, 0, n, counter)
     U = product_binsplit_exact(factors)
     counter.coeff += sum(len(e.coeffs) for row in U for e in row)
@@ -387,9 +369,6 @@ def _ps_eval(coeffs, table: PowerTable, m: int, p: int, counter: OpCounter):
 def _multipoint_core(M: RecMatrix, z, n: int, plan: EvalPlan,
                      counter: OpCounter):
     p = plan.work_prec
-    r = M.r
-    if n == 0:
-        return ball_identity(r, z)
     m = plan.m
     w = n // m
     xtable = PowerTable(z, M.deg_x(), p, counter)
@@ -405,8 +384,7 @@ def _multipoint_core(M: RecMatrix, z, n: int, plan: EvalPlan,
         values = _bpmat_multipoint(U, points, p, counter, z)
         for S in values:
             V = _accumulate(V, S, p, counter)
-    V = _naive_leftover(M, z, V, m * w, n - m * w, xtable, p, counter)
-    return V if V is not None else ball_identity(r, z)
+    return _naive_leftover(M, z, V, m * w, n - m * w, xtable, p, counter)
 
 
 def _substitute_x(M: RecMatrix, xtable: PowerTable, p, counter):
@@ -547,8 +525,6 @@ def _bpmat_multipoint(U, points, p, counter, like):
 
 def _rect_ps_core(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     p = plan.work_prec
-    if n == 0:
-        return ball_identity(M.r, z)
     subn = plan.subn or n
     m = plan.m
     table = PowerTable(z, max(m, M.deg_x()), p, counter)
@@ -561,23 +537,17 @@ def _rect_ps_core(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
         S = [[_ps_eval(e.coeffs, table, m, p, counter) for e in row] for row in U]
         V = _accumulate(V, S, p, counter)
         i += subn
-    V = _naive_leftover(M, z, V, i, n - i, table, p, counter)
-    return V if V is not None else ball_identity(M.r, z)
+    return _naive_leftover(M, z, V, i, n - i, table, p, counter)
 
 
 def _rect_split_core(M: RecMatrix, z, n: int, plan: EvalPlan,
-                     counter: OpCounter, force_taylor=False):
+                     counter: OpCounter):
     p = plan.work_prec
-    r = M.r
-    if n == 0:
-        return ball_identity(r, z)
     m = plan.m
     w = n // m
     dx = M.deg_x()
     table = PowerTable(z, max(m * dx, dx), p, counter)
-    use_taylor = force_taylor or plan.taylor == "on"
-    if plan.taylor == "auto" and not use_taylor and w >= 3:
-        use_taylor = M.shift_symmetry_holds(m)
+    use_taylor = w >= 3 and M.shift_symmetry_holds(m)
     V = None
     U = None
     for i in range(w):
@@ -591,8 +561,7 @@ def _rect_split_core(M: RecMatrix, z, n: int, plan: EvalPlan,
         counter.note_live_coeffs(live + table.D + 1)
         S = [[table.eval_int_poly(e.coeffs, p, counter) for e in row] for row in U]
         V = _accumulate(V, S, p, counter)
-    V = _naive_leftover(M, z, V, m * w, n - m * w, table, p, counter)
-    return V if V is not None else ball_identity(r, z)
+    return _naive_leftover(M, z, V, m * w, n - m * w, table, p, counter)
 
 
 def _taylor_shift_auto(e: UniPoly, c) -> UniPoly:
@@ -604,55 +573,38 @@ def _taylor_shift_auto(e: UniPoly, c) -> UniPoly:
 def _rect_delta_core(M: RecMatrix, z, n: int, plan: EvalPlan,
                      counter: OpCounter):
     p = plan.work_prec
-    r = M.r
-    if n == 0:
-        return ball_identity(r, z)
     m = plan.m
     w = n // m
     dx = M.deg_x()
     table = PowerTable(z, max(m * dx, dx), p, counter)
-    if w == 0:
-        V = _naive_leftover(M, z, None, 0, n, table, p, counter)
-        return V if V is not None else ball_identity(r, z)
-    delta = bivariate_delta(M, m, counter) if w > 1 else None
-    # S = C_0 = prod_{i<m} M(z, i), built from the power table
-    S = None
-    for i in range(m):
-        grid, _ = eval_factor(M, i)
-        counter.coeff += sum(len(e.coeffs) for row in grid for e in row)
-        fac = [[table.eval_int_poly(e.coeffs, p, counter) for e in row]
-               for row in grid]
-        S = _accumulate(S, fac, p, counter)
-    V = S
-    for i in range(w - 1):
-        k0 = m * i
-        dmat = []
-        for row in delta:
-            drow = []
-            for e in row:
-                xpoly = e.eval_k(k0)
-                counter.coeff += sum(len(kr) for kr in e.grid)
-                drow.append(table.eval_int_poly(xpoly.coeffs, p, counter))
-            dmat.append(drow)
-        S = [[bl.n_add(S[a][b], dmat[a][b], p) for b in range(r)]
-             for a in range(r)]
-        V = ball_mat_mul(S, V, p, counter)
-    counter.note_live_coeffs(
-        sum(sum(len(kr) for kr in e.grid) for row in delta for e in row)
-        + table.D + 1 if delta is not None else table.D + 1)
-    V = _naive_leftover(M, z, V, m * w, n - m * w, table, p, counter)
-    return V
+    V = None
+    if w > 0:
+        # S = C_0 = prod_{i<m} M(z, i): one exact product over Z[x], then
+        # scalar operations only (products of table powers would carry the
+        # table's exponent into every later nonscalar product)
+        C0 = product_binsplit_exact(_exact_factor_matrices(M, 0, m, counter))
+        S = [[table.eval_int_poly(e.coeffs, p, counter) for e in row] for row in C0]
+        V = S
+        delta = bivariate_delta(M, m, counter) if w > 1 else []
+        step_coeff = sum(len(kr) for row in delta for e in row for kr in e.grid)
+        counter.note_live_coeffs(step_coeff + table.D + 1)
+        for i in range(w - 1):
+            k0 = m * i
+            counter.coeff += step_coeff
+            S = [[bl.n_add(s, table.eval_int_poly(e.eval_k(k0).coeffs, p, counter), p)
+                  for s, e in zip(srow, drow)] for srow, drow in zip(S, delta)]
+            V = ball_mat_mul(S, V, p, counter)
+    return _naive_leftover(M, z, V, m * w, n - m * w, table, p, counter)
 
 
 def bivariate_delta(M: RecMatrix, m: int, counter: OpCounter | None = None):
     """Delta_m = prod_{i<m} M(x, k+m+i) - prod_{i<m} M(x, k+i), expanded by
-    exact bivariate binary splitting."""
+    exact bivariate binary splitting; the second product is the first
+    shifted by k -> k + m."""
     lo_factors = [[[e.shift_k(i) for e in row] for row in M.entries]
                   for i in range(m)]
-    hi_factors = [[[e.shift_k(m + i) for e in row] for row in M.entries]
-                  for i in range(m)]
     lo = product_binsplit_exact(lo_factors)
-    hi = product_binsplit_exact(hi_factors)
+    hi = [[e.shift_k(m) for e in row] for row in lo]
     r = M.r
     if counter is not None:
         counter.coeff += sum(sum(len(kr) for kr in lo[i][j].grid)
@@ -662,7 +614,9 @@ def bivariate_delta(M: RecMatrix, m: int, counter: OpCounter | None = None):
 
 
 _CORES = {
-    "naive": _naive_core,
+    "naive": lambda M, z, n, plan, counter: _naive_leftover(
+        M, z, None, 0, n, PowerTable(z, M.deg_x(), plan.work_prec, counter),
+        plan.work_prec, counter),
     "binsplit-exact": _binsplit_core,
     "multipoint": _multipoint_core,
     "rect-ps": _rect_ps_core,
@@ -688,96 +642,34 @@ class EvalReport:
     accuracy_bits: int
 
 
-def _run(M: RecMatrix, z, n: int, plan: EvalPlan,
-         counter: OpCounter | None = None) -> EvalReport:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    counter = counter if counter is not None else OpCounter()
-    core = _CORES[plan.algorithm]
-    num = core(M, z, n, plan, counter)
-    den = _den_product(M, z, n, plan, counter)
-    p = plan.work_prec
-    if isinstance(den, (Ball, ComplexBall)) and not _is_one(den):
-        mat = [[bl.n_div(e, den, p) for e in row] for row in num]
-        counter.nonscalar += M.r * M.r
-    else:
-        mat = num
-    mat = [[bl.n_reduce(e, plan.prec) for e in row] for row in mat]
-    acc = min(min(_entry_acc(e) for e in row) for row in mat)
-    acc = min(acc, plan.prec)
-    return EvalReport(mat, num, den, plan, counter, acc)
-
-
 def _is_one(v) -> bool:
     if isinstance(v, ComplexBall):
         return _is_one(v.re) and _ball_is_exact_zero(v.im)
     return v.man == 1 and v.exp == 0 and v.rm == 0
 
 
-def _entry_acc(e) -> int:
-    return e.rel_accuracy_bits()
-
-
-def eval_naive(M: RecMatrix, z, n: int, plan: EvalPlan | None = None, p: int = 53):
-    plan = plan or make_plan("naive", n, p)
-    return _run(M, z, n, plan).matrix
-
-
-def eval_binsplit_exact(M: RecMatrix, z, n: int, plan: EvalPlan | None = None,
-                        p: int = 53):
-    plan = plan or make_plan("binsplit-exact", n, p)
-    return _run(M, z, n, plan).matrix
-
-
-def eval_multipoint(M: RecMatrix, z, n: int, plan: EvalPlan | None = None,
-                    p: int = 53):
-    plan = plan or make_plan("multipoint", n, p)
-    return _run(M, z, n, plan).matrix
-
-
-def eval_rect_ps(M: RecMatrix, z, n: int, plan: EvalPlan | None = None,
-                 p: int = 53):
-    plan = plan or make_plan("rect-ps", n, p)
-    return _run(M, z, n, plan).matrix
-
-
-def eval_rect_split(M: RecMatrix, z, n: int, plan: EvalPlan | None = None,
-                    p: int = 53):
-    plan = plan or make_plan("rect-split", n, p)
-    return _run(M, z, n, plan).matrix
-
-
-def eval_rect_split_taylor(M: RecMatrix, z, n: int,
-                           plan: EvalPlan | None = None, p: int = 53):
-    """rect-split with Taylor-shift giant-step updates; requires the
-    symmetry M(x, k+m) = M(x+m, k)."""
-    plan = plan or make_plan("rect-split", n, p)
-    if not M.shift_symmetry_holds(plan.m):
-        raise SymmetryError(
-            "matrix does not satisfy M(x, k+m) = M(x+m, k); "
-            "use eval_rect_split instead")
+def eval_dispatch(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
+                  m: int | None = None, subn: int | None = None) -> EvalReport:
+    """The entry point of every engine: select a plan (unless overridden),
+    run the engine and report the divided product with the achieved
+    accuracy."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if algorithm is None:
+        algorithm = default_algorithm(n)
+    plan = make_plan(algorithm, n, p, m=m, subn=subn)
     counter = OpCounter()
-    num = _rect_split_core(M, z, n, plan, counter, force_taylor=True)
+    # the cores take n >= 1 and return None for the identity
+    num = _CORES[plan.algorithm](M, z, n, plan, counter) if n else None
+    if num is None:
+        num = ball_identity(M.r, z)
     den = _den_product(M, z, n, plan, counter)
     wp = plan.work_prec
     if isinstance(den, (Ball, ComplexBall)) and not _is_one(den):
-        num = [[bl.n_div(e, den, wp) for e in row] for row in num]
-    return [[bl.n_reduce(e, plan.prec) for e in row] for row in num]
-
-
-def eval_rect_delta(M: RecMatrix, z, n: int, plan: EvalPlan | None = None,
-                    p: int = 53):
-    plan = plan or make_plan("rect-delta", n, p)
-    return _run(M, z, n, plan).matrix
-
-
-def eval_dispatch(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
-                  m: int | None = None, subn: int | None = None,
-                  taylor: str = "auto",
-                  thresholds=DEFAULT_THRESHOLDS) -> EvalReport:
-    """Select a plan (unless overridden), run the engine and report the
-    divided product with the achieved accuracy."""
-    if algorithm is None:
-        algorithm = default_algorithm(n, thresholds)
-    plan = make_plan(algorithm, n, p, m=m, subn=subn, taylor=taylor)
-    return _run(M, z, n, plan)
+        mat = [[bl.n_div(e, den, wp) for e in row] for row in num]
+        counter.nonscalar += M.r * M.r
+    else:
+        mat = num
+    mat = [[bl.n_reduce(e, p) for e in row] for row in mat]
+    acc = min(min(e.rel_accuracy_bits() for e in row) for row in mat)
+    return EvalReport(mat, num, den, plan, counter, min(acc, p))

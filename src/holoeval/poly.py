@@ -13,7 +13,7 @@ import re as _re
 from fractions import Fraction
 
 from . import intmul
-from .balls import _Z
+from .balls import _Z, _int_to_str, _str_to_int
 
 _KRON_THRESHOLD = 4096  # schoolbook below this many coefficient products
 
@@ -531,7 +531,7 @@ def bipoly_from_text(text: str) -> BiPoly:
         if not t or not m or (m.group(1) is None and m.group(2) is None
                               and m.group(4) is None):
             raise ValueError("malformed polynomial term %r in %r" % (t, text))
-        coeff = 1 if m.group(1) is None else int(m.group(1))
+        coeff = 1 if m.group(1) is None else _str_to_int(m.group(1))
         a = 0 if m.group(2) is None else int(m.group(3) or 1)
         b = 0 if m.group(4) is None else int(m.group(5) or 1)
         grid = [[0] * (b + 1) for _ in range(a + 1)]
@@ -554,13 +554,13 @@ def bipoly_to_text(p: BiPoly) -> str:
             if b:
                 mono.append("k" if b == 1 else "k^%d" % b)
             if not mono:
-                term = str(c)
+                term = _int_to_str(c)
             elif c == 1:
                 term = "*".join(mono)
             elif c == -1:
                 term = "-" + "*".join(mono)
             else:
-                term = "%d*%s" % (c, "*".join(mono))
+                term = _int_to_str(c) + "*" + "*".join(mono)
             parts.append(term)
     out = parts[0]
     for t in parts[1:]:

@@ -14,8 +14,7 @@ from . import balls as bl
 from .balls import Ball, BallDomainError, ComplexBall, _Z
 from .poly import BiPoly
 from .recmat import RecMatrix, rising_factorial_matrix
-from .engines import (OpCounter, PowerTable, default_algorithm, eval_dispatch,
-                      make_plan)
+from .engines import eval_dispatch
 
 _BETA = math.log(2) / (2 * math.pi)  # ~0.1103, argument-reduction slope
 
@@ -89,60 +88,10 @@ def rising_delta_coeffs(m: int) -> RisingDeltaCoeffs:
     return RisingDeltaCoeffs(m, tuple(tuple(int(c) for c in r) for r in rows))
 
 
-def _rising_delta_core(z, n: int, m: int, wp: int, counter: OpCounter):
-    """Specialized rectangular-splitting (difference variant) loop for the
-    rising factorial, driven by the closed-form coefficient table."""
-    w = n // m
-    table = PowerTable(z, max(m, 1), wp, counter)
-    if w == 0:
-        acc = table.eval_int_poly([0, 1], wp, counter)
-        for i in range(1, n):
-            f = table.eval_int_poly([i, 1], wp, counter)
-            acc = bl.n_mul(acc, f, wp)
-            counter.nonscalar += 1
-        return acc
-    ctab = rising_delta_coeffs(m)
-    scoeffs = rising_poly_coeffs(m)
-    S = table.eval_int_poly(scoeffs, wp, counter)
-    V = S
-    for i in range(w - 1):
-        k0 = m * i
-        xcoeffs = []
-        for v in range(m):
-            row = ctab.rows[v]
-            acc = row[-1]
-            for c in reversed(row[:-1]):
-                acc = acc * k0 + c
-            xcoeffs.append(acc)
-        counter.coeff += (m * (m + 1)) // 2
-        delta = table.eval_int_poly(xcoeffs, wp, counter)
-        S = bl.n_add(S, delta, wp)
-        V = bl.n_mul(S, V, wp)
-        counter.nonscalar += 1
-    for i in range(m * w, n):
-        f = table.eval_int_poly([i, 1], wp, counter)
-        V = bl.n_mul(V, f, wp)
-        counter.nonscalar += 1
-    return V
-
-
 def rising_factorial_report(z, n: int, prec: int, algorithm: str | None = None,
                             m: int | None = None):
-    """z^(rising n) plus the plan and instrumentation used."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if algorithm is None:
-        algorithm = default_algorithm(n)
-    if algorithm == "rect-delta":
-        plan = make_plan("rect-delta", n, prec, m=m)
-        counter = OpCounter()
-        if n == 0:
-            val = bl.n_one(z)
-        else:
-            val = _rising_delta_core(z, n, plan.m, plan.work_prec, counter)
-        val = bl.n_reduce(val, prec)
-        acc = min(val.rel_accuracy_bits(), prec)
-        return val, plan, counter, acc
+    """z^(rising n) plus the plan and instrumentation used: the 1 x 1
+    recurrence (z + k) through the engines, like any other recurrence."""
     rep = eval_dispatch(rising_factorial_matrix(), z, n, prec,
                         algorithm=algorithm, m=m)
     return rep.matrix[0][0], rep.plan, rep.counter, rep.accuracy_bits
@@ -234,7 +183,8 @@ class BernoulliCache:
     def save(self, path) -> None:
         with open(path, "w") as fh:
             for k, b in enumerate(self._even):
-                fh.write("%d %d %d\n" % (2 * k, b.numerator, b.denominator))
+                fh.write("%d %s %s\n" % (2 * k, bl._int_to_str(b.numerator),
+                                          bl._int_to_str(b.denominator)))
 
     def load(self, path) -> None:
         entries = {}
@@ -244,7 +194,8 @@ class BernoulliCache:
                 if not line or line.startswith("#"):
                     continue
                 idx_s, num_s, den_s = line.split()
-                entries[int(idx_s)] = Fraction(int(num_s), int(den_s))
+                entries[int(idx_s)] = Fraction(bl._str_to_int(num_s),
+                                               bl._str_to_int(den_s))
         with self._lock:
             top = max(entries) if entries else -1
             if top < self.max_index():
@@ -330,25 +281,26 @@ def _stirling_nterms_float(t: float, secfac: float, target_bits: int,
     return None
 
 
-def _stirling_remainder_ok(w, nterms: int, target_bits: int) -> bool:
-    """Rigorous check |R_N(w)| < 2^-target via 64-bit ball bounds with
-    |B_2N| <= 2 zeta(2) (2N)! / (2pi)^(2N)."""
+def _stirling_remainder_bound(w, nterms: int):
+    """Upper bound (man, exp) of |R_N(w)| by 64-bit ball arithmetic with
+    |B_2N| <= 2 zeta(2) (2N)! / (2pi)^(2N), or None where the bound does not
+    apply (w not provably in the right half-plane)."""
     wp = 64
     two_n = 2 * nterms
     if isinstance(w, ComplexBall):
         mod2 = bl.add(bl.mul(w.re, w.re, wp), bl.mul(w.im, w.im, wp), wp)
         mod = bl.sqrt(mod2, wp)
         if not mod.is_positive():
-            return False
+            return None
         den = bl.add(mod, w.re, wp)
         if not den.is_positive():
-            return False
+            return None
         sec2 = bl.div(bl.mul_int(mod, 2, wp), den, wp)
         secn = bl.pow_int(sec2, nterms, wp)
         wabs = mod
     else:
         if not w.is_positive():
-            return False
+            return None
         secn = Ball.one()
         wabs = w
     fac = Ball.from_int(math.factorial(two_n))
@@ -359,10 +311,16 @@ def _stirling_remainder_ok(w, nterms: int, target_bits: int) -> bool:
     bound = bl.div_int(bound, two_n * (two_n - 1), wp)
     bound = bl.div(bound, bl.pow_int(wabs, two_n - 1, wp), wp)
     bound = bl.mul(bound, secn, wp)
-    um, ue = bound.abs_upper()
-    if um == 0:
-        return True
-    return ue + um.bit_length() < -target_bits
+    return bound.abs_upper()
+
+
+def _stirling_remainder_ok(w, nterms: int, target_bits: int) -> bool:
+    """Rigorous check |R_N(w)| < 2^-target."""
+    bound = _stirling_remainder_bound(w, nterms)
+    if bound is None:
+        return False
+    um, ue = bound
+    return um == 0 or ue + um.bit_length() < -target_bits
 
 
 def stirling_params(x, p: int, n_override: int | None = None) -> StirlingParams:
@@ -441,29 +399,10 @@ def log_gamma_stirling(w, nterms: int, wp: int,
     out = bl.n_add(out, series, wp)
     # inflate by the rigorous remainder bound (checked by the caller to be
     # below the target; recomputed here so the enclosure never depends on it)
-    rad = _stirling_remainder_rad(w, nterms)
+    rad = _stirling_remainder_bound(w, nterms)
+    if rad is None:
+        raise BallDomainError("Stirling remainder bound needs Re(w) > 0")
     return _inflate(out, rad)
-
-
-def _stirling_remainder_rad(w, nterms: int):
-    wp = 64
-    two_n = 2 * nterms
-    if isinstance(w, ComplexBall):
-        mod2 = bl.add(bl.mul(w.re, w.re, wp), bl.mul(w.im, w.im, wp), wp)
-        mod = bl.sqrt(mod2, wp)
-        sec2 = bl.div(bl.mul_int(mod, 2, wp), bl.add(mod, w.re, wp), wp)
-        secn = bl.pow_int(sec2, nterms, wp)
-        wabs = mod
-    else:
-        secn = Ball.one()
-        wabs = w
-    fac = Ball.from_int(math.factorial(two_n))
-    bound = bl.mul(bl.mul_int(Ball.from_fraction(Fraction(16449342, 10 ** 7), wp), 2, wp), fac, wp)
-    bound = bl.div(bound, bl.pow_int(Ball.from_fraction(Fraction(62831853, 10 ** 7), wp), two_n, wp), wp)
-    bound = bl.div_int(bound, two_n * (two_n - 1), wp)
-    bound = bl.div(bound, bl.pow_int(wabs, two_n - 1, wp), wp)
-    bound = bl.mul(bound, secn, wp)
-    return bound.abs_upper()
 
 
 def _inflate(v, rad):

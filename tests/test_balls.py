@@ -252,6 +252,22 @@ class TestDecimal:
         b = bl.parse_decimal("1.5 ± 1e-10", 64)
         assert b.contains(Fraction(3, 2)) and b.rad_fraction() >= Fraction(1, 10 ** 10)
 
+    def test_large_values_at_default_digit_limit(self):
+        # plain int refuses str()/int() beyond 4300 digits by default; the
+        # conversions must work there without raising the limit
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            third = bl.div(Ball.from_int(1), Ball.from_int(3), 20000)
+            s = bl.to_decimal(third)
+            assert len(s.split(" ± ")[0]) > 6000
+            assert bl.parse_decimal(s, 20100).contains(Fraction(1, 3))
+            big = 3 ** 20000
+            assert bl.parse_decimal(bl.to_decimal(Ball.from_int(-big)), 64).contains(-big)
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(old)
+
     def test_roundtrip_through_string(self):
         rng = random.Random(9)
         for _ in range(40):

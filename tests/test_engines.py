@@ -14,11 +14,10 @@ from holoeval.poly import BiPoly, bipoly_from_text
 from holoeval.recmat import (DenominatorZeroError, RecMatrix,
                              ScalarRecurrence, companion,
                              rising_factorial_matrix, unroll_rational)
-from holoeval.engines import (ALGORITHMS, OpCounter, SymmetryError,
-                              bivariate_delta, choose_m, default_algorithm,
-                              eval_dispatch, eval_multipoint, eval_rect_delta,
-                              eval_rect_ps, eval_rect_split,
-                              eval_rect_split_taylor, make_plan)
+import holoeval
+import holoeval.engines as engines
+from holoeval.engines import (ALGORITHMS, bivariate_delta, choose_m,
+                              default_algorithm, eval_dispatch)
 from holoeval.special import hyp1f1_gamma_matrix
 
 RISING = rising_factorial_matrix()
@@ -55,7 +54,6 @@ class TestChooseM:
         assert default_algorithm(32) == "rect-delta"
         assert default_algorithm(999) == "rect-delta"
         assert default_algorithm(1000) == "rect-split"
-        assert default_algorithm(10, thresholds=(4, 8)) == "rect-split"
 
 
 class TestSmallExamples:
@@ -125,40 +123,63 @@ class TestSmallExamples:
             assert mat[1][1].is_exact()
 
 
+@pytest.fixture
+def taylor_calls(monkeypatch):
+    """Counts the giant-step Taylor-shift updates made by rect-split."""
+    calls = []
+    shift = engines._taylor_shift_auto
+
+    def counted(e, c):
+        calls.append(c)
+        return shift(e, c)
+
+    monkeypatch.setattr(engines, "_taylor_shift_auto", counted)
+    return calls
+
+
 class TestTaylorVariant:
-    def test_rising_matches_rect_split(self):
+    """rect-split updates giant steps by Taylor shifts exactly when
+    M(x, k+m) = M(x+m, k) holds, with no caller-side switch."""
+
+    def test_rising_matches_rect_split(self, taylor_calls):
         z = Ball.from_fraction(Fraction(1, 2), 400)
-        plan = make_plan("rect-split", 100, 400, m=7, taylor="off")
-        a = eval_rect_split(RISING, z, 100, plan)
-        b = eval_rect_split_taylor(RISING, z, 100, make_plan("rect-split", 100, 400, m=7))
+        a = eval_dispatch(RISING, z, 100, 400, algorithm="rect-split", m=7).matrix
+        assert taylor_calls
+        b = eval_dispatch(RISING, z, 100, 400, algorithm="naive").matrix
         exact = rising_exact(Fraction(1, 2), 100)
         assert a[0][0].contains(exact) and b[0][0].contains(exact)
         assert a[0][0].overlaps(b[0][0])
 
-    def test_constant_matrix_is_symmetric(self):
+    def test_constant_matrix_is_symmetric(self, taylor_calls):
         fib = companion(ScalarRecurrence([bipoly_from_text("-1"),
                                           bipoly_from_text("-1"),
                                           bipoly_from_text("1")]))
-        mat = eval_rect_split_taylor(fib, Ball.zero(), 30, make_plan("rect-split", 30, 64, m=5))
+        mat = eval_dispatch(fib, Ball.zero(), 30, 64, algorithm="rect-split",
+                            m=5).matrix
+        assert taylor_calls
         assert mat[1][1].contains(1346269)  # F_31
 
-    def test_hyp1f1_matrix_symmetry(self):
+    def test_hyp1f1_matrix_symmetry(self, taylor_calls):
         # 1 + k + x is symmetric under (k -> k+m) vs (x -> x+m), and the
         # constant entry is invariant, so the Taylor update applies
         M = hyp1f1_gamma_matrix(17)
         assert M.shift_symmetry_holds(4)
         z = Ball.from_fraction(Fraction(5, 4), 128)
-        a = eval_rect_split_taylor(M, z, 40, make_plan("rect-split", 40, 128, m=5))
+        a = eval_dispatch(M, z, 40, 128, algorithm="rect-split", m=5).matrix
+        assert taylor_calls
         rep = eval_dispatch(M, z, 40, 128, algorithm="naive")
         for i in range(2):
             for j in range(2):
                 assert a[i][j].overlaps(rep.matrix[i][j])
 
-    def test_asymmetric_matrix_raises(self):
+    def test_asymmetric_matrix_contains(self, taylor_calls):
+        # M(x, k+4) != M(x+4, k): a Taylor-shift update of the giant step
+        # would give a ball (midpoint 7962624) that misses 20!
         M = RecMatrix([[bipoly_from_text("1 + k")]])
-        assert not M.shift_symmetry_holds(3)
-        with pytest.raises(SymmetryError):
-            eval_rect_split_taylor(M, Ball.one(), 20, make_plan("rect-split", 20, 64, m=4))
+        assert not M.shift_symmetry_holds(4)
+        rep = eval_dispatch(M, Ball.one(), 20, 64, algorithm="rect-split", m=4)
+        assert not taylor_calls
+        assert rep.matrix[0][0].contains(math.factorial(20))
 
 
 def rand_bipoly(rng, maxdeg=2, bound=5):
@@ -265,6 +286,17 @@ class TestInstrumentation:
         assert peaks[16] <= 3 * peaks[8]
         assert peaks[32] <= 3 * peaks[16]
 
+    def test_rect_delta_nonscalar_count(self):
+        # power table m - 1, giant steps w - 1, leftover n - m w: the first
+        # giant step C_0 is an exact product evaluated by scalar operations
+        for n, m in ((16, 4), (100, 7), (1000, 13), (37, 1), (5, 5)):
+            w = n // m
+            for z in (Fraction(1, 8), Fraction(2, 3)):
+                rep = eval_dispatch(RISING, Ball.from_fraction(z, 4 * n), n,
+                                    4 * n, algorithm="rect-delta", m=m)
+                assert rep.counter.nonscalar == (m - 1) + (w - 1) + (n - m * w), (n, m)
+                assert rep.matrix[0][0].contains(rising_exact(z, n))
+
     def test_positivity_stability(self):
         # all-positive inputs: accuracy loss stays O(log n)
         for n in (10, 100, 1000):
@@ -287,3 +319,8 @@ class TestDeltaGeneric:
         rep = eval_dispatch(RISING, Ball.from_fraction(Fraction(1, 2), 64),
                             1000, 64)
         assert rep.plan.algorithm == "rect-split"
+
+
+def test_public_names_resolve():
+    for name in holoeval.__all__:
+        assert hasattr(holoeval, name), name

@@ -3,6 +3,7 @@ equivalence, multipoint evaluation against Horner, bivariate ring axioms,
 and the text form round trip."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,21 @@ class TestBiPoly:
             bipoly_from_text("")
         with pytest.raises(ValueError):
             bipoly_from_text("y + 1")
+
+    def test_text_roundtrip_long_coefficients_at_default_digit_limit(self):
+        # spec files may carry coefficients beyond plain int's 4300-digit
+        # str()/int() limit; the text form must not depend on raising it
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            c = 7 ** 6000
+            p = bipoly_from_text("%s*x*k^2 - %s" % (bl._int_to_str(c),
+                                                   bl._int_to_str(3 * c)))
+            assert p == BiPoly([[-3 * c, 0, 0], [0, 0, c]])
+            assert bipoly_from_text(bipoly_to_text(p)) == p
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestPowerTableEval:

@@ -3,17 +3,19 @@ Bernoulli numbers, and both gamma algorithms at small/medium precision."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import holoeval.balls as bl
 from holoeval.balls import Ball, BallDomainError, ComplexBall
-from holoeval.engines import bivariate_delta
+from holoeval.engines import bivariate_delta, eval_dispatch
 from holoeval.recmat import rising_factorial_matrix, unroll_rational
 from holoeval.special import (BernoulliCache, bernoulli_even, gamma_1f1,
                               gamma_stirling, hyp1f1_gamma_matrix,
                               rising_delta_coeffs, rising_factorial,
+                              rising_factorial_report,
                               stirling_params, vsc_denominator)
 
 
@@ -46,6 +48,20 @@ class TestRisingFactorial:
                 v = rising_factorial(Ball.from_fraction(z, 128), n, 128,
                                      algorithm="rect-delta", m=m)
                 assert v.contains(rising_exact(z, n)), (n, m)
+
+    def test_report_is_the_generic_engine(self):
+        rising = rising_factorial_matrix()
+        for z in (Fraction(1, 8), Fraction(-3, 4), Fraction(1, 3), Fraction(22, 7)):
+            for n, m in ((1, 1), (13, 2), (64, 8), (100, 7), (257, None)):
+                p = 4 * n + 64
+                zb = Ball.from_fraction(z, p)
+                val, plan, counter, acc = rising_factorial_report(
+                    zb, n, p, algorithm="rect-delta", m=m)
+                rep = eval_dispatch(rising, zb, n, p, algorithm="rect-delta", m=m)
+                got = rep.matrix[0][0]
+                assert (val.man, val.exp, val.rm, val.re) == (got.man, got.exp, got.rm, got.re)
+                assert (plan, counter, acc) == (rep.plan, rep.counter, rep.accuracy_bits)
+                assert val.contains(rising_exact(z, n)), (z, n, m)
 
     def test_functional_equation(self):
         rng = random.Random(17)
@@ -129,6 +145,24 @@ class TestBernoulli:
             assert fresh.get(k) == cache.get(k)
 
 
+class TestBernoulliPersistence:
+    def test_roundtrip_beyond_default_digit_limit(self, tmp_path):
+        # B_2400 has a numerator of about 5200 decimal digits
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            cache = BernoulliCache()
+            cache.ensure(2400)
+            path = tmp_path / "bernoulli.txt"
+            cache.save(path)
+            fresh = BernoulliCache()
+            fresh.load(path)
+            assert fresh.get(2400) == cache.get(2400)
+            assert abs(cache.get(2400).numerator) > 10 ** 4300
+        finally:
+            sys.set_int_max_str_digits(old)
+
+
 class TestStirlingParams:
     def test_shift_example(self):
         sp = stirling_params(Ball.from_int(1), 333)
@@ -144,6 +178,15 @@ class TestStirlingParams:
         w = bl.add_int(Ball.from_int(1), sp.n, 64)
         assert _stirling_remainder_ok(w, sp.nterms, 333)
         assert not _stirling_remainder_ok(w, max(1, sp.nterms // 4), 333)
+
+    def test_remainder_bound_outside_its_domain(self):
+        from holoeval.special import _stirling_remainder_bound, log_gamma_stirling
+        assert _stirling_remainder_bound(Ball.from_int(-1), 5) is None
+        # Re(w) < 0 with |Im w| far below the 64-bit resolution of |w| + Re w
+        w = ComplexBall(Ball.from_int(-10), Ball.from_fraction(Fraction(1, 10 ** 10), 128))
+        assert _stirling_remainder_bound(w, 5) is None
+        with pytest.raises(BallDomainError):
+            log_gamma_stirling(w, 5, 128)
 
     def test_pole_rejected(self):
         with pytest.raises(BallDomainError):
