@@ -15,12 +15,12 @@ from .balls import (Ball, BallDomainError, ComplexBall, add, add_int, div,
                     mul_int, parse_decimal, pi, pow_int, power, reduce, sqrt,
                     sub, to_decimal)
 from .poly import (BiPoly, UniPoly, bipoly_from_text, bipoly_to_text,
-                   multipoint_eval, poly_divmod, product_tree,
-                   taylor_shift_basecase, taylor_shift_convolution)
+                   product_tree, taylor_shift_basecase,
+                   taylor_shift_convolution)
 from .recmat import (DenominatorZeroError, RecMatrix, ScalarRecurrence,
                      apply_to_vector, companion, eval_factor,
-                     product_binsplit_exact, product_naive,
-                     rising_factorial_matrix, unroll_rational)
+                     product_binsplit_exact, rising_factorial_matrix,
+                     unroll_rational)
 from .engines import (ALGORITHMS, EvalPlan, EvalReport, OpCounter, PowerTable,
                       bivariate_delta, choose_m, default_algorithm,
                       eval_dispatch, make_plan)
@@ -42,8 +42,8 @@ __all__ = [
     "inv", "sqrt", "exp", "log", "power", "pow_int", "pi", "log2_const",
     "reduce", "to_decimal", "parse_decimal",
     "taylor_shift_basecase", "taylor_shift_convolution", "product_tree",
-    "multipoint_eval", "poly_divmod", "bipoly_from_text", "bipoly_to_text",
-    "companion", "eval_factor", "product_naive", "product_binsplit_exact",
+    "bipoly_from_text", "bipoly_to_text",
+    "companion", "eval_factor", "product_binsplit_exact",
     "apply_to_vector", "unroll_rational", "rising_factorial_matrix",
     "choose_m", "default_algorithm", "make_plan", "eval_dispatch",
     "bivariate_delta",

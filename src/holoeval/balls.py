@@ -23,7 +23,6 @@ code needs them at precisions far beyond hardware floats.
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from fractions import Fraction
@@ -106,28 +105,6 @@ def _l_from_abs(man, exp: int):
         return int(man), exp
     s = bl - _RAD_BITS
     return int(man >> s), exp + s
-
-
-def _rad_cmp(rm1, re1, rm2, re2) -> int:
-    """Compare two radius values; -1, 0, 1."""
-    if rm1 == 0 and rm2 == 0:
-        return 0
-    if rm1 == 0:
-        return -1
-    if rm2 == 0:
-        return 1
-    t1 = re1 + rm1.bit_length()
-    t2 = re2 + rm2.bit_length()
-    if t1 < t2 - 1:
-        return -1
-    if t1 > t2 + 1:
-        return 1
-    d = re1 - re2
-    if d >= 0:
-        a, b = rm1 << d, rm2
-    else:
-        a, b = rm1, rm2 << (-d)
-    return (a > b) - (a < b)
 
 
 def _rad_div_upper(num_rm, num_re, den_lm, den_le):
@@ -269,9 +246,6 @@ class Ball:
     def is_positive(self) -> bool:
         """True iff every point of the ball is > 0."""
         return self.man > 0 and not self.contains_zero()
-
-    def is_negative(self) -> bool:
-        return self.man < 0 and not self.contains_zero()
 
     def contains(self, x) -> bool:
         """Exact test whether the rational (or integer) x lies in the ball."""
@@ -613,118 +587,6 @@ def log2_const(p: int) -> Ball:
 
 
 # ---------------------------------------------------------------------------
-# exp / log / pow
-# ---------------------------------------------------------------------------
-
-_EXP_ARG_BITS = 48  # |argument| must stay below 2**48
-
-
-def _exp_series_terms(k_halvings: int, target_bits: int) -> int:
-    """Smallest N with (2^-k)^(N+1)/(N+1)! below 2^-target."""
-    n = 1
-    log2fac = 0.0
-    while True:
-        log2fac += math.log2(n + 1)
-        if k_halvings * (n + 1) + log2fac > target_bits + 2:
-            return n
-        n += 1
-
-
-def _u_pow(rm, re, k):
-    """Upper bound of (rm*2^re)**k."""
-    m, e = 1, 0
-    bm, be = rm, re
-    while k:
-        if k & 1:
-            m, e = _rad_mul(m, e, bm, be)
-        k >>= 1
-        if k:
-            bm, be = _rad_mul(bm, be, bm, be)
-    return m, e
-
-
-def _u_inv_factorial(n: int):
-    """Upper bound of 1/n! as a radius pair."""
-    f = math.factorial(n)
-    bl = f.bit_length()
-    return ((1 << (bl + 34)) // f) + 1, -(bl + 34)
-
-
-def exp(x: Ball, p: int) -> Ball:
-    """Exponential of a real ball with rigorous tail bounds."""
-    um, ue = x.abs_upper()
-    if um and ue + um.bit_length() > _EXP_ARG_BITS:
-        raise BallDomainError("exp argument too large")
-    katom = max(8, math.isqrt(p))
-    wp = p + katom + 48
-    # reduce by log 2: x = q log2 + xr
-    l2 = log2_const(wp + _EXP_ARG_BITS + 16)
-    q = int(round(x.mid_float() / 0.6931471805599453))
-    xr = sub(x, mul_int(l2, q, wp + 16), wp + 16) if q else x
-    # halve until the series argument is below 2^-katom
-    um, ue = xr.abs_upper()
-    top = ue + um.bit_length() if um else -katom
-    k = katom + max(0, top)
-    t = mul_2exp(xr, -k)
-    nterms = _exp_series_terms(katom, wp + 8)
-    s = Ball.one()
-    term = Ball.one()
-    for i in range(1, nterms + 1):
-        term = div_int(mul(term, t, wp), i, wp)
-        s = add(s, term, wp)
-    # tail <= 2 |t|^(N+1)/(N+1)!
-    utm, ute = t.abs_upper()
-    tr = _rad_mul(*_u_pow(utm, ute, nterms + 1), *_u_inv_factorial(nterms + 1))
-    s = Ball(s.man, s.exp, *_rad_add(s.rm, s.re, tr[0] * 2, tr[1]))
-    for _ in range(k):
-        s = mul(s, s, wp)
-    if q:
-        s = mul_2exp(s, q)
-    return reduce(s, p)
-
-
-def _log_seed(x: Ball) -> Ball:
-    man, e = x.man, x.exp
-    bl = man.bit_length()
-    f = math.ldexp(int(man >> (bl - 53)) if bl > 53 else int(man), -min(bl, 53))
-    return Ball.from_float(math.log(f) + (e + bl) * 0.6931471805599453)
-
-
-def log(x: Ball, p: int) -> Ball:
-    """Natural logarithm; the ball must be strictly positive."""
-    if not x.is_positive():
-        raise BallDomainError("log of a ball not provably positive")
-    wp = p + 48
-    # Newton ladder on midpoints, seeded from a float log
-    precs = [wp]
-    while precs[-1] > 64:
-        precs.append(precs[-1] // 2 + 16)
-    precs.reverse()
-    y = _log_seed(x)
-    xmid = Ball(x.man, x.exp, 0, 0)
-    for pr in precs:
-        e = exp(-y, pr + 8)
-        r = sub(mul(xmid, Ball(e.man, e.exp, 0, 0), pr + 8), Ball.one(), pr + 8)
-        y = reduce(add(y, Ball(r.man, r.exp, 0, 0), pr + 8), pr + 8)
-        y = Ball(y.man, y.exp, 0, 0)
-    # rigorous wrap: log x = y + log(x e^-y);  |log(1+r) - r| <= |r|^2/(2(1-|r|))
-    e = exp(-y, wp)
-    r = sub(mul(x, e, wp), Ball.one(), wp)
-    urm, ure = r.abs_upper()
-    if urm and ure + urm.bit_length() >= -1:
-        raise BallDomainError("log correction did not converge")
-    err = _rad_mul(urm, ure, urm, ure)
-    out = add(y, r, wp)
-    out = Ball(out.man, out.exp, *_rad_add(out.rm, out.re, err[0], err[1]))
-    return reduce(out, p)
-
-
-def power(x: Ball, y: Ball, p: int) -> Ball:
-    """x**y = exp(y log x) for positive x."""
-    return exp(mul(log(x, p + 16), y, p + 16), p)
-
-
-# ---------------------------------------------------------------------------
 # complex balls (rectangular: independent real/imaginary balls)
 # ---------------------------------------------------------------------------
 
@@ -821,105 +683,9 @@ def c_add_int(a: ComplexBall, n, p: int) -> ComplexBall:
     return ComplexBall(add_int(a.re, n, p), a.im)
 
 
-def c_exp(x: ComplexBall, p: int) -> ComplexBall:
-    """Complex exponential via its Taylor series with argument halving
-    (no explicit trigonometric functions)."""
-    um, ue = x.abs_upper()
-    if um and ue + um.bit_length() > _EXP_ARG_BITS:
-        raise BallDomainError("exp argument too large")
-    katom = max(8, math.isqrt(p))
-    wp = p + katom + 48
-    l2 = log2_const(wp + _EXP_ARG_BITS + 16)
-    q = int(round(x.re.mid_float() / 0.6931471805599453))
-    xr = ComplexBall(sub(x.re, mul_int(l2, q, wp + 16), wp + 16), x.im) if q else x
-    um, ue = xr.abs_upper()
-    top = ue + um.bit_length() if um else -katom
-    k = katom + max(0, top)
-    t = c_mul_2exp(xr, -k)
-    nterms = _exp_series_terms(katom, wp + 8)
-    s = ComplexBall.one()
-    term = ComplexBall.one()
-    for i in range(1, nterms + 1):
-        term = c_div_int(c_mul(term, t, wp), i, wp)
-        s = c_add(s, term, wp)
-    utm, ute = t.abs_upper()
-    tr = _rad_mul(*_u_pow(utm, ute, nterms + 1), *_u_inv_factorial(nterms + 1))
-    trm, tre = _rnorm(tr[0] * 2, tr[1])
-    s = ComplexBall(
-        Ball(s.re.man, s.re.exp, *_rad_add(s.re.rm, s.re.re, trm, tre)),
-        Ball(s.im.man, s.im.exp, *_rad_add(s.im.rm, s.im.re, trm, tre)),
-    )
-    for _ in range(k):
-        s = c_mul(s, s, wp)
-    if q:
-        s = c_mul_2exp(s, q)
-    return ComplexBall(reduce(s.re, p), reduce(s.im, p))
-
-
-def _c_log_seed(x: ComplexBall) -> ComplexBall:
-    # scale mid so floats cannot overflow
-    tr = x.re.exp + x.re.man.bit_length() if x.re.man else -1
-    ti = x.im.exp + x.im.man.bit_length() if x.im.man else -1
-    s = max(tr, ti)
-    fr = Ball(x.re.man, x.re.exp - s, 0, 0).mid_float()
-    fi = Ball(x.im.man, x.im.exp - s, 0, 0).mid_float()
-    w = cmath.log(complex(fr, fi))
-    return ComplexBall(
-        Ball.from_float(w.real + s * 0.6931471805599453),
-        Ball.from_float(w.imag),
-    )
-
-
-def c_log(x: ComplexBall, p: int) -> ComplexBall:
-    """Principal complex logarithm; the box must exclude zero.
-
-    Intended for arguments away from the branch cut (our callers always
-    have positive real part)."""
-    if x.contains_zero():
-        raise BallDomainError("log of a complex ball containing zero")
-    if x.re.man <= 0 and not x.re.is_positive() and x.im.contains_zero():
-        raise BallDomainError("complex log too close to the branch cut")
-    wp = p + 48
-    precs = [wp]
-    while precs[-1] > 64:
-        precs.append(precs[-1] // 2 + 16)
-    precs.reverse()
-    y = _c_log_seed(x)
-    xmid = ComplexBall(Ball(x.re.man, x.re.exp, 0, 0), Ball(x.im.man, x.im.exp, 0, 0))
-    one = ComplexBall.one()
-    for pr in precs:
-        e = c_exp(-y, pr + 8)
-        emid = ComplexBall(_mid_ball(e.re), _mid_ball(e.im))
-        r = c_sub(c_mul(xmid, emid, pr + 8), one, pr + 8)
-        y = ComplexBall(
-            _mid_ball(reduce(add(y.re, _mid_ball(r.re), pr + 8), pr + 8)),
-            _mid_ball(reduce(add(y.im, _mid_ball(r.im), pr + 8), pr + 8)),
-        )
-    e = c_exp(-y, wp)
-    r = c_sub(c_mul(x, e, wp), one, wp)
-    urm, ure = r.abs_upper()
-    if urm and ure + urm.bit_length() >= -1:
-        raise BallDomainError("complex log correction did not converge")
-    err = _rad_mul(urm, ure, urm, ure)
-    out = c_add(y, r, wp)
-    out = ComplexBall(
-        Ball(out.re.man, out.re.exp, *_rad_add(out.re.rm, out.re.re, err[0], err[1])),
-        Ball(out.im.man, out.im.exp, *_rad_add(out.im.rm, out.im.re, err[0], err[1])),
-    )
-    return ComplexBall(reduce(out.re, p), reduce(out.im, p))
-
-
-def _mid_ball(b: Ball) -> Ball:
-    return Ball(b.man, b.exp, 0, 0)
-
-
 # ---------------------------------------------------------------------------
 # generic dispatch over H = real or complex balls
 # ---------------------------------------------------------------------------
-
-def n_is_complex(x) -> bool:
-    return isinstance(x, ComplexBall)
-
 
 def n_add(a, b, p):
     if isinstance(a, ComplexBall):
@@ -969,16 +735,173 @@ def n_reduce(a, p):
     return reduce(a, p)
 
 
-def n_exp(a, p):
+def n_add_int(a, n, p):
     if isinstance(a, ComplexBall):
-        return c_exp(a, p)
-    return exp(a, p)
+        return c_add_int(a, n, p)
+    return add_int(a, n, p)
 
 
-def n_log(a, p):
+def n_mul_2exp(a, e):
     if isinstance(a, ComplexBall):
-        return c_log(a, p)
-    return log(a, p)
+        return c_mul_2exp(a, e)
+    return mul_2exp(a, e)
+
+
+def n_div_int(a, c, p):
+    if isinstance(a, ComplexBall):
+        return c_div_int(a, c, p)
+    return div_int(a, c, p)
+
+
+def n_from_ball(b: Ball, like):
+    """The real ball b, as a complex ball when like is complex."""
+    return ComplexBall.from_ball(b) if isinstance(like, ComplexBall) else b
+
+
+def n_real(a) -> Ball:
+    """The real part."""
+    return a.re if isinstance(a, ComplexBall) else a
+
+
+def n_widen(a, rm, re):
+    """a with the radius of each part widened by rm * 2^re."""
+    if isinstance(a, ComplexBall):
+        return ComplexBall(n_widen(a.re, rm, re), n_widen(a.im, rm, re))
+    return Ball(a.man, a.exp, *_rad_add(a.rm, a.re, rm, re))
+
+
+def _mid(a):
+    """The midpoint as an exact ball (of each part)."""
+    if isinstance(a, ComplexBall):
+        return ComplexBall(_mid(a.re), _mid(a.im))
+    return Ball(a.man, a.exp, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# exp / log / pow
+# ---------------------------------------------------------------------------
+
+_EXP_ARG_BITS = 48  # |argument| must stay below 2**48
+
+
+def _exp_series_terms(k_halvings: int, target_bits: int) -> int:
+    """Smallest N with (2^-k)^(N+1)/(N+1)! below 2^-target."""
+    n = 1
+    log2fac = 0.0
+    while True:
+        log2fac += math.log2(n + 1)
+        if k_halvings * (n + 1) + log2fac > target_bits + 2:
+            return n
+        n += 1
+
+
+def _u_pow(rm, re, k):
+    """Upper bound of (rm*2^re)**k."""
+    m, e = 1, 0
+    bm, be = rm, re
+    while k:
+        if k & 1:
+            m, e = _rad_mul(m, e, bm, be)
+        k >>= 1
+        if k:
+            bm, be = _rad_mul(bm, be, bm, be)
+    return m, e
+
+
+def _u_inv_factorial(n: int):
+    """Upper bound of 1/n! as a radius pair."""
+    f = math.factorial(n)
+    bl = f.bit_length()
+    return ((1 << (bl + 34)) // f) + 1, -(bl + 34)
+
+
+def exp(x, p: int):
+    """Exponential of a real or complex ball: Taylor series with argument
+    halving and rigorous tail bounds (no explicit trigonometric functions)."""
+    um, ue = x.abs_upper()
+    if um and ue + um.bit_length() > _EXP_ARG_BITS:
+        raise BallDomainError("exp argument too large")
+    katom = max(8, math.isqrt(p))
+    wp = p + katom + 48
+    # reduce by log 2: x = q log2 + xr
+    l2 = log2_const(wp + _EXP_ARG_BITS + 16)
+    q = int(round(n_real(x).mid_float() / 0.6931471805599453))
+    xr = n_sub(x, n_from_ball(mul_int(l2, q, wp + 16), x), wp + 16) if q else x
+    # halve until the series argument is below 2^-katom
+    um, ue = xr.abs_upper()
+    top = ue + um.bit_length() if um else -katom
+    k = katom + max(0, top)
+    t = n_mul_2exp(xr, -k)
+    nterms = _exp_series_terms(katom, wp + 8)
+    s = term = n_one(x)
+    for i in range(1, nterms + 1):
+        term = n_div_int(n_mul(term, t, wp), i, wp)
+        s = n_add(s, term, wp)
+    # tail <= 2 |t|^(N+1)/(N+1)!
+    utm, ute = t.abs_upper()
+    tr = _rad_mul(*_u_pow(utm, ute, nterms + 1), *_u_inv_factorial(nterms + 1))
+    s = n_widen(s, tr[0] * 2, tr[1])
+    for _ in range(k):
+        s = n_mul(s, s, wp)
+    if q:
+        s = n_mul_2exp(s, q)
+    return n_reduce(s, p)
+
+
+def _log_seed(x):
+    """log of the midpoint in float precision, scaled by 2^-s first so that
+    no float overflows."""
+    parts = (x.re, x.im) if isinstance(x, ComplexBall) else (x, Ball.zero())
+    s = max(b.exp + b.man.bit_length() if b.man else -1 for b in parts)
+    fr, fi = (Ball(b.man, b.exp - s, 0, 0).mid_float() for b in parts)
+    y = Ball.from_float(math.log(math.hypot(fr, fi)) + s * 0.6931471805599453)
+    if isinstance(x, ComplexBall):
+        return ComplexBall(y, Ball.from_float(math.atan2(fi, fr)))
+    return y
+
+
+def log(x, p: int):
+    """Natural logarithm of a strictly positive real ball, or the principal
+    logarithm of a complex box that excludes zero and stays off the branch
+    cut (our complex callers always have positive real part)."""
+    if isinstance(x, ComplexBall):
+        if x.contains_zero():
+            raise BallDomainError("log of a complex ball containing zero")
+        if x.re.man <= 0 and x.im.contains_zero():
+            raise BallDomainError("complex log too close to the branch cut")
+    elif not x.is_positive():
+        raise BallDomainError("log of a ball not provably positive")
+    wp = p + 48
+    # Newton ladder on midpoints, seeded from a float log
+    precs = [wp]
+    while precs[-1] > 64:
+        precs.append(precs[-1] // 2 + 16)
+    precs.reverse()
+    y = _log_seed(x)
+    xmid = _mid(x)
+    one = n_one(x)
+    for pr in precs:
+        e = exp(-y, pr + 8)
+        r = n_sub(n_mul(xmid, _mid(e), pr + 8), one, pr + 8)
+        y = _mid(n_reduce(n_add(y, _mid(r), pr + 8), pr + 8))
+    # rigorous wrap: log x = y + log(x e^-y);  |log(1+r) - r| <= |r|^2/(2(1-|r|))
+    e = exp(-y, wp)
+    r = n_sub(n_mul(x, e, wp), one, wp)
+    urm, ure = r.abs_upper()
+    if urm and ure + urm.bit_length() >= -1:
+        raise BallDomainError("log correction did not converge")
+    err = _rad_mul(urm, ure, urm, ure)
+    return n_reduce(n_widen(n_add(y, r, wp), *err), p)
+
+
+# the complex names of exp and log, kept for callers that look them up
+c_exp = exp
+c_log = log
+
+
+def power(x: Ball, y: Ball, p: int) -> Ball:
+    """x**y = exp(y log x) for positive x."""
+    return exp(mul(log(x, p + 16), y, p + 16), p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Command-line interface: evaluate recurrences from spec files, compute
-rising factorials and gamma values, and run the benchmark harness.
+rising factorials and gamma values.  Benchmarks live in perfbench/.
 
 Exit codes: 0 success, 2 spec-file parse error, 3 vanishing denominator,
 4 domain error (poles, nonpositive logs, unreachable targets).
@@ -8,11 +8,8 @@ Exit codes: 0 success, 2 spec-file parse error, 3 vanishing denominator,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
-import time
-from fractions import Fraction
 
 from . import balls as bl
 from .balls import Ball, BallDomainError
@@ -158,115 +155,6 @@ def cmd_gamma(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# benchmark harness
-# ---------------------------------------------------------------------------
-
-BENCH_COLUMNS = ["suite", "algorithm", "n", "prec_bits", "m", "cold_cache",
-                 "time_ns", "nonscalar", "scalar", "accuracy_bits",
-                 "ratio_vs_baseline"]
-
-RISING_ALGS = ("naive", "multipoint", "rect-ps", "rect-split", "rect-delta")
-GAMMA_ALGS = ("stirling", "stirling-first", "1f1-naive", "1f1-multipoint",
-              "1f1-rect-split")
-
-
-def _prec_rule(rule: str, n: int) -> int:
-    rule = rule.strip().lower()
-    if rule == "4n":
-        return 4 * n
-    if rule == "n":
-        return n
-    return int(rule)
-
-
-def _best_of(fn, repeats=3):
-    fn()  # warmup, excluded from timing
-    best = None
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        result = fn()
-        dt = time.perf_counter_ns() - t0
-        best = dt if best is None else min(best, dt)
-    return best, result
-
-
-def _bench_rising(nlist, prec_rule, repeats):
-    rows = []
-    for alg in RISING_ALGS:
-        for n in nlist:
-            p = _prec_rule(prec_rule, n)
-            z = Ball.from_fraction(Fraction(1, 2), p)
-
-            def run():
-                return special.rising_factorial_report(z, n, p, algorithm=alg)
-
-            tns, (val, plan, counter, acc) = _best_of(run, repeats)
-            rows.append(dict(suite="rising", algorithm=alg, n=n, prec_bits=p,
-                             m=plan.m, cold_cache=0, time_ns=tns,
-                             nonscalar=counter.nonscalar, scalar=counter.scalar,
-                             accuracy_bits=acc))
-    return rows, "naive"
-
-
-def _bench_gamma(nlist, prec_rule, repeats):
-    rows = []
-    x_frac = Fraction(5, 4)
-    for alg in GAMMA_ALGS:
-        for n in nlist:
-            p = _prec_rule(prec_rule, n)
-            x = Ball.from_fraction(x_frac, p)
-            cold = alg == "stirling-first"
-            if alg.startswith("stirling"):
-                if not cold:
-                    special.bernoulli_even(
-                        2 * special.stirling_params(x, p + 16).nterms)
-
-                def run():
-                    cache = special.BernoulliCache() if cold else None
-                    return special.gamma_stirling(x, p, cache=cache)
-            else:
-                engine = alg.split("-", 1)[1]
-
-                def run(engine=engine):
-                    return special.gamma_1f1(x, p, algorithm=engine)
-
-            reps = 1 if cold else repeats
-            tns, val = _best_of(run, reps)
-            rows.append(dict(suite="gamma", algorithm=alg, n=n, prec_bits=p,
-                             m=0, cold_cache=int(cold), time_ns=tns,
-                             nonscalar=0, scalar=0,
-                             accuracy_bits=min(val.rel_accuracy_bits(), p)))
-    return rows, "stirling"
-
-
-def run_bench(suite: str, nlist, prec_rule: str, out_path, repeats=3):
-    if suite == "rising":
-        rows, baseline = _bench_rising(nlist, prec_rule, repeats)
-    elif suite == "gamma":
-        rows, baseline = _bench_gamma(nlist, prec_rule, repeats)
-    else:
-        raise ValueError("unknown suite %r" % suite)
-    base_time = {r["n"]: r["time_ns"] for r in rows if r["algorithm"] == baseline}
-    for r in rows:
-        r["ratio_vs_baseline"] = "%.6f" % (r["time_ns"] / base_time[r["n"]])
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS)
-        writer.writeheader()
-        for r in rows:
-            writer.writerow(r)
-    return rows
-
-
-def cmd_bench(args) -> int:
-    nlist = [int(s) for s in args.n_list.split(",")]
-    rows = run_bench(args.suite, nlist, args.prec_rule, args.out,
-                     repeats=args.repeats)
-    print("wrote %d rows to %s" % (len(rows), args.out))
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
@@ -306,16 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("stirling", "1f1"), default="stirling")
     add_prec(p)
     p.set_defaults(func=cmd_gamma)
-
-    p = sub.add_parser("bench", help="benchmark harness, writes a CSV")
-    p.add_argument("suite", choices=("rising", "gamma"))
-    p.add_argument("--n-list", required=True,
-                   help="comma-separated sizes (rising: n; gamma: precision driver)")
-    p.add_argument("--prec-rule", default="4n",
-                   help="'4n', 'n', or an explicit bit count (default 4n)")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(func=cmd_bench)
     return ap
 
 

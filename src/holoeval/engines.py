@@ -403,13 +403,6 @@ def _substitute_x(M: RecMatrix, xtable: PowerTable, p, counter):
     return out
 
 
-def _bp_trim(cs):
-    n = len(cs)
-    while n and _ball_is_exact_zero(cs[n - 1]):
-        n -= 1
-    return cs[:n]
-
-
 def _ball_is_exact_zero(b) -> bool:
     if isinstance(b, ComplexBall):
         return _ball_is_exact_zero(b.re) and _ball_is_exact_zero(b.im)

@@ -10,7 +10,6 @@ multiplication.
 from __future__ import annotations
 
 import re as _re
-from fractions import Fraction
 
 from . import intmul
 from .balls import _Z, _int_to_str, _str_to_int
@@ -44,20 +43,12 @@ class UniPoly:
     def const(c) -> "UniPoly":
         return UniPoly([c])
 
-    @staticmethod
-    def x_plus(c) -> "UniPoly":
-        """The monic linear polynomial x + c."""
-        return UniPoly([c, 1])
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __eq__(self, other):
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
@@ -260,19 +251,18 @@ def taylor_shift_convolution(p: UniPoly, c) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# product and remainder trees
+# product trees
 # ---------------------------------------------------------------------------
 
 class ProductTree:
     """Binary subproduct tree over monic linear factors (x - point)."""
 
-    __slots__ = ("poly", "left", "right", "point")
+    __slots__ = ("poly", "left", "right")
 
-    def __init__(self, poly, left=None, right=None, point=None):
+    def __init__(self, poly, left=None, right=None):
         self.poly = poly
         self.left = left
         self.right = right
-        self.point = point
 
 
 def product_tree(points: list) -> ProductTree:
@@ -280,53 +270,11 @@ def product_tree(points: list) -> ProductTree:
     if not points:
         raise ValueError("product tree needs at least one point")
     if len(points) == 1:
-        return ProductTree(UniPoly([-points[0], 1]), point=points[0])
+        return ProductTree(UniPoly([-points[0], 1]))
     m = len(points) // 2
     left = product_tree(points[:m])
     right = product_tree(points[m:])
     return ProductTree(left.poly * right.poly, left, right)
-
-
-def poly_divmod(a: UniPoly, b: UniPoly):
-    """Classical division; requires a monic divisor (or rational coeffs)."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.degree() < b.degree():
-        return UniPoly.zero(), a
-    monic = b.is_monic()
-    rem = list(a.coeffs)
-    dq = a.degree() - b.degree()
-    quo = [0] * (dq + 1)
-    bc = b.coeffs
-    for i in range(dq, -1, -1):
-        lead = rem[i + b.degree()]
-        if not lead:
-            continue
-        q = lead if monic else Fraction(lead, bc[-1])
-        quo[i] = q
-        for j, bj in enumerate(bc):
-            rem[i + j] = rem[i + j] - q * bj
-    return UniPoly(quo), UniPoly(rem[:b.degree()])
-
-
-def multipoint_eval(p: UniPoly, points: list) -> list:
-    """p evaluated at each point, by a remainder tree over product_tree."""
-    if not points:
-        return []
-    tree = product_tree(points)
-    out = []
-
-    def descend(node: ProductTree, poly: UniPoly):
-        if poly.degree() >= node.poly.degree():
-            _, poly = poly_divmod(poly, node.poly)
-        if node.left is None:
-            out.append(poly.coeffs[0] if poly.coeffs else 0)
-            return
-        descend(node.left, poly)
-        descend(node.right, poly)
-
-    descend(tree, p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +315,6 @@ class BiPoly:
 
     def is_zero(self) -> bool:
         return not self.grid
-
-    def is_constant(self) -> bool:
-        return self.deg_x() <= 0 and self.deg_k() <= 0
 
     def deg_x(self) -> int:
         return len(self.grid) - 1

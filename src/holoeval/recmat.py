@@ -157,78 +157,6 @@ def product_binsplit_exact(factors):
     return rec(0, len(factors))
 
 
-def product_fold_exact(factors):
-    """Reference sequential product, newest factor multiplied on the left."""
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = mat_mul_exact(f, acc)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# straightforward numerical product (reference implementation; the tuned
-# engines live in holoeval.engines)
-# ---------------------------------------------------------------------------
-
-def _eval_unipoly_ball(poly: UniPoly, powers, p):
-    """Evaluate an integer-coefficient polynomial at z using a precomputed
-    power list (scalar operations only)."""
-    like = powers[0]
-    acc = None
-    for j, c in enumerate(poly.coeffs):
-        if not c:
-            continue
-        term = bl.n_mul_int(powers[j], c, p)
-        acc = term if acc is None else bl.n_add(acc, term, p)
-    return bl.n_zero(like) if acc is None else acc
-
-
-def product_naive(M: RecMatrix, z, a: int, b: int, p: int):
-    """Numerator product prod_{i=a}^{b-1} M(z, i) and the denominator
-    product prod q(z, i), evaluated one factor at a time.
-
-    Raises DenominatorZeroError (with the offending index) if some
-    denominator value cannot be proven nonzero."""
-    if a > b:
-        raise ValueError("need a <= b")
-    r = M.r
-    one = bl.n_one(z)
-    dx = M.deg_x()
-    powers = [one]
-    for _ in range(dx):
-        powers.append(bl.n_mul(powers[-1], z, p))
-    acc = None
-    den_acc = one
-    den_trivial = M.has_trivial_den()
-    for i in range(a, b):
-        grid, den_poly = eval_factor(M, i)
-        if not den_trivial:
-            dval = _eval_unipoly_ball(den_poly, powers, p)
-            if dval.contains_zero():
-                raise DenominatorZeroError(
-                    "denominator may vanish at index %d" % i, index=i)
-            den_acc = bl.n_mul(den_acc, dval, p)
-        fac = [[_eval_unipoly_ball(e, powers, p) for e in row] for row in grid]
-        acc = fac if acc is None else _mat_mul_ball(fac, acc, p)
-    if acc is None:
-        acc = [[one if i == j else bl.n_zero(z) for j in range(r)] for i in range(r)]
-    return acc, den_acc
-
-
-def _mat_mul_ball(A, B, p):
-    r = len(A)
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            acc = bl.n_mul(A[i][0], B[0][j], p)
-            for t in range(1, r):
-                acc = bl.n_add(acc, bl.n_mul(A[i][t], B[t][j], p), p)
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def apply_to_vector(mat, vec, p):
     """mat . vec with ball entries."""
     r = len(mat)

@@ -239,14 +239,6 @@ def _bernoulli_cap(p: int) -> int:
     return 1024 + p // 22
 
 
-def _as_complex(x) -> ComplexBall:
-    return x if isinstance(x, ComplexBall) else ComplexBall.from_ball(x)
-
-
-def _re_mid_float(x) -> float:
-    return (x.re if isinstance(x, ComplexBall) else x).mid_float()
-
-
 def _contains_nonpositive_integer(x) -> bool:
     if isinstance(x, ComplexBall):
         return x.im.contains_zero() and _contains_nonpositive_integer(x.re)
@@ -335,7 +327,7 @@ def stirling_params(x, p: int, n_override: int | None = None) -> StirlingParams:
         raise ValueError("p must be >= 2")
     if _contains_nonpositive_integer(x):
         raise BallDomainError("gamma argument contains a pole")
-    re_mid = _re_mid_float(x)
+    re_mid = bl.n_real(x).mid_float()
     secfac = _sec_half_arg_factor(x)  # arg shrinks as n grows; this is safe
     cap = _bernoulli_cap(p)
     nmax = max(16 * cap, p)
@@ -354,8 +346,7 @@ def stirling_params(x, p: int, n_override: int | None = None) -> StirlingParams:
     if nterms is None:
         raise BallDomainError("cannot reach the target precision: "
                               "shift too small for the asymptotic series")
-    wball = (bl.c_add_int(x, n, 64) if isinstance(x, ComplexBall)
-             else bl.add_int(x, n, 64))
+    wball = bl.n_add_int(x, n, 64)
     while not _stirling_remainder_ok(wball, nterms, p):
         if nterms >= 2 * nmax:
             raise BallDomainError("remainder bound does not reach the target "
@@ -373,46 +364,33 @@ def log_gamma_stirling(w, nterms: int, wp: int,
     """log Gamma(w) for Re(w) large, by the asymptotic series with N terms
     and a rigorous remainder inflation."""
     cache = bernoulli_even(2 * (nterms - 1) if nterms > 1 else 0, cache)
-    cplx = isinstance(w, ComplexBall)
     one_half = Ball.from_fraction(Fraction(1, 2), wp)
-    logw = bl.n_log(w, wp)
+    logw = bl.log(w, wp)
     wsq_inv = bl.n_div(bl.n_one(w), bl.n_mul(w, w, wp), wp)
     acc = None
     for k in range(nterms - 1, 0, -1):
         ck = cache.get(2 * k) / (2 * k * (2 * k - 1))
         ckb = Ball.from_fraction(ck, wp)
         if acc is None:
-            acc = ComplexBall.from_ball(ckb) if cplx else ckb
+            acc = bl.n_from_ball(ckb, w)
         else:
             acc = bl.n_mul(acc, wsq_inv, wp)
-            acc = (bl.c_add(acc, ComplexBall.from_ball(ckb), wp) if cplx
-                   else bl.add(acc, ckb, wp))
+            acc = bl.n_add(acc, bl.n_from_ball(ckb, w), wp)
     if acc is None:
         series = bl.n_zero(w)
     else:
         series = bl.n_div(acc, w, wp)
-    half = (ComplexBall.from_ball(one_half) if cplx else one_half)
-    out = bl.n_mul(bl.n_sub(w, half, wp), logw, wp)
+    out = bl.n_mul(bl.n_sub(w, bl.n_from_ball(one_half, w), wp), logw, wp)
     out = bl.n_sub(out, w, wp)
     l2pi_half = bl.mul_2exp(_log_2pi(wp), -1)
-    out = bl.n_add(out, (ComplexBall.from_ball(l2pi_half) if cplx else l2pi_half), wp)
+    out = bl.n_add(out, bl.n_from_ball(l2pi_half, w), wp)
     out = bl.n_add(out, series, wp)
     # inflate by the rigorous remainder bound (checked by the caller to be
     # below the target; recomputed here so the enclosure never depends on it)
     rad = _stirling_remainder_bound(w, nterms)
     if rad is None:
         raise BallDomainError("Stirling remainder bound needs Re(w) > 0")
-    return _inflate(out, rad)
-
-
-def _inflate(v, rad):
-    rm, re = rad
-    if rm == 0:
-        return v
-    if isinstance(v, ComplexBall):
-        return ComplexBall(_inflate(v.re, rad), _inflate(v.im, rad))
-    nrm, nre = bl._rad_add(v.rm, v.re, rm, re)
-    return Ball(v.man, v.exp, nrm, nre)
+    return bl.n_widen(out, *rad)
 
 
 def gamma_stirling(x, p: int, n_override: int | None = None,
@@ -420,12 +398,11 @@ def gamma_stirling(x, p: int, n_override: int | None = None,
     """Gamma(x) via the asymptotic series for Gamma(x + n) divided by the
     rising factorial x (x+1) ... (x+n-1)."""
     params = stirling_params(x, p + 16, n_override=n_override)
-    t_est = max(_re_mid_float(x) + params.n, 4.0)
+    t_est = max(bl.n_real(x).mid_float() + params.n, 4.0)
     wp = p + 48 + int(t_est * math.log(t_est) + 2).bit_length()
-    w = (bl.c_add_int(x, params.n, wp) if isinstance(x, ComplexBall)
-         else bl.add_int(x, params.n, wp))
+    w = bl.n_add_int(x, params.n, wp)
     lg = log_gamma_stirling(w, params.nterms, wp, cache)
-    gw = bl.n_exp(lg, wp)
+    gw = bl.exp(lg, wp)
     if params.n:
         rf = rising_factorial(x, params.n, wp)
         out = bl.n_div(gw, rf, wp)
@@ -460,14 +437,12 @@ def gamma_1f1(x, p: int, algorithm: str | None = None):
         raise ValueError("p must be >= 2")
     if _contains_nonpositive_integer(x):
         raise BallDomainError("gamma argument contains a pole")
-    cplx = isinstance(x, ComplexBall)
-    re_mid = _re_mid_float(x)
+    re_mid = bl.n_real(x).mid_float()
     shift = math.floor(re_mid) - 1
     nbig, nsum = _gamma_1f1_params(p)
     wp = p + 64 + max(0, shift).bit_length() + nsum.bit_length()
-    z = (bl.c_add_int(x, -shift, wp) if cplx else bl.add_int(x, -shift, wp))
-    zre = z.re if cplx else z
-    if not zre.is_positive():
+    z = bl.n_add_int(x, -shift, wp)
+    if not bl.n_real(z).is_positive():
         raise BallDomainError("argument too wide to shift into [1, 2]")
     M = hyp1f1_gamma_matrix(nbig)
     rep = eval_dispatch(M, z, nsum + 1, wp, algorithm=algorithm)
@@ -482,14 +457,12 @@ def gamma_1f1(x, p: int, algorithm: str | None = None):
     s_tot = bl.n_add(s_n, tail, wp)
     # gamma(z, N) = N^z e^-N * s
     logn = bl.log(Ball.from_int(nbig), wp)
-    zlogn = (bl.c_mul(z, ComplexBall.from_ball(logn), wp) if cplx
-             else bl.mul(z, logn, wp))
-    arg = (bl.c_add_int(zlogn, -nbig, wp) if cplx else bl.add_int(zlogn, -nbig, wp))
-    pref = bl.n_exp(arg, wp)
+    arg = bl.n_add_int(bl.n_mul(z, bl.n_from_ball(logn, z), wp), -nbig, wp)
+    pref = bl.exp(arg, wp)
     gz = bl.n_mul(pref, s_tot, wp)
     # upper incomplete gamma gap: |Gamma(z) - gamma(z,N)| <= (N+1) e^-N
     gap = bl.mul_int(bl.exp(Ball.from_int(-nbig), 64), nbig + 1, 64)
-    gz = _inflate(gz, gap.abs_upper())
+    gz = bl.n_widen(gz, *gap.abs_upper())
     # undo the integer shift
     if shift > 0:
         rf = rising_factorial(z, shift, wp)
@@ -504,10 +477,7 @@ def gamma_1f1(x, p: int, algorithm: str | None = None):
 
 def _tail_ball(t_next, like):
     """A ball covering [0, 2 t] (resp. the complex disc of radius 2|t|)."""
-    if isinstance(like, ComplexBall):
-        um, ue = t_next.abs_upper()
-        um, ue = bl._rnorm(2 * um, ue)
-        z = Ball(bl._ZERO, 0, um, ue)
-        return ComplexBall(z, Ball(bl._ZERO, 0, um, ue))
     um, ue = t_next.abs_upper()
-    return Ball(t_next.man, t_next.exp, *bl._rad_add(t_next.rm, t_next.re, um, ue))
+    if isinstance(like, ComplexBall):
+        return bl.n_widen(ComplexBall.zero(), *bl._rnorm(2 * um, ue))
+    return bl.n_widen(t_next, um, ue)

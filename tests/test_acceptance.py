@@ -7,7 +7,6 @@ with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 
 import math
 import random
-import sys
 import time
 from fractions import Fraction
 from itertools import accumulate
@@ -23,8 +22,6 @@ from holoeval.engines import ALGORITHMS, bivariate_delta, eval_dispatch
 from holoeval.special import (BernoulliCache, gamma_1f1, gamma_stirling,
                               rising_delta_coeffs, rising_factorial_report,
                               vsc_denominator)
-
-sys.set_int_max_str_digits(8000000)
 
 RISING = rising_factorial_matrix()
 

@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 import holoeval.balls as bl
 from holoeval.balls import Ball, BallDomainError, ComplexBall
 
-sys.set_int_max_str_digits(8000000)
-
 
 def frac_ball(q, p=64):
     return Ball.from_fraction(Fraction(q), p)
@@ -206,20 +204,31 @@ class TestElementaryFunctions:
         assert bl.mul(v, v, p).contains(5)
 
     def test_complex_exp_log(self):
-        p = 256
-        mpmath.mp.prec = p + 60
-        z = ComplexBall(Ball.from_fraction(Fraction(5, 4), p),
-                        Ball.from_fraction(Fraction(1, 3), p))
-        e = bl.c_exp(z, p)
-        mv = mpmath.exp(mpmath.mpc(mpmath.mpf(5) / 4, mpmath.mpf(1) / 3))
-        digits = int(p * 0.301)
-        eps = Fraction(1, 10 ** (digits - 5))
-        assert abs(e.re.mid_fraction() - _mp_fraction(mv.real, digits)) <= e.re.rad_fraction() + eps
-        assert abs(e.im.mid_fraction() - _mp_fraction(mv.imag, digits)) <= e.im.rad_fraction() + eps
-        l = bl.c_log(z, p)
-        mv = mpmath.log(mpmath.mpc(mpmath.mpf(5) / 4, mpmath.mpf(1) / 3))
-        assert abs(l.re.mid_fraction() - _mp_fraction(mv.real, digits)) <= l.re.rad_fraction() + eps
-        assert abs(l.im.mid_fraction() - _mp_fraction(mv.imag, digits)) <= l.im.rad_fraction() + eps
+        for re_q, im_q, p in [
+            (Fraction(5, 4), Fraction(1, 3), 256),
+            (Fraction(1, 5), Fraction(-2, 7), 256),    # q = 0: |Re| < ln 2 / 2
+            (Fraction(-3, 2), Fraction(5, 6), 256),    # Re < 0
+            (Fraction(1, 2), Fraction(22, 5), 256),    # |Im| > pi
+            (Fraction(-7, 3), Fraction(-9, 2), 1024),
+        ]:
+            mpmath.mp.prec = p + 60
+            z = ComplexBall(Ball.from_fraction(re_q, p), Ball.from_fraction(im_q, p))
+            w = mpmath.mpc(mpmath.mpf(re_q.numerator) / re_q.denominator,
+                           mpmath.mpf(im_q.numerator) / im_q.denominator)
+            digits = int(p * 0.301)
+            eps = Fraction(1, 10 ** (digits - 5))
+            for got, mv in ((bl.exp(z, p), mpmath.exp(w)), (bl.log(z, p), mpmath.log(w))):
+                assert abs(got.re.mid_fraction() - _mp_fraction(mv.real, digits)) <= got.re.rad_fraction() + eps
+                assert abs(got.im.mid_fraction() - _mp_fraction(mv.imag, digits)) <= got.im.rad_fraction() + eps
+                assert got.rel_accuracy_bits() >= p - 16
+
+    def test_complex_log_domain_errors(self):
+        around_zero = ComplexBall(bl.parse_decimal("0.25 ± 0.5", 64),
+                                  bl.parse_decimal("-0.125 ± 0.25", 64))
+        negative_axis = ComplexBall(Ball.from_int(-2), bl.parse_decimal("0 ± 0.01", 64))
+        for box in (around_zero, negative_axis, ComplexBall.from_int(-3)):
+            with pytest.raises(BallDomainError):
+                bl.log(box, 64)
 
     def test_domain_errors(self):
         with pytest.raises(BallDomainError):

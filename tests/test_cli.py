@@ -1,7 +1,6 @@
-"""Command-line interface: spec-file round trips, command output, exit
-codes, and the benchmark CSV shape."""
+"""Command-line interface: spec-file round trips, command output and exit
+codes."""
 
-import csv
 import math
 from fractions import Fraction
 
@@ -9,8 +8,7 @@ import pytest
 
 import holoeval.balls as bl
 from holoeval.balls import Ball
-from holoeval.cli import (BENCH_COLUMNS, RISING_ALGS, main, parse_spec_file,
-                          run_bench, serialize_spec_file)
+from holoeval.cli import main, parse_spec_file, serialize_spec_file
 from holoeval.recmat import unroll_rational
 
 FIB_SPEC = """\
@@ -130,30 +128,3 @@ class TestCommands:
         mat, _ = parse_spec_file(RISING_SPEC)
         exact = unroll_rational(mat, Fraction(1, 2), 9)[0][0]
         assert ball.contains(exact)
-
-
-class TestBench:
-    def test_rising_csv_shape(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rows = run_bench("rising", [8, 16], "4n", out, repeats=1)
-        assert len(rows) == len(RISING_ALGS) * 2
-        with open(out) as fh:
-            reader = csv.DictReader(fh)
-            assert reader.fieldnames == BENCH_COLUMNS
-            data = list(reader)
-        assert len(data) == len(rows)
-        # deterministic order: algorithm-major, then n
-        keys = [(r["algorithm"], int(r["n"])) for r in data]
-        assert keys == sorted(keys, key=lambda t: (RISING_ALGS.index(t[0]), t[1]))
-        for r in data:
-            if r["algorithm"] == "naive":
-                assert float(r["ratio_vs_baseline"]) == 1.0
-            assert int(r["accuracy_bits"]) <= int(r["prec_bits"])
-
-    def test_gamma_suite_small(self, tmp_path):
-        out = tmp_path / "gamma.csv"
-        rows = run_bench("gamma", [256], "n", out, repeats=1)
-        algs = {r["algorithm"] for r in rows}
-        assert "stirling" in algs and "stirling-first" in algs
-        cold = [r for r in rows if r["algorithm"] == "stirling-first"]
-        assert all(r["cold_cache"] == 1 for r in cold)

@@ -1,6 +1,6 @@
 """Exact polynomial layer: products against schoolbook, Taylor-shift
-equivalence, multipoint evaluation against Horner, bivariate ring axioms,
-and the text form round trip."""
+equivalence, the product tree and the engines' remainder tree against
+Horner, bivariate ring axioms, and the text form round trip."""
 
 import random
 import sys
@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 import holoeval.balls as bl
 import holoeval.poly as pm
 from holoeval.balls import Ball
-from holoeval.engines import PowerTable
+from holoeval.engines import OpCounter, PowerTable, _bpmat_multipoint
 from holoeval.poly import (BiPoly, UniPoly, bipoly_from_text, bipoly_to_text,
-                           multipoint_eval, poly_divmod, product_tree,
-                           taylor_shift_basecase, taylor_shift_convolution)
+                           product_tree, taylor_shift_basecase,
+                           taylor_shift_convolution)
 
 
 def rand_poly(rng, maxdeg, bound=50):
@@ -123,21 +123,22 @@ class TestProductTreeMultipoint:
             direct = direct * UniPoly([-p0, 1])
         assert product_tree(pts).poly == direct
 
-    def test_multipoint_examples(self):
-        assert multipoint_eval(UniPoly([1, 0, 1]), [0, 1, 2]) == [1, 2, 5]
-        assert multipoint_eval(UniPoly([1, 2, 3]), []) == []
-
-    def test_multipoint_against_horner(self):
-        rng = random.Random(11)
-        p = UniPoly([rng.randint(-100, 100) for _ in range(32)])
-        pts = [rng.randint(-30, 30) for _ in range(32)]
-        assert multipoint_eval(p, pts) == [p.eval_at(x) for x in pts]
-
-    def test_divmod(self):
-        a = UniPoly([1, 2, 3, 4])
-        b = UniPoly([1, 1])
-        q, r = poly_divmod(a, b)
-        assert q * b + r == a and r.degree() < b.degree()
+    @pytest.mark.parametrize("w", [5, 8])
+    def test_remainder_tree_against_horner(self, w):
+        # the multipoint engine's remainder tree on exact integer balls, at
+        # its points 0, m, 2m, ...: every value is Horner's, exactly
+        rng = random.Random(11 + w)
+        m = 4
+        polys = [[rand_poly(rng, 3 * w, 100) for _ in range(2)] for _ in range(2)]
+        polys[1][0] = UniPoly.zero()
+        U = [[[Ball.from_int(c) for c in e.coeffs] for e in row] for row in polys]
+        pts = [i * m for i in range(w)]
+        values = _bpmat_multipoint(U, pts, 4096, OpCounter(), Ball.zero())
+        assert len(values) == w
+        for x0, mat in zip(pts, values):
+            for erow, vrow in zip(polys, mat):
+                for e, v in zip(erow, vrow):
+                    assert v.is_exact() and v.mid_fraction() == e.eval_at(x0)
 
 
 def rand_bipoly(rng, maxd=3, bound=9):

@@ -1,20 +1,31 @@
 """Recurrence matrices: companion construction, factor evaluation,
-reference products, and the exact rational oracle."""
+exact and naive products, and the exact rational oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-import holoeval.balls as bl
 from holoeval.balls import Ball
+from holoeval.engines import eval_dispatch
 from holoeval.poly import BiPoly, bipoly_from_text
 from holoeval.recmat import (DenominatorZeroError, RecMatrix,
                              ScalarRecurrence, apply_to_vector, companion,
                              eval_factor, mat_mul_exact, product_binsplit_exact,
-                             product_fold_exact, product_naive,
                              rising_factorial_matrix, unroll_rational)
 from holoeval.special import hyp1f1_gamma_matrix
+
+
+def naive(M, z, n, p):
+    return eval_dispatch(M, z, n, p, algorithm="naive")
+
+
+def product_fold_exact(factors):
+    """Reference sequential product, newest factor multiplied on the left."""
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = mat_mul_exact(f, acc)
+    return acc
 
 
 def fib_matrix():
@@ -95,27 +106,27 @@ class TestProducts:
             assert product_binsplit_exact(fs) == product_fold_exact(fs)
 
     def test_naive_fibonacci(self):
-        mat, den = product_naive(fib_matrix(), Ball.zero(), 0, 10, 64)
-        v = apply_to_vector(mat, [Ball.zero(), Ball.one()], 64)
+        rep = naive(fib_matrix(), Ball.zero(), 10, 64)
+        v = apply_to_vector(rep.matrix, [Ball.zero(), Ball.one()], 64)
         assert v[0].contains(55) and v[1].contains(89)
-        assert den.contains(1)
+        assert rep.denominator.contains(1)
 
     def test_naive_factorial(self):
         M = companion(ScalarRecurrence([bipoly_from_text("-1-k"),
                                         bipoly_from_text("1")]))
-        mat, _ = product_naive(M, Ball.zero(), 0, 5, 64)
-        assert mat[0][0].contains(120)
+        rep = naive(M, Ball.zero(), 5, 64)
+        assert rep.matrix[0][0].contains(120)
 
     def test_naive_rising(self):
         z = Ball.from_fraction(Fraction(1, 2), 64)
-        mat, _ = product_naive(rising_factorial_matrix(), z, 0, 5, 64)
-        assert mat[0][0].contains(Fraction(945, 32))
+        rep = naive(rising_factorial_matrix(), z, 5, 64)
+        assert rep.matrix[0][0].contains(Fraction(945, 32))
 
     def test_naive_denominator_zero(self):
         # denominator k - 3 vanishes at i = 3
         M = RecMatrix([[bipoly_from_text("1")]], bipoly_from_text("k - 3"))
         with pytest.raises(DenominatorZeroError) as err:
-            product_naive(M, Ball.from_int(1), 0, 10, 64)
+            naive(M, Ball.from_int(1), 10, 64)
         assert err.value.index == 3
 
 
@@ -166,7 +177,8 @@ class TestCompanionCorrectness:
             _, M, z = random_valid_recurrence(rng, 2, 20)
             p = 192
             zb = Ball.from_fraction(z, p)
-            num, den = product_naive(M, zb, 0, 20, p)
+            rep = naive(M, zb, 20, p)
+            num, den = rep.numerator, rep.denominator
             exact_num = [[Fraction(1) if i == j else Fraction(0)
                           for j in range(2)] for i in range(2)]
             exact_den = Fraction(1)
