@@ -849,10 +849,11 @@ def exp(x, p: int):
 
 
 def _log_seed(x):
-    """log of the midpoint in float precision, scaled by 2^-s first so that
-    no float overflows."""
+    """log of the nonzero midpoint in float precision, scaled by 2^-s first
+    (s the top exponent of its larger part) so that no float overflows or
+    underflows to zero."""
     parts = (x.re, x.im) if isinstance(x, ComplexBall) else (x, Ball.zero())
-    s = max(b.exp + b.man.bit_length() if b.man else -1 for b in parts)
+    s = max(b.exp + b.man.bit_length() for b in parts if b.man)
     fr, fi = (Ball(b.man, b.exp - s, 0, 0).mid_float() for b in parts)
     y = Ball.from_float(math.log(math.hypot(fr, fi)) + s * 0.6931471805599453)
     if isinstance(x, ComplexBall):

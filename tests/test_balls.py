@@ -230,6 +230,30 @@ class TestElementaryFunctions:
             with pytest.raises(BallDomainError):
                 bl.log(box, 64)
 
+    def test_log_tiny_and_huge(self):
+        # the float seed must scale midpoints far from 1 into float range
+        mpmath.mp.prec = 256
+        eps = Fraction(1, 10 ** 60)
+        two = mpmath.mpf(2)
+        for p in (64, 1024):
+            for re_e, im_e in [(-2000, None), (-1100, None), (3000, None),
+                               (-2000, -2000), (-2000, -2003), (-2003, 1)]:
+                x = Ball.from_man_exp(1, re_e)
+                if im_e is None:
+                    cases = [(x, mpmath.log(two ** re_e)),
+                             (ComplexBall.from_ball(x), mpmath.log(mpmath.mpc(two ** re_e)))]
+                else:
+                    cases = [(ComplexBall(x, Ball.from_man_exp(1, im_e)),
+                              mpmath.log(mpmath.mpc(two ** re_e, two ** im_e)))]
+                for arg, mv in cases:
+                    got = bl.log(arg, p)
+                    parts = ((got.re, mv.real), (got.im, mv.imag)) \
+                        if isinstance(got, ComplexBall) else ((got, mv),)
+                    for b, v in parts:
+                        assert abs(b.mid_fraction() - _mp_fraction(v, 70)) <= b.rad_fraction() + eps
+                        # relative to |log|, which the real part dominates here
+                        assert b.rad_fraction() * 2 ** (p - 16) <= abs(parts[0][0].mid_fraction())
+
     def test_domain_errors(self):
         with pytest.raises(BallDomainError):
             bl.log(Ball.from_int(-2), 64)
