@@ -23,10 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from . import balls as bl
 from .balls import Ball, ComplexBall
-from .poly import UniPoly, product_tree, taylor_shift_basecase, taylor_shift_convolution
+# taylor_shift_convolution is not called here (the basecase shift is faster
+# at every giant-step degree), but stays importable from this module, where
+# tracing tools look up the Taylor shifts
+from .poly import (UniPoly, product_tree, taylor_shift_basecase,  # noqa: F401
+                   taylor_shift_convolution)
 from .recmat import (DenominatorZeroError, RecMatrix, eval_factor,
                      product_binsplit_exact)
 
@@ -71,8 +76,20 @@ def guard_bits(n: int) -> int:
     return 10 + 2 * math.ceil(math.log2(n + 2))
 
 
-def choose_m(algorithm: str, n: int, p: int):
-    """Step-length heuristics; returns (m, subn)."""
+def mantissa_bits(z) -> int:
+    """Bits of the midpoint mantissa of z without its trailing zeros; the
+    larger of the two parts of a complex ball."""
+    if isinstance(z, ComplexBall):
+        return max(mantissa_bits(z.re), mantissa_bits(z.im))
+    man = z.man
+    if not man:
+        return 0
+    return man.bit_length() - (man & -man).bit_length() + 1
+
+
+def choose_m(algorithm: str, n: int, p: int, zbits: int = 0):
+    """Step-length heuristics; returns (m, subn).  zbits is the mantissa
+    size of the evaluation point (see mantissa_bits)."""
     if n < 1:
         return 1, None
     if algorithm == "multipoint":
@@ -83,7 +100,12 @@ def choose_m(algorithm: str, n: int, p: int):
         m = max(1, int(subn ** 0.5))
         return m, subn
     elif algorithm in ("rect-split", "rect-delta"):
-        m = int(min(0.2 * p ** 0.4, n ** 0.5))
+        # a giant step costs one nonscalar product of the accumulated
+        # p-bit value by the evaluated step; that step has O(m log n) bits
+        # for a short z, but p bits once z's mantissa fills the precision,
+        # and the dearer product pays for a longer step
+        c = 0.5 if 2 * zbits > p else 0.2
+        m = int(min(c * p ** 0.4, n ** 0.5))
     else:
         m = 1
     return max(1, min(m, n)), None
@@ -99,11 +121,11 @@ def default_algorithm(n: int) -> str:
 
 
 def make_plan(algorithm: str, n: int, p: int, m: int | None = None,
-              subn: int | None = None) -> EvalPlan:
+              subn: int | None = None, zbits: int = 0) -> EvalPlan:
     if algorithm not in ALGORITHMS:
         raise ValueError("unknown algorithm %r (choose from %s)"
                          % (algorithm, ", ".join(ALGORITHMS)))
-    auto_m, auto_subn = choose_m(algorithm, n, p)
+    auto_m, auto_subn = choose_m(algorithm, n, p, zbits)
     if m is None:
         m = auto_m
     m = max(1, min(m, max(n, 1)))
@@ -123,11 +145,11 @@ def make_plan(algorithm: str, n: int, p: int, m: int | None = None,
 class PowerTable:
     """Powers z^0 .. z^D of the evaluation point.
 
-    Besides the ball powers, the table keeps fixed-point mantissas on a
-    common exponent so that sum c_j z^j collapses into one integer dot
-    product (all scalar operations).  Containment is preserved: the fixed
-    point forms are exact rescalings of the ball midpoints and the entry
-    radii are carried separately."""
+    Besides the ball powers, the table keeps the midpoints as integers on
+    one common exponent and the radii as integers on another, so that
+    sum c_j z^j collapses into one integer dot product for the midpoint and
+    one for the radius (all scalar operations).  Both are exact rescalings
+    of the powers, so containment is preserved."""
 
     def __init__(self, z, max_exp: int, p: int, counter: OpCounter | None = None):
         self.z = z
@@ -143,10 +165,10 @@ class PowerTable:
                 counter.nonscalar += 1
         self.powers = powers
         if self.is_complex:
-            self._fix_re, self._e_re, self._rad_re = _fixed_point([b.re for b in powers], p)
-            self._fix_im, self._e_im, self._rad_im = _fixed_point([b.im for b in powers], p)
+            self._fix_re = _fixed_point([b.re for b in powers], p)
+            self._fix_im = _fixed_point([b.im for b in powers], p)
         else:
-            self._fix, self._e, self._rad = _fixed_point(powers, p)
+            self._fix = _fixed_point(powers, p)
 
     def power(self, j: int):
         return self.powers[j]
@@ -156,23 +178,21 @@ class PowerTable:
         """sum_j coeffs[j] * z^j using scalar operations only."""
         if p is None:
             p = self.p
+        if len(coeffs) > self.D + 1:
+            raise IndexError("degree %d exceeds the table's %d"
+                             % (len(coeffs) - 1, self.D))
         if self.is_complex:
             if self._fix_re is None or self._fix_im is None:
                 out = self._slow_dot(coeffs, p)
             else:
-                re = _fused_dot(coeffs, self._fix_re, self._e_re, self._rad_re, p)
-                im = _fused_dot(coeffs, self._fix_im, self._e_im, self._rad_im, p)
-                out = ComplexBall(re, im)
+                out = ComplexBall(_fused_dot(coeffs, self._fix_re, p),
+                                  _fused_dot(coeffs, self._fix_im, p))
         elif self._fix is None:
             out = self._slow_dot(coeffs, p)
         else:
-            out = _fused_dot(coeffs, self._fix, self._e, self._rad, p)
+            out = _fused_dot(coeffs, self._fix, p)
         if counter is not None:
-            nz = 0
-            for c in coeffs:
-                if c:
-                    nz += 1
-            counter.scalar += nz
+            counter.scalar += len(coeffs) - coeffs.count(0)
         return out
 
     def _slow_dot(self, coeffs, p):
@@ -185,36 +205,42 @@ class PowerTable:
         return bl.n_zero(self.z) if acc is None else acc
 
 
+def _align(pairs, p):
+    """(ints, e) with ints[j] * 2**e == man_j * 2**exp_j for the pairs
+    (man_j, exp_j); None when the nonzero values span more than 8p + 1024
+    bits, which makes one fixed-point sum wasteful."""
+    live = [(man, exp) for man, exp in pairs if man]
+    if not live:
+        return [0] * len(pairs), 0
+    e = min(exp for _, exp in live)
+    if max(exp + man.bit_length() for man, exp in live) - e > 8 * p + 1024:
+        return None
+    return [man << (exp - e) if man else 0 for man, exp in pairs], e
+
+
 def _fixed_point(powers, p):
-    """Align ball midpoints on a common exponent; None when the magnitude
-    spread makes fixed point wasteful (caller falls back to per-op)."""
-    exps = []
-    for b in powers:
-        if b.man:
-            exps.append(b.exp)
-    if not exps:
-        return [bl._ZERO] * len(powers), 0, [(b.rm, b.re) for b in powers]
-    e = min(exps)
-    spread = max(b.exp + b.man.bit_length() for b in powers if b.man) - e
-    if spread > 8 * p + 1024:
-        return None, 0, [(b.rm, b.re) for b in powers]
-    fix = [b.man << (b.exp - e) if b.man else bl._ZERO for b in powers]
-    return fix, e, [(b.rm, b.re) for b in powers]
+    """(mids, e, rads, re): the powers' midpoints are mids[j] * 2**e and
+    their radii rads[j] * 2**re, exactly; rads is None when every power is
+    exact.  None when either spread is too wide (the caller falls back to
+    per-term operations)."""
+    mids = _align([(b.man, b.exp) for b in powers], p)
+    rads = _align([(b.rm, b.re) for b in powers], p)
+    if mids is None or rads is None:
+        return None
+    if not any(rads[0]):
+        rads = None, 0
+    return mids + rads
 
 
-def _fused_dot(coeffs, fix, e, rads, p) -> Ball:
-    acc = bl._ZERO
-    rm = 0
-    re = 0
-    for j, c in enumerate(coeffs):
-        if not c:
-            continue
-        acc += c * fix[j]
-        rj = rads[j]
-        if rj[0]:
-            t = bl._rad_mul(*bl._u_from_abs(c, 0), rj[0], rj[1])
-            rm, re = bl._rad_add(rm, re, t[0], t[1])
-    return bl._make(acc, e, rm, re, p)
+def _fused_dot(coeffs, table, p) -> Ball:
+    """sum_j coeffs[j] * z^j for the integers coeffs and a fixed-point table
+    of _fixed_point: one integer sum for the midpoint, one for the radius."""
+    mids, e, rads, re = table
+    man = sum(map(mul, coeffs, mids))
+    if rads is None:
+        return bl._make(man, e, 0, 0, p)
+    rad = sum(map(mul, map(abs, coeffs), rads))
+    return bl._make(man, e, *bl._u_from_abs(rad, re), p)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +306,7 @@ def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     # goes through the stable scalar-only engine: the multipoint remainder
     # tree can lose O(n) bits, and the full exact product evaluates a
     # degree-n polynomial whose coefficients dwarf a tiny value
-    m_den = choose_m("rect-split", n, plan.prec)[0]
+    m_den = choose_m("rect-split", n, plan.prec, mantissa_bits(z))[0]
     # sign-changing denominators can cost O(m) extra bits in expanded form;
     # escalate the guard until the product separates from zero
     boost = 64 + m_den * (den.deg_k() * max(n, 2).bit_length() + 8)
@@ -548,19 +574,13 @@ def _rect_split_core(M: RecMatrix, z, n: int, plan: EvalPlan,
             factors = _exact_factor_matrices(M, i * m, m, counter)
             U = product_binsplit_exact(factors)
         else:
-            U = [[_taylor_shift_auto(e, m) for e in row] for row in U]
+            U = [[taylor_shift_basecase(e, m) for e in row] for row in U]
             counter.coeff += sum((e.degree() + 1) ** 2 for row in U for e in row)
         live = sum(len(e.coeffs) for row in U for e in row)
         counter.note_live_coeffs(live + table.D + 1)
         S = [[table.eval_int_poly(e.coeffs, p, counter) for e in row] for row in U]
         V = _accumulate(V, S, p, counter)
     return _naive_leftover(M, z, V, m * w, n - m * w, table, p, counter)
-
-
-def _taylor_shift_auto(e: UniPoly, c) -> UniPoly:
-    if e.degree() >= 48:
-        return taylor_shift_convolution(e, c)
-    return taylor_shift_basecase(e, c)
 
 
 def _rect_delta_core(M: RecMatrix, z, n: int, plan: EvalPlan,
@@ -650,7 +670,7 @@ def eval_dispatch(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
         raise ValueError("n must be >= 0")
     if algorithm is None:
         algorithm = default_algorithm(n)
-    plan = make_plan(algorithm, n, p, m=m, subn=subn)
+    plan = make_plan(algorithm, n, p, m=m, subn=subn, zbits=mantissa_bits(z))
     counter = OpCounter()
     # the cores take n >= 1 and return None for the identity
     num = _CORES[plan.algorithm](M, z, n, plan, counter) if n else None

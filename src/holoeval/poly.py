@@ -74,11 +74,6 @@ class UniPoly:
     def __mul__(self, other):
         return UniPoly(_list_mul(self.coeffs, other.coeffs))
 
-    def scale(self, c):
-        if not c:
-            return UniPoly.zero()
-        return UniPoly([a * c for a in self.coeffs])
-
     def eval_at(self, x0):
         """Horner evaluation in the coefficient ring (exact)."""
         if not self.coeffs:
@@ -300,14 +295,6 @@ class BiPoly:
     @staticmethod
     def const(c) -> "BiPoly":
         return BiPoly([[c]])
-
-    @staticmethod
-    def x() -> "BiPoly":
-        return BiPoly([[0], [1]])
-
-    @staticmethod
-    def k() -> "BiPoly":
-        return BiPoly([[0, 1]])
 
     @staticmethod
     def x_plus_k() -> "BiPoly":

@@ -16,8 +16,9 @@ from holoeval.recmat import (DenominatorZeroError, RecMatrix,
                              rising_factorial_matrix, unroll_rational)
 import holoeval
 import holoeval.engines as engines
-from holoeval.engines import (ALGORITHMS, bivariate_delta, choose_m,
-                              default_algorithm, eval_dispatch)
+from holoeval.engines import (ALGORITHMS, PowerTable, bivariate_delta,
+                              choose_m, default_algorithm, eval_dispatch,
+                              make_plan, mantissa_bits)
 from holoeval.special import hyp1f1_gamma_matrix
 
 RISING = rising_factorial_matrix()
@@ -48,6 +49,32 @@ class TestChooseM:
         m, subn = choose_m("rect-ps", 10 ** 4, 10 ** 4)
         assert subn == min(int(2 * 100), int(10 * (10 ** 4) ** 0.25))
         assert m == int(subn ** 0.5)
+
+    def test_full_mantissa_formula(self):
+        # a z whose mantissa fills more than half of p makes every
+        # nonscalar product p x p bits, and the step grows to 0.5 p^0.4
+        p = 4 * 10 ** 4
+        for alg in ("rect-split", "rect-delta"):
+            assert choose_m(alg, 10 ** 4, p, zbits=p)[0] == 34
+            assert choose_m(alg, 10 ** 4, p, zbits=p // 2)[0] == 13
+            assert choose_m(alg, 100, p, zbits=p)[0] == 10  # sqrt(n) cap
+        assert mantissa_bits(Ball.from_fraction(Fraction(1, 3), p)) > p // 2
+        assert mantissa_bits(Ball.from_fraction(Fraction(3, 64), p)) == 2
+        assert mantissa_bits(Ball.zero()) == 0
+        z = ComplexBall(Ball.from_fraction(Fraction(1, 4), p),
+                        Ball.from_fraction(Fraction(2, 7), p))
+        assert mantissa_bits(z) == mantissa_bits(z.im) > p // 2
+
+    def test_dyadic_rising_short_keeps_m(self):
+        # (2^-k)_n at p = 4n: the nonscalar products are p x 1 bits, and
+        # the step stays int(min(0.2 p^0.4, sqrt n))
+        seed_m = {4096: 9, 8192: 12, 16384: 16, 32768: 22}
+        for n, m in seed_m.items():
+            for k in range(1, 5):
+                z = Ball.from_fraction(Fraction(1, 2 ** k), 4 * n)
+                for alg in ("rect-split", "rect-delta"):
+                    plan = make_plan(alg, n, 4 * n, zbits=mantissa_bits(z))
+                    assert plan.m == m, (n, k, alg)
 
     def test_default_policy(self):
         assert default_algorithm(31) == "naive"
@@ -127,13 +154,13 @@ class TestSmallExamples:
 def taylor_calls(monkeypatch):
     """Counts the giant-step Taylor-shift updates made by rect-split."""
     calls = []
-    shift = engines._taylor_shift_auto
+    shift = engines.taylor_shift_basecase
 
     def counted(e, c):
         calls.append(c)
         return shift(e, c)
 
-    monkeypatch.setattr(engines, "_taylor_shift_auto", counted)
+    monkeypatch.setattr(engines, "taylor_shift_basecase", counted)
     return calls
 
 
@@ -305,6 +332,94 @@ class TestInstrumentation:
             rep = eval_dispatch(RISING, z, n, p, algorithm="rect-split")
             loss = p - rep.accuracy_bits
             assert loss <= 4 * math.log2(n) + 16, (n, loss)
+
+
+def _rising_exact_gaussian(a, b, d, n):
+    """(z)_n for z = (a + b i) / d as (real, imaginary) Fractions, by
+    binary splitting over the Gaussian integers."""
+    def prod(lo, hi):
+        if hi - lo == 1:
+            return a + lo * d, b
+        mid = (lo + hi) // 2
+        (p, q), (r, s) = prod(lo, mid), prod(mid, hi)
+        return p * r - q * s, p * s + q * r
+    re, im = prod(0, n)
+    return Fraction(re, d ** n), Fraction(im, d ** n)
+
+
+class TestFullMantissa:
+    """rect-split and rect-delta at a z whose mantissa fills the precision,
+    with the longer step the m rule picks there: the exact rational value
+    stays inside, and the loss stays within criterion 6's bound."""
+
+    @pytest.mark.parametrize("n", (1024, 4096))
+    @pytest.mark.parametrize("alg", ("rect-split", "rect-delta"))
+    def test_real(self, alg, n):
+        p = 4 * n
+        z = Ball.from_fraction(Fraction(1, 3), p)
+        rep = eval_dispatch(RISING, z, n, p, algorithm=alg)
+        assert rep.plan.m == choose_m(alg, n, p, zbits=p)[0]
+        assert rep.plan.m > choose_m(alg, n, p)[0]
+        re, _ = _rising_exact_gaussian(1, 0, 3, n)
+        assert rep.matrix[0][0].contains(re)
+        assert p - rep.accuracy_bits <= 4 * math.log2(n) + 16
+
+    @pytest.mark.parametrize("n", (1024, 4096))
+    @pytest.mark.parametrize("alg", ("rect-split", "rect-delta"))
+    def test_complex(self, alg, n):
+        p = 4 * n
+        z = ComplexBall(Ball.from_fraction(Fraction(1, 3), p),
+                        Ball.from_fraction(Fraction(2, 7), p))
+        rep = eval_dispatch(RISING, z, n, p, algorithm=alg)
+        assert rep.plan.m == choose_m(alg, n, p, zbits=p)[0]
+        re, im = _rising_exact_gaussian(7, 6, 21, n)
+        assert rep.matrix[0][0].contains(re, im)
+        assert p - rep.accuracy_bits <= 4 * math.log2(n) + 16
+
+
+def _per_term_radius(coeffs, powers):
+    """sum |c_j| rad(z^j) accumulated term by term in the radius format,
+    each step rounded up."""
+    rm = re = 0
+    for c, b in zip(coeffs, powers):
+        if c and b.rm:
+            t = bl._rad_mul(*bl._u_from_abs(c, 0), b.rm, b.re)
+            rm, re = bl._rad_add(rm, re, t[0], t[1])
+    return Fraction(rm) * Fraction(2) ** re
+
+
+class TestFusedDot:
+    def test_wide_radii_signed(self):
+        # |z| ~ 2^-200, so the radii of z^0 .. z^16 span more than 3000
+        # binary orders, and the midpoints stay within the fixed-point span
+        rng = random.Random(5)
+        p = 1024
+        z = Ball(bl._Z(rng.getrandbits(p) | (1 << (p - 1))), -p - 200,
+                 rng.getrandbits(30) | 1, -p - 230)
+        table = PowerTable(z, 16, p)
+        assert table._fix is not None and table._fix[2] is not None
+        tops = [b.re + b.rm.bit_length() for b in table.powers if b.rm]
+        assert max(tops) - min(b.re for b in table.powers if b.rm) > 3000
+        zq = z.mid_fraction()
+        for _ in range(20):
+            coeffs = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 200))
+                      for _ in range(17)]
+            coeffs[rng.randrange(17)] = 0
+            # p large enough that the midpoint sum is not rounded: the
+            # radius is the radius sum alone
+            out = table.eval_int_poly(coeffs, 8 * p)
+            assert out.contains(sum(c * zq ** j for j, c in enumerate(coeffs)))
+            bound = _per_term_radius(coeffs, table.powers)
+            assert out.rad_fraction() <= bound * (1 + Fraction(1, 2 ** 30))
+
+    def test_exact_table_has_zero_radius(self):
+        coeffs = [5, -3, 0, 7, 11, -2, 1]
+        zq = Fraction(3, 8)
+        out = PowerTable(Ball.from_fraction(zq, 64), 6, 256).eval_int_poly(coeffs)
+        assert out.is_exact()
+        assert out.mid_fraction() == sum(c * zq ** j for j, c in enumerate(coeffs))
+        z = ComplexBall(Ball.from_int(2), Ball.from_fraction(Fraction(-1, 4), 64))
+        assert PowerTable(z, 6, 256).eval_int_poly(coeffs).is_exact()
 
 
 class TestDeltaGeneric:
