@@ -534,13 +534,22 @@ def _chud_bsplit(a: int, b: int):
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-def pi(p: int) -> Ball:
-    """A ball containing pi, accurate to about p bits."""
+def _cached_const(name: str, p: int, compute) -> Ball:
+    """The constant `name` to about p bits: rounded from the most precise
+    value computed so far, or computed as compute(p + 32) and kept."""
     with _const_lock:
-        cached = _const_cache.get("pi")
+        cached = _const_cache.get(name)
         if cached is not None and cached[0] >= p:
             return reduce(cached[1], p)
-    wp = p + 32
+    value = compute(p + 32)
+    with _const_lock:
+        cached = _const_cache.get(name)
+        if cached is None or cached[0] < p:
+            _const_cache[name] = (p, value)
+    return reduce(value, p)
+
+
+def _pi_chudnovsky(wp: int) -> Ball:
     # |t_k| <= (A + B k) 2^(-47k), so the tail after n terms is below
     # 2 (A + B n) 2^(-47n)
     n = (wp + 80) // 47 + 2
@@ -548,12 +557,12 @@ def pi(p: int) -> Ball:
     s = div(Ball.from_man_exp(t, 0), Ball.from_man_exp(q, 0), wp)
     tail = _u_from_abs(2 * (13591409 + 545140134 * n), -47 * n)
     s = Ball(s.man, s.exp, *_rad_add(s.rm, s.re, *tail))
-    value = div(mul_int(sqrt(Ball.from_int(10005), wp), 426880, wp), s, wp)
-    with _const_lock:
-        cached = _const_cache.get("pi")
-        if cached is None or cached[0] < p:
-            _const_cache["pi"] = (p, value)
-    return reduce(value, p)
+    return div(mul_int(sqrt(Ball.from_int(10005), wp), 426880, wp), s, wp)
+
+
+def pi(p: int) -> Ball:
+    """A ball containing pi, accurate to about p bits."""
+    return _cached_const("pi", p, _pi_chudnovsky)
 
 
 def _atanh_bsplit(a: int, b: int):
@@ -567,23 +576,23 @@ def _atanh_bsplit(a: int, b: int):
     return t1 * q2 * nine + t2 * q1, q1 * q2 * nine
 
 
-def log2_const(p: int) -> Ball:
-    """A ball containing log 2 (natural log), accurate to about p bits."""
-    with _const_lock:
-        cached = _const_cache.get("log2")
-        if cached is not None and cached[0] >= p:
-            return reduce(cached[1], p)
-    wp = p + 32
+def _log2_atanh(wp: int) -> Ball:
     n = wp // 3 + 4
     t, q = _atanh_bsplit(0, n)
     s = div(Ball.from_man_exp(t, 1), mul_int(Ball.from_man_exp(q, 0), 3, wp), wp)
     # tail of (2/3) sum 1/((2k+1) 9^k) after n terms is below 9^-n < 2^-3n
-    s = Ball(s.man, s.exp, *_rad_add(s.rm, s.re, 1, -3 * n))
-    with _const_lock:
-        cached = _const_cache.get("log2")
-        if cached is None or cached[0] < p:
-            _const_cache["log2"] = (p, s)
-    return reduce(s, p)
+    return Ball(s.man, s.exp, *_rad_add(s.rm, s.re, 1, -3 * n))
+
+
+def log2_const(p: int) -> Ball:
+    """A ball containing log 2 (natural log), accurate to about p bits."""
+    return _cached_const("log2", p, _log2_atanh)
+
+
+def log_2pi(p: int) -> Ball:
+    """A ball containing log(2 pi), accurate to about p bits."""
+    return _cached_const("log2pi", p,
+                         lambda wp: add(log2_const(wp), log(pi(wp), wp), wp))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ from .poly import BiPoly
 from .recmat import RecMatrix, rising_factorial_matrix
 from .engines import eval_dispatch
 
-_BETA = math.log(2) / (2 * math.pi)  # ~0.1103, argument-reduction slope
-
 
 # ---------------------------------------------------------------------------
 # rising factorials
@@ -140,6 +138,32 @@ def vsc_denominator(two_k: int) -> int:
     return d
 
 
+def _vsc_primes(nmax: int):
+    """ps[n] = the primes p with (p-1) | 2n for 1 <= n <= nmax, from one
+    sieve: p = 2 divides every denominator, an odd p those of the multiples
+    of (p-1)/2."""
+    ps = [[] for _ in range(nmax + 1)]
+    for p in _primes_upto(2 * nmax + 1):
+        step = max(1, (p - 1) // 2)
+        for n in range(step, nmax + 1, step):
+            ps[n].append(p)
+    return ps
+
+
+def _check_bernoulli(two_k: int, b: Fraction, primes) -> None:
+    """Raise ValueError unless b can be B_2k: B_0 = 1; otherwise the
+    denominator of b is the product of the von Staudt-Clausen primes,
+    b + sum 1/p over them is an integer, and b has the sign (-1)^(k+1)."""
+    if two_k == 0:
+        ok = b == 1
+    else:
+        ok = (b.denominator == math.prod(primes)
+              and (b + sum(Fraction(1, p) for p in primes)).denominator == 1
+              and (b > 0) == (two_k % 4 == 2))
+    if not ok:
+        raise ValueError("B_%d in the file is not a Bernoulli number" % two_k)
+
+
 class BernoulliCache:
     """Exact even-index Bernoulli numbers B_0, B_2, ..., grown on demand.
 
@@ -161,11 +185,12 @@ class BernoulliCache:
             if need < len(self._even):
                 return
             tang = _tangent_numbers(need)
+            primes = _vsc_primes(need)
             new = [Fraction(1)]
             for n in range(1, need + 1):
                 t = tang[n - 1]
                 den_full = (_Z(4) ** n) * ((_Z(4) ** n) - 1)
-                d = vsc_denominator(2 * n)
+                d = math.prod(primes[n])
                 num, rem = divmod(2 * n * t * d, den_full)
                 if rem:
                     raise ArithmeticError("tangent-number identity violated")
@@ -187,6 +212,10 @@ class BernoulliCache:
                                           bl._int_to_str(b.denominator)))
 
     def load(self, path) -> None:
+        """Replace the cache by the numbers in the file when they reach
+        further and leave no hole.  The file is untrusted: the first entry
+        that cannot be a Bernoulli number raises ValueError, and the cache
+        stays as it was."""
         entries = {}
         with open(path) as fh:
             for line in fh:
@@ -194,10 +223,16 @@ class BernoulliCache:
                 if not line or line.startswith("#"):
                     continue
                 idx_s, num_s, den_s = line.split()
-                entries[int(idx_s)] = Fraction(bl._str_to_int(num_s),
-                                               bl._str_to_int(den_s))
+                k = int(idx_s)
+                if k < 0 or k % 2:
+                    raise ValueError("index %d in the file is not even" % k)
+                entries[k] = Fraction(bl._str_to_int(num_s),
+                                      bl._str_to_int(den_s))
+        top = max(entries) if entries else -1
+        primes = _vsc_primes(max(top, 0) // 2)
+        for k in sorted(entries):
+            _check_bernoulli(k, entries[k], primes[k // 2])
         with self._lock:
-            top = max(entries) if entries else -1
             if top < self.max_index():
                 return
             new = []
@@ -224,13 +259,17 @@ def bernoulli_even(upto_2n: int, cache: BernoulliCache | None = None) -> Bernoul
 
 @dataclass(frozen=True)
 class StirlingParams:
-    """Shift n and series length N for a target of p bits; beta is the
-    slope relating precision to the required real part."""
+    """Shift n and series length N for a target of p bits."""
 
     p: int
     n: int
     nterms: int
-    beta: float = _BETA
+
+
+# shift target: Re(x) + n ~ _SHIFT_SLOPE * p.  The rising factorial of the
+# shift runs on rect-split and stays cheap as n grows, while a larger Re(w)
+# shortens the series and the exact Bernoulli numbers behind it.
+_SHIFT_SLOPE = 0.5
 
 
 # series-term cap: beyond this many exact Bernoulli numbers the O(N^2)
@@ -319,7 +358,7 @@ def stirling_params(x, p: int, n_override: int | None = None) -> StirlingParams:
     """Choose the argument shift n and the series length N so that the
     remainder is rigorously below 2^-p.
 
-    The default shift aims at Re(x) + n ~ 2 beta p; at very high precision
+    The default shift aims at Re(x) + n ~ p / 2; at very high precision
     the shift is enlarged further to keep the number of exact Bernoulli
     numbers manageable (their generation costs O(N^2) integer operations).
     """
@@ -334,7 +373,7 @@ def stirling_params(x, p: int, n_override: int | None = None) -> StirlingParams:
     if n_override is not None:
         n = n_override
     else:
-        t = max(2 * _BETA * p, re_mid, 4.0)
+        t = max(_SHIFT_SLOPE * p, re_mid, 4.0)
         while True:
             nn = _stirling_nterms_float(t, secfac, p, nmax)
             if nn is not None and nn <= cap:
@@ -355,41 +394,54 @@ def stirling_params(x, p: int, n_override: int | None = None) -> StirlingParams:
     return StirlingParams(p=p, n=n, nterms=nterms)
 
 
-def _log_2pi(wp: int) -> Ball:
-    return bl.add(bl.log2_const(wp), bl.log(bl.pi(wp), wp), wp)
+def _stirling_series(w, nterms: int, wp: int, cache: BernoulliCache):
+    """sum_{k=1}^{N-1} c_k / w^(2k-1) with c_k = B_2k / (2k (2k-1)), by
+    Horner in 1/w^2.  Step k carries the terms from k on, whose sum is near
+    c_k / w^(2k-1): drop_k bits below the leading c_1 / w, so the step runs
+    at wp - drop_k plus guard bits.  The drop is estimated with Re w <= |w|,
+    which never overstates it; for Re w <= 1 every step runs at wp."""
+    if nterms <= 1:
+        return bl.n_zero(w)
+    re = bl.n_real(w).mid_float()
+    log2w = math.log2(re) if re > 1 else None
+    guard = 16 + nterms.bit_length()
+    wsq_inv = bl.n_div(bl.n_one(w), bl.n_mul(w, w, wp), wp)
+    acc = None
+    for k in range(nterms - 1, 0, -1):
+        b = cache.get(2 * k)
+        den = 2 * k * (2 * k - 1)
+        prec = wp
+        if log2w is not None:
+            log2ck = (b.numerator.bit_length() - b.denominator.bit_length()
+                      - math.log2(den))
+            drop = -math.log2(12) - log2ck + (2 * k - 2) * log2w
+            prec = min(wp, max(64, wp - int(drop) + guard))
+        ck = bl.n_from_ball(bl.div_int(Ball.from_fraction(b, prec), den, prec), w)
+        if acc is None:
+            acc = ck
+        else:
+            acc = bl.n_mul(acc, bl.n_reduce(wsq_inv, prec), prec)
+            acc = bl.n_add(acc, ck, prec)
+    return bl.n_div(acc, w, wp)
 
 
 def log_gamma_stirling(w, nterms: int, wp: int,
                        cache: BernoulliCache | None = None):
     """log Gamma(w) for Re(w) large, by the asymptotic series with N terms
     and a rigorous remainder inflation."""
-    cache = bernoulli_even(2 * (nterms - 1) if nterms > 1 else 0, cache)
-    one_half = Ball.from_fraction(Fraction(1, 2), wp)
-    logw = bl.log(w, wp)
-    wsq_inv = bl.n_div(bl.n_one(w), bl.n_mul(w, w, wp), wp)
-    acc = None
-    for k in range(nterms - 1, 0, -1):
-        ck = cache.get(2 * k) / (2 * k * (2 * k - 1))
-        ckb = Ball.from_fraction(ck, wp)
-        if acc is None:
-            acc = bl.n_from_ball(ckb, w)
-        else:
-            acc = bl.n_mul(acc, wsq_inv, wp)
-            acc = bl.n_add(acc, bl.n_from_ball(ckb, w), wp)
-    if acc is None:
-        series = bl.n_zero(w)
-    else:
-        series = bl.n_div(acc, w, wp)
-    out = bl.n_mul(bl.n_sub(w, bl.n_from_ball(one_half, w), wp), logw, wp)
-    out = bl.n_sub(out, w, wp)
-    l2pi_half = bl.mul_2exp(_log_2pi(wp), -1)
-    out = bl.n_add(out, bl.n_from_ball(l2pi_half, w), wp)
-    out = bl.n_add(out, series, wp)
-    # inflate by the rigorous remainder bound (checked by the caller to be
-    # below the target; recomputed here so the enclosure never depends on it)
+    # the remainder bound is recomputed here so that the enclosure never
+    # depends on the caller's check
     rad = _stirling_remainder_bound(w, nterms)
     if rad is None:
         raise BallDomainError("Stirling remainder bound needs Re(w) > 0")
+    cache = bernoulli_even(2 * (nterms - 1) if nterms > 1 else 0, cache)
+    one_half = Ball.from_fraction(Fraction(1, 2), wp)
+    logw = bl.log(w, wp)
+    out = bl.n_mul(bl.n_sub(w, bl.n_from_ball(one_half, w), wp), logw, wp)
+    out = bl.n_sub(out, w, wp)
+    l2pi_half = bl.mul_2exp(bl.log_2pi(wp), -1)
+    out = bl.n_add(out, bl.n_from_ball(l2pi_half, w), wp)
+    out = bl.n_add(out, _stirling_series(w, nterms, wp, cache), wp)
     return bl.n_widen(out, *rad)
 
 

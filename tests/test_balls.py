@@ -198,6 +198,20 @@ class TestElementaryFunctions:
         target = _mp_fraction(mpmath.log(2), 330)
         assert abs(l2.mid_fraction() - target) <= l2.rad_fraction() + Fraction(1, 10 ** 325)
 
+    def test_log_2pi_cache_high_low_higher(self):
+        mpmath.mp.prec = 3300
+        target = _mp_fraction(mpmath.log(2 * mpmath.mp.pi), 990)
+        saved = bl._const_cache.pop("log2pi", None)
+        try:
+            for p in (2048, 256, 3072):
+                v = bl.log_2pi(p)
+                assert abs(v.mid_fraction() - target) <= v.rad_fraction() + Fraction(1, 10 ** 985)
+                assert v.rel_accuracy_bits() >= p - 4
+            assert bl._const_cache["log2pi"][0] == 3072
+        finally:
+            if saved is not None:
+                bl._const_cache["log2pi"] = saved
+
     def test_power(self):
         p = 128
         v = bl.power(Ball.from_int(5), Ball.from_fraction(Fraction(1, 2), p), p)

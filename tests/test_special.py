@@ -6,6 +6,7 @@ import random
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import holoeval.balls as bl
@@ -144,6 +145,37 @@ class TestBernoulli:
         for k in range(0, 41, 2):
             assert fresh.get(k) == cache.get(k)
 
+    @pytest.mark.parametrize("corrupt", ["numerator", "denominator", "sign"])
+    def test_load_refuses_a_corrupted_entry(self, tmp_path, corrupt):
+        source = BernoulliCache()
+        source.ensure(40)
+        path = tmp_path / "bernoulli.txt"
+        source.save(path)
+        lines = path.read_text().splitlines()
+        idx, num, den = lines[7].split()  # B_14 = 7/6
+        num, den = int(num), int(den)
+        if corrupt == "numerator":
+            num += 1
+        elif corrupt == "denominator":
+            den *= 2  # numerators of B_2k (k >= 1) are odd: stays reduced
+        else:
+            num = -num
+        lines[7] = "%s %d %d" % (idx, num, den)
+        path.write_text("\n".join(lines) + "\n")
+        cache = BernoulliCache()
+        cache.ensure(10)
+        before = [cache.get(k) for k in range(0, 11, 2)]
+        with pytest.raises(ValueError, match="B_14"):
+            cache.load(path)
+        assert cache.max_index() == 10
+        assert [cache.get(k) for k in range(0, 11, 2)] == before
+
+    def test_load_refuses_a_wrong_b0(self, tmp_path):
+        path = tmp_path / "bernoulli.txt"
+        path.write_text("0 2 1\n2 1 6\n")
+        with pytest.raises(ValueError, match="B_0"):
+            BernoulliCache().load(path)
+
 
 class TestBernoulliPersistence:
     def test_roundtrip_beyond_default_digit_limit(self, tmp_path):
@@ -163,10 +195,25 @@ class TestBernoulliPersistence:
             sys.set_int_max_str_digits(old)
 
 
+# series lengths N of stirling_params(1, p) under the former shift target
+# Re w ~ 0.22 p
+NTERMS_AT_022P = {128: 18, 1024: 134, 4096: 531, 8192: 1061}
+
+
 class TestStirlingParams:
     def test_shift_example(self):
+        # Re w ~ p / 2: 1 + 166 = 167 for p = 333
         sp = stirling_params(Ball.from_int(1), 333)
-        assert sp.n == 73
+        assert sp.n == 166
+        assert sp.nterms == 31
+
+    @pytest.mark.parametrize("p", sorted(NTERMS_AT_022P))
+    def test_series_no_longer_than_at_022p(self, p):
+        from holoeval.special import _stirling_remainder_ok
+        sp = stirling_params(Ball.from_int(1), p)
+        assert sp.nterms <= NTERMS_AT_022P[p]
+        w = bl.add_int(Ball.from_int(1), sp.n, 64)
+        assert _stirling_remainder_ok(w, sp.nterms, p)
 
     def test_no_shift_needed(self):
         sp = stirling_params(Ball.from_int(10), 8)
@@ -264,6 +311,59 @@ class TestGamma:
         mv = mpmath.gamma(mpmath.mpc(1.5, 0.25))
         assert abs(a.re.mid_float() - float(mv.real)) < 1e-12
         assert abs(a.im.mid_float() - float(mv.imag)) < 1e-12
+
+
+GAMMA_ARGS = ((Fraction(5, 4), 0), (Fraction(7, 3), 0), (Fraction(1, 2), 0),
+              (Fraction(31, 3), 0), (Fraction(3, 2), Fraction(-5, 7)))
+# rel_accuracy_bits of gamma_stirling on GAMMA_ARGS with the former shift
+# target Re w ~ 0.22 p and every Horner step at the working precision
+ACCURACY_AT_022P = {
+    64: (64, 60, 64, 58, 56),
+    333: (333, 329, 333, 327, 325),
+    1024: (1024, 1019, 1024, 1017, 1015),
+    4096: (4096, 4091, 4096, 4089, 4086),
+}
+
+
+def _mpf_fraction(v):
+    man, exp = v.man_exp  # the magnitude
+    q = Fraction(man) * Fraction(2) ** exp
+    return -q if v < 0 else q
+
+
+def _gamma_arg(re, im, p):
+    if im:
+        return ComplexBall(Ball.from_fraction(re, p), Ball.from_fraction(im, p))
+    return Ball.from_fraction(re, p)
+
+
+class TestStirlingAccuracy:
+    @pytest.mark.parametrize("p", sorted(ACCURACY_AT_022P))
+    def test_contains_mpmath_and_keeps_accuracy(self, p):
+        mpmath.mp.prec = p + 64
+        for (re, im), old_bits in zip(GAMMA_ARGS, ACCURACY_AT_022P[p]):
+            g = gamma_stirling(_gamma_arg(re, im, p), p)
+            ref = mpmath.gamma(mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
+                                          mpmath.mpf(im.numerator) / im.denominator))
+            parts = (g.re, g.im) if im else (g,)
+            values = (ref.real, ref.imag) if im else (ref.real,)
+            slack = Fraction(1, 2 ** (p + 56)) * (1 + abs(_mpf_fraction(abs(ref))))
+            for part, value in zip(parts, values):
+                target = _mpf_fraction(value)
+                assert abs(part.mid_fraction() - target) <= part.rad_fraction() + slack, (re, im, p)
+            assert g.rel_accuracy_bits() >= old_bits - 2, (re, im, p)
+
+    def test_fresh_and_warm_cache_give_identical_balls(self):
+        p = 1024
+        warm = BernoulliCache()
+        warm.ensure(600)
+        for re, im in ((Fraction(7, 3), 0), (Fraction(3, 2), Fraction(-5, 7))):
+            x = _gamma_arg(re, im, p)
+            a = gamma_stirling(x, p, cache=BernoulliCache())
+            b = gamma_stirling(x, p, cache=warm)
+            pairs = ((a.re, b.re), (a.im, b.im)) if im else ((a, b),)
+            for u, v in pairs:
+                assert (u.man, u.exp, u.rm, u.re) == (v.man, v.exp, v.rm, v.re)
 
 
 class TestGammaSweep:
