@@ -24,6 +24,7 @@ code needs them at precisions far beyond hardware floats.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 
@@ -71,6 +72,10 @@ def _rad_add(rm1, re1, rm2, re2):
         rm1, re1, rm2, re2 = rm2, re2, rm1, re1
     d = re1 - re2
     if d > 64:
+        if rm1 < 0x10000 and re2 + rm2.bit_length() <= re1 - 32:
+            # a short mantissa, such as the 1 of a rounding error: add one
+            # unit 32 bits below it instead of doubling it
+            return _rnorm((rm1 << 32) + 1, re1 - 32)
         return _rnorm(rm1 + 1, re1)
     return _rnorm((rm1 << d) + rm2, re2)
 
@@ -397,10 +402,6 @@ def mul_2exp(a: Ball, e: int) -> Ball:
     if a.man == 0 and a.rm == 0:
         return a
     return Ball(a.man, a.exp + e, a.rm, a.re + e)
-
-
-def mul_fraction(a: Ball, q: Fraction, p: int) -> Ball:
-    return mul(a, Ball.from_fraction(q, p + 4), p)
 
 
 def div(a: Ball, b: Ball, p: int) -> Ball:
@@ -787,19 +788,88 @@ def _mid(a):
 
 
 # ---------------------------------------------------------------------------
+# fused integer dot products sum_j c_j b_j over fixed balls b_j
+# ---------------------------------------------------------------------------
+
+def _align(pairs, p):
+    """(ints, e) with ints[j] * 2**e == man_j * 2**exp_j for the pairs
+    (man_j, exp_j); None when the nonzero values span more than 8p + 1024
+    bits, which makes one fixed-point sum wasteful."""
+    live = [(man, exp) for man, exp in pairs if man]
+    if not live:
+        return [0] * len(pairs), 0
+    e = min(exp for _, exp in live)
+    if max(exp + man.bit_length() for man, exp in live) - e > 8 * p + 1024:
+        return None
+    return [man << (exp - e) if man else 0 for man, exp in pairs], e
+
+
+def _fixed_point(balls, p):
+    """(mids, e, rads, re): the real balls' midpoints are mids[j] * 2**e and
+    their radii rads[j] * 2**re, exactly; rads is None when every ball is
+    exact.  None when either spread is too wide."""
+    mids = _align([(b.man, b.exp) for b in balls], p)
+    rads = _align([(b.rm, b.re) for b in balls], p)
+    if mids is None or rads is None:
+        return None
+    if not any(rads[0]):
+        rads = None, 0
+    return mids + rads
+
+
+def _fused_dot(coeffs, table, p) -> Ball:
+    """sum_j coeffs[j] * b_j for the integers coeffs and a table of
+    _fixed_point: one integer sum for the midpoint, one for the radius."""
+    mids, e, rads, re = table
+    man = sum(map(operator.mul, coeffs, mids))
+    if rads is None:
+        return _make(man, e, 0, 0, p)
+    rad = sum(map(operator.mul, map(abs, coeffs), rads))
+    return _make(man, e, *_u_from_abs(rad, re), p)
+
+
+def n_fixed_point(balls, p):
+    """The fixed-point form of the real or complex balls for n_int_dot: the
+    table of _fixed_point, one per part of complex balls; None when a
+    part's values span too wide a range for one integer sum."""
+    if isinstance(balls[0], ComplexBall):
+        re = _fixed_point([b.re for b in balls], p)
+        im = _fixed_point([b.im for b in balls], p)
+        return None if re is None or im is None else (re, im)
+    return _fixed_point(balls, p)
+
+
+def n_int_dot(coeffs, balls, fix, p):
+    """sum_j coeffs[j] * balls[j] for exact integers coeffs, with
+    fix = n_fixed_point(balls, ...): one integer sum for the midpoint and
+    one for the radius of each part, or term by term when fix is None.
+    Both are exact rescalings of the balls, so containment is kept."""
+    if fix is None:
+        acc = n_zero(balls[0])
+        for c, b in zip(coeffs, balls):
+            if c:
+                acc = n_add(acc, n_mul_int(b, c, p), p)
+        return acc
+    if isinstance(balls[0], ComplexBall):
+        return ComplexBall(_fused_dot(coeffs, fix[0], p),
+                           _fused_dot(coeffs, fix[1], p))
+    return _fused_dot(coeffs, fix, p)
+
+
+# ---------------------------------------------------------------------------
 # exp / log / pow
 # ---------------------------------------------------------------------------
 
 _EXP_ARG_BITS = 48  # |argument| must stay below 2**48
 
 
-def _exp_series_terms(k_halvings: int, target_bits: int) -> int:
+def _exp_series_terms(k: int, target_bits: int) -> int:
     """Smallest N with (2^-k)^(N+1)/(N+1)! below 2^-target."""
     n = 1
     log2fac = 0.0
     while True:
         log2fac += math.log2(n + 1)
-        if k_halvings * (n + 1) + log2fac > target_bits + 2:
+        if k * (n + 1) + log2fac > target_bits + 2:
             return n
         n += 1
 
@@ -824,32 +894,68 @@ def _u_inv_factorial(n: int):
     return ((1 << (bl + 34)) // f) + 1, -(bl + 34)
 
 
+def _top(a, zero):
+    """An exponent e with |a| < 2^e; zero when a is exactly 0."""
+    um, ue = a.abs_upper()
+    return ue + um.bit_length() if um else zero
+
+
 def exp(x, p: int):
-    """Exponential of a real or complex ball: Taylor series with argument
-    halving and rigorous tail bounds (no explicit trigonometric functions)."""
-    um, ue = x.abs_upper()
-    if um and ue + um.bit_length() > _EXP_ARG_BITS:
+    """Exponential of a real or complex ball (no explicit trigonometric
+    functions), with rigorous rounding and tail bounds.
+
+    x = q log 2 + r.  The series argument is t = r / 2^k, halved so that
+    |t| < 2^-h with h = p^(1/3): for a real x, k is about h, as
+    |r| <= log(2)/2.
+    The Taylor series of e^t is summed by rectangular splitting (Smith):
+    L = R m terms with m about sqrt(L).  Row i is
+    sum_j t^j / (mi + j)! = P_i(t) / (mi + m - 1)!, where P_i has the
+    integer coefficients prod_{l = mi+j+1}^{mi+m-1} l and is one integer
+    dot product over the powers 1 .. t^(m-1) (n_int_dot).  The rows are
+    combined by Horner in t^m, with one division by an integer per row and
+    one by (m - 1)! at the end.  The ball products are the powers
+    t^2 .. t^m, R - 1 Horner steps and k squarings: for x = 1/3 that is 25
+    at p = 1024 (h = 10, L = 74, m = R = 9), 53 at p = 8192 (h = 20,
+    L = 309, m = R = 18) and 133 at p = 110772, where summing term by term
+    after sqrt(p) halvings took 63, 177 and 659."""
+    top = _top(x, 0)
+    if top > _EXP_ARG_BITS:
         raise BallDomainError("exp argument too large")
-    katom = max(8, math.isqrt(p))
-    wp = p + katom + 48
-    # reduce by log 2: x = q log2 + xr
+    h = max(4, round(p ** (1 / 3)))
+    # k squarings lose k <= h + max(0, top) + 1 bits, and the reduction
+    # loses max(0, top) bits of r
+    wp = p + h + 2 * max(0, top) + 48
     l2 = log2_const(wp + _EXP_ARG_BITS + 16)
     q = int(round(n_real(x).mid_float() / 0.6931471805599453))
-    xr = n_sub(x, n_from_ball(mul_int(l2, q, wp + 16), x), wp + 16) if q else x
-    # halve until the series argument is below 2^-katom
-    um, ue = xr.abs_upper()
-    top = ue + um.bit_length() if um else -katom
-    k = katom + max(0, top)
-    t = n_mul_2exp(xr, -k)
-    nterms = _exp_series_terms(katom, wp + 8)
-    s = term = n_one(x)
-    for i in range(1, nterms + 1):
-        term = n_div_int(n_mul(term, t, wp), i, wp)
-        s = n_add(s, term, wp)
-    # tail <= 2 |t|^(N+1)/(N+1)!
+    r = n_sub(x, n_from_ball(mul_int(l2, q, wp + 16), x), wp + 16) if q else x
+    et = _top(r, -wp)
+    k = max(0, et + h)
+    et -= k  # |t| < 2^et <= 2^-h
+    t = n_mul_2exp(r, -k)
+    terms = _exp_series_terms(-et, wp + 8) + 1
+    m = math.isqrt(terms - 1) + 1
+    rows = -(-terms // m)
+    powers = [n_one(x), t]
+    for j in range(2, m + 1):
+        powers.append(n_mul(powers[j // 2], powers[(j + 1) // 2], wp))
+    tm = powers.pop()  # t^m; powers holds 1 .. t^(m-1)
+    fix = n_fixed_point(powers, wp)
+    s = None
+    for i in range(rows - 1, -1, -1):
+        coeffs = [1] * m
+        for j in range(m - 2, -1, -1):
+            coeffs[j] = coeffs[j + 1] * (m * i + j + 1)
+        row = n_int_dot(coeffs, powers, fix, wp)
+        if s is None:
+            s = row
+        else:
+            step = math.prod(range(m * i + m, m * i + 2 * m))
+            s = n_add(row, n_div_int(n_mul(tm, s, wp), step, wp), wp)
+    s = n_div_int(s, math.factorial(m - 1), wp)
+    # the terms from n = R m on: below 2 |t|^(Rm) / (Rm)!
     utm, ute = t.abs_upper()
-    tr = _rad_mul(*_u_pow(utm, ute, nterms + 1), *_u_inv_factorial(nterms + 1))
-    s = n_widen(s, tr[0] * 2, tr[1])
+    tail = _rad_mul(*_u_pow(utm, ute, rows * m), *_u_inv_factorial(rows * m))
+    s = n_widen(s, tail[0] * 2, tail[1])
     for _ in range(k):
         s = n_mul(s, s, wp)
     if q:
@@ -873,7 +979,14 @@ def _log_seed(x):
 def log(x, p: int):
     """Natural logarithm of a strictly positive real ball, or the principal
     logarithm of a complex box that excludes zero and stays off the branch
-    cut (our complex callers always have positive real part)."""
+    cut (our complex callers always have positive real part).
+
+    Newton's iteration y <- y + x e^(-y) - 1 on midpoints, from a float
+    seed, doubles the precision up to about wp/2 + 16 bits (wp = p + 48).
+    A last step at wp with the error bound |r|^2 of r = x e^(-y) - 1 makes
+    the result rigorous, so only one exp runs at wp: for x = 1/3 at
+    p = 8192 log makes 232 ball products, where a ladder up to wp and the
+    term-by-term exp made 799."""
     if isinstance(x, ComplexBall):
         if x.contains_zero():
             raise BallDomainError("log of a complex ball containing zero")
@@ -882,8 +995,9 @@ def log(x, p: int):
     elif not x.is_positive():
         raise BallDomainError("log of a ball not provably positive")
     wp = p + 48
-    # Newton ladder on midpoints, seeded from a float log
-    precs = [wp]
+    # Newton ladder on midpoints, seeded from a float log, up to about wp/2
+    # bits: the wrap below is the last Newton step
+    precs = [wp // 2 + 16]
     while precs[-1] > 64:
         precs.append(precs[-1] // 2 + 16)
     precs.reverse()

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 from . import balls as bl
 from .balls import Ball, ComplexBall
@@ -145,17 +144,15 @@ def make_plan(algorithm: str, n: int, p: int, m: int | None = None,
 class PowerTable:
     """Powers z^0 .. z^D of the evaluation point.
 
-    Besides the ball powers, the table keeps the midpoints as integers on
-    one common exponent and the radii as integers on another, so that
-    sum c_j z^j collapses into one integer dot product for the midpoint and
-    one for the radius (all scalar operations).  Both are exact rescalings
-    of the powers, so containment is preserved."""
+    Besides the ball powers, the table keeps their fixed-point form
+    (balls.n_fixed_point), so that sum c_j z^j collapses into one integer
+    dot product for the midpoint and one for the radius (all scalar
+    operations)."""
 
     def __init__(self, z, max_exp: int, p: int, counter: OpCounter | None = None):
         self.z = z
         self.p = p
         self.D = max_exp
-        self.is_complex = isinstance(z, ComplexBall)
         powers = [bl.n_one(z)]
         if max_exp >= 1:
             powers.append(z)
@@ -164,11 +161,7 @@ class PowerTable:
             if counter is not None:
                 counter.nonscalar += 1
         self.powers = powers
-        if self.is_complex:
-            self._fix_re = _fixed_point([b.re for b in powers], p)
-            self._fix_im = _fixed_point([b.im for b in powers], p)
-        else:
-            self._fix = _fixed_point(powers, p)
+        self._fix = bl.n_fixed_point(powers, p)
 
     def power(self, j: int):
         return self.powers[j]
@@ -181,66 +174,10 @@ class PowerTable:
         if len(coeffs) > self.D + 1:
             raise IndexError("degree %d exceeds the table's %d"
                              % (len(coeffs) - 1, self.D))
-        if self.is_complex:
-            if self._fix_re is None or self._fix_im is None:
-                out = self._slow_dot(coeffs, p)
-            else:
-                out = ComplexBall(_fused_dot(coeffs, self._fix_re, p),
-                                  _fused_dot(coeffs, self._fix_im, p))
-        elif self._fix is None:
-            out = self._slow_dot(coeffs, p)
-        else:
-            out = _fused_dot(coeffs, self._fix, p)
+        out = bl.n_int_dot(coeffs, self.powers, self._fix, p)
         if counter is not None:
             counter.scalar += len(coeffs) - coeffs.count(0)
         return out
-
-    def _slow_dot(self, coeffs, p):
-        acc = None
-        for j, c in enumerate(coeffs):
-            if not c:
-                continue
-            term = bl.n_mul_int(self.powers[j], c, p)
-            acc = term if acc is None else bl.n_add(acc, term, p)
-        return bl.n_zero(self.z) if acc is None else acc
-
-
-def _align(pairs, p):
-    """(ints, e) with ints[j] * 2**e == man_j * 2**exp_j for the pairs
-    (man_j, exp_j); None when the nonzero values span more than 8p + 1024
-    bits, which makes one fixed-point sum wasteful."""
-    live = [(man, exp) for man, exp in pairs if man]
-    if not live:
-        return [0] * len(pairs), 0
-    e = min(exp for _, exp in live)
-    if max(exp + man.bit_length() for man, exp in live) - e > 8 * p + 1024:
-        return None
-    return [man << (exp - e) if man else 0 for man, exp in pairs], e
-
-
-def _fixed_point(powers, p):
-    """(mids, e, rads, re): the powers' midpoints are mids[j] * 2**e and
-    their radii rads[j] * 2**re, exactly; rads is None when every power is
-    exact.  None when either spread is too wide (the caller falls back to
-    per-term operations)."""
-    mids = _align([(b.man, b.exp) for b in powers], p)
-    rads = _align([(b.rm, b.re) for b in powers], p)
-    if mids is None or rads is None:
-        return None
-    if not any(rads[0]):
-        rads = None, 0
-    return mids + rads
-
-
-def _fused_dot(coeffs, table, p) -> Ball:
-    """sum_j coeffs[j] * z^j for the integers coeffs and a fixed-point table
-    of _fixed_point: one integer sum for the midpoint, one for the radius."""
-    mids, e, rads, re = table
-    man = sum(map(mul, coeffs, mids))
-    if rads is None:
-        return bl._make(man, e, 0, 0, p)
-    rad = sum(map(mul, map(abs, coeffs), rads))
-    return bl._make(man, e, *bl._u_from_abs(rad, re), p)
 
 
 # ---------------------------------------------------------------------------

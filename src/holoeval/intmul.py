@@ -13,7 +13,9 @@ entry.
 The FFT products are exact: their rounding error is proven below 1/2 for
 every transform length and matrix size that they accept (bound below), and
 every result is checked modulo 2^61 - 1 before it is returned.  A failed
-check recomputes the entry with `*`.
+check recomputes the entry with `*`.  A product of two integers too long
+for one transform is split into pieces that fit (Karatsuba), each of them
+an FFT product with its own check.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ FFT_MIN_BITS = 1 << 16
 # rounding every output to the nearest integer is exact.  The bound holds
 # only for 8-bit limbs: with 16-bit limbs one product could not exceed
 # N = 2^10.
-_FFT_MAX_LEN = 1 << 22  # products of up to 2^25 bits
+_FFT_MAX_LEN = 1 << 22  # products of up to 2^25 bits in one transform
 # The transforms of mat_mul, 2 r^2 spectra of N float64 words, are all kept;
 # above this many words it multiplies entry by entry with `*`.
 _FFT_MAX_WORDS = 1 << 25
@@ -72,6 +74,8 @@ def mat_mul(A, B):
     size = _fft_size(A, B)
     if size:
         return _fft_mat_mul(A, B, size)
+    if len(A) == 1 and _over_the_cap(A[0][0], B[0][0]):
+        return [[_split_mul(A[0][0], B[0][0])]]
     r = len(A)
     return [[sum(A[i][t] * B[t][j] for t in range(r)) for j in range(r)]
             for i in range(r)]
@@ -91,6 +95,40 @@ def _fft_size(A, B):
     if size > _FFT_MAX_LEN or 2 * len(A) ** 2 * size > _FFT_MAX_WORDS:
         return 0
     return size
+
+
+def _over_the_cap(x, y):
+    """True when x y would take the FFT path but for the length cap."""
+    bx, by = x.bit_length(), y.bit_length()
+    return (FFT_ACTIVE and min(bx, by) >= FFT_MIN_BITS
+            and ((bx + 7) >> 3) + ((by + 7) >> 3) - 1 > _FFT_MAX_LEN)
+
+
+def _split_mul(x, y):
+    """x y for factors whose product is longer than _FFT_MAX_LEN limbs:
+    split at a byte boundary and multiply the pieces by mat_mul, which
+    splits them again until each product fits one checked FFT product.
+    Balanced factors take three products (Karatsuba), a factor that fits
+    below the split point two."""
+    neg = (x < 0) != (y < 0)
+    x, y = abs(x), abs(y)
+    if x < y:
+        x, y = y, x
+    h = 8 * ((x.bit_length() + 15) >> 4)  # bits below the split, bytewise
+    mask = (1 << h) - 1
+    x1, x0 = x >> h, x & mask
+    if y >> h:
+        y1, y0 = y >> h, y & mask
+        hi, lo = _mul(x1, y1), _mul(x0, y0)
+        mid = _mul(x1 + x0, y1 + y0) - hi - lo
+        z = (hi << 2 * h) + (mid << h) + lo
+    else:
+        z = (_mul(x1, y) << h) + _mul(x0, y)
+    return -z if neg else z
+
+
+def _mul(x, y):
+    return mat_mul([[x]], [[y]])[0][0]
 
 
 def _fft_mat_mul(A, B, size):

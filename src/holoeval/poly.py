@@ -376,18 +376,6 @@ class BiPoly:
             out.append(acc)
         return UniPoly(out)
 
-    def eval_x(self, x0) -> UniPoly:
-        """Substitute x = x0 exactly; result is a polynomial in k."""
-        nk = self.deg_k() + 1
-        out = [0] * nk
-        xp = 1
-        for row in self.grid:
-            for j, c in enumerate(row):
-                if c:
-                    out[j] += c * xp
-            xp *= x0
-        return UniPoly(out)
-
     def shift_x(self, c) -> "BiPoly":
         """Substitute x -> x + c."""
         if self.is_zero() or not c:

@@ -277,6 +277,145 @@ class TestElementaryFunctions:
             bl.exp(Ball.from_man_exp(1, 60), 64)
 
 
+def _contains_mp(b, v, prec):
+    """Whether the real ball b contains the value that the mpmath number v,
+    computed at prec bits, approximates (within one unit of its last bit).
+    Compared on integers scaled to the smallest exponent involved, so that
+    values like e^(2^47) need no Fraction of their size."""
+    man, e = v.man_exp
+    if v < 0:
+        man = -man
+    terms = [(b.man, b.exp), (man, e)]
+    tol = (1, e + max(0, int(abs(man)).bit_length() - prec) + 1)
+    rads = [tol] + ([(b.rm, b.re)] if b.rm else [])
+    e0 = min(x for _, x in terms + rads)
+    mid, val = ((int(m) << (x - e0)) for m, x in terms)
+    return abs(mid - val) <= sum(int(m) << (x - e0) for m, x in rads)
+
+
+def _contains_mpc(got, v, prec):
+    if isinstance(got, ComplexBall):
+        w = mpmath.mpc(v)
+        return _contains_mp(got.re, w.real, prec) and _contains_mp(got.im, w.imag, prec)
+    return _contains_mp(got, v, prec)
+
+
+# (name, argument as a ball at precision p, the argument for mpmath)
+_GRID = [
+    ("0", lambda p: Ball.zero(), lambda: mpmath.mpf(0)),
+    ("2^-3000", lambda p: Ball.from_man_exp(1, -3000), lambda: mpmath.ldexp(1, -3000)),
+    ("-2^-3000", lambda p: Ball.from_man_exp(-1, -3000), lambda: -mpmath.ldexp(1, -3000)),
+    ("1/3", lambda p: frac_ball(Fraction(1, 3), p), lambda: mpmath.mpf(1) / 3),
+    ("-1/3", lambda p: frac_ball(Fraction(-1, 3), p), lambda: mpmath.mpf(-1) / 3),
+    ("22/7", lambda p: frac_ball(Fraction(22, 7), p), lambda: mpmath.mpf(22) / 7),
+    ("-700", lambda p: Ball.from_int(-700), lambda: mpmath.mpf(-700)),
+    ("2^47-1", lambda p: Ball.from_int(2 ** 47 - 1), lambda: mpmath.mpf(2 ** 47 - 1)),
+    ("1/2+22/5i", lambda p: ComplexBall(frac_ball(Fraction(1, 2), p), frac_ball(Fraction(22, 5), p)),
+     lambda: mpmath.mpc(mpmath.mpf(1) / 2, mpmath.mpf(22) / 5)),
+    ("-7/3-9/2i", lambda p: ComplexBall(frac_ball(Fraction(-7, 3), p), frac_ball(Fraction(-9, 2), p)),
+     lambda: mpmath.mpc(mpmath.mpf(-7) / 3, mpmath.mpf(-9) / 2)),
+    # parts 3000 binary orders apart: too wide for one fixed-point sum
+    ("2^-3000+5i", lambda p: ComplexBall(Ball.from_man_exp(1, -3000), Ball.from_int(5)),
+     lambda: mpmath.mpc(mpmath.ldexp(1, -3000), 5)),
+]
+
+
+class TestExpLogRectangularSplitting:
+    @pytest.mark.parametrize("p", [64, 128, 1024, 8192, 20000])
+    def test_grid_contains_mpmath(self, p):
+        mpmath.mp.prec = p + 64
+        for name, ball, mp_arg in _GRID:
+            x, w = ball(p), mp_arg()
+            complex_arg = isinstance(x, ComplexBall)
+            got = bl.exp(x, p)
+            assert _contains_mpc(got, mpmath.exp(w), p + 64), ("exp", name, p)
+            # Im: k squarings of a box lose up to k bits there
+            assert got.rel_accuracy_bits() >= p - (6 if complex_arg else 2), ("exp", name, p)
+            if not complex_arg and w <= 0:
+                continue
+            got = bl.log(x, p)
+            assert _contains_mpc(got, mpmath.log(w), p + 64), ("log", name, p)
+            assert got.rel_accuracy_bits() >= p - 1, ("log", name, p)
+
+    @pytest.mark.parametrize("p", [64, 1024, 8192])
+    def test_input_radius_is_propagated(self, p):
+        mpmath.mp.prec = p + 64
+        x = bl.parse_decimal("1.25 ± 1e-12", p)
+        lo, hi = mpmath.mpf(5) / 4 - mpmath.mpf("1e-12"), mpmath.mpf(5) / 4 + mpmath.mpf("1e-12")
+        for f, mf in ((bl.exp, mpmath.exp), (bl.log, mpmath.log)):
+            got = f(x, p)
+            for v in (mf(lo), mf(mpmath.mpf(5) / 4), mf(hi)):
+                assert _contains_mp(got, v, p + 64)
+            assert 35 <= got.rel_accuracy_bits() <= 45
+        z = ComplexBall(x, bl.parse_decimal("-4 ± 1e-12", p))
+        got = bl.exp(z, p)
+        for dr in (-1, 1):
+            for di in (-1, 1):
+                w = mpmath.mpc(mpmath.mpf(5) / 4 + dr * mpmath.mpf("1e-12"),
+                               -4 + di * mpmath.mpf("1e-12"))
+                assert _contains_mpc(got, mpmath.exp(w), p + 64)
+
+    # accuracy bits of the term-by-term series with sqrt(p) halvings and of
+    # the full Newton ladder, on the cases of TestElementaryFunctions,
+    # recorded as p minus the figure: (function, argument, p, deficit)
+    _BEFORE = [
+        ("exp", Fraction(7, 3), 64, 2), ("log", Fraction(7, 3), 64, 1),
+        ("exp", Fraction(7, 3), 256, 2), ("log", Fraction(7, 3), 256, 1),
+        ("exp", Fraction(7, 3), 2048, 2), ("log", Fraction(7, 3), 2048, 1),
+        ("exp", (Fraction(5, 4), Fraction(1, 3)), 256, 1),
+        ("log", (Fraction(5, 4), Fraction(1, 3)), 256, 1),
+        ("exp", (Fraction(1, 5), Fraction(-2, 7)), 256, 1),
+        ("log", (Fraction(1, 5), Fraction(-2, 7)), 256, 1),
+        ("exp", (Fraction(-3, 2), Fraction(5, 6)), 256, 1),
+        ("log", (Fraction(-3, 2), Fraction(5, 6)), 256, 0),
+        ("exp", (Fraction(1, 2), Fraction(22, 5)), 256, 5),
+        ("log", (Fraction(1, 2), Fraction(22, 5)), 256, 1),
+        ("exp", (Fraction(-7, 3), Fraction(-9, 2)), 1024, 5),
+        ("log", (Fraction(-7, 3), Fraction(-9, 2)), 1024, 0),
+    ] + [("log", e, p, 0) for e in (-2000, -1100, 3000) for p in (64, 1024)] + [
+        ("log", (a, b), p, d)
+        for a, b, d in ((-2000, -2000, 0), (-2000, -2003, 1), (-2003, 1, 0))
+        for p in (64, 1024)]
+
+    @pytest.mark.parametrize("fn, arg, p, deficit", _BEFORE)
+    def test_accuracy_no_worse_than_before(self, fn, arg, p, deficit):
+        def ball(a):  # an int e stands for 2^e
+            if isinstance(a, tuple):
+                return ComplexBall(ball(a[0]), ball(a[1]))
+            return Ball.from_man_exp(1, a) if isinstance(a, int) else frac_ball(a, p)
+
+        assert getattr(bl, fn)(ball(arg), p).rel_accuracy_bits() >= p - deficit
+
+    def test_ball_products_at_8192(self, monkeypatch):
+        p = 8192
+        bl.log2_const(p + 256)
+        calls = [0]
+        real_mul = bl.mul
+
+        def counting(a, b, prec):
+            calls[0] += 1
+            return real_mul(a, b, prec)
+
+        monkeypatch.setattr(bl, "mul", counting)
+        for q in (Fraction(1, 3), Fraction(22, 7), Fraction(-700)):
+            calls[0] = 0
+            bl.exp(frac_ball(q, p), p)
+            assert calls[0] <= 60, ("exp", q, calls[0])
+        for q in (Fraction(1, 3), Fraction(22, 7), Fraction(2 ** 47 - 1)):
+            calls[0] = 0
+            bl.log(frac_ball(q, p), p)
+            assert calls[0] <= 260, ("log", q, calls[0])
+
+    def test_radius_sum_across_64_binary_orders(self):
+        # the rounding error of a midpoint has mantissa 1: adding a radius
+        # far below it must not double it
+        rm, re = bl._rad_add(1, 0, 3, -100)
+        total = Fraction(rm) * Fraction(2) ** re
+        assert 1 + Fraction(3, 2 ** 100) <= total <= 1 + Fraction(1, 2 ** 31)
+        rm, re = bl._rad_add(5, -200, 1 << 40, -300)
+        assert Fraction(rm) * Fraction(2) ** re >= 5 * Fraction(2) ** -200 + Fraction(2) ** -260
+
+
 class TestDecimal:
     def test_exact_display(self):
         assert bl.to_decimal(Ball.from_int(24)) == "24"

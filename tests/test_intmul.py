@@ -169,6 +169,51 @@ class TestMul:
         assert im.mat_mul(A, A) == mat_schoolbook(A, A)
 
 
+class TestAboveTheLengthCap:
+    """Products longer than _FFT_MAX_LEN limbs are split into pieces that
+    each fit one checked FFT product; the cap is lowered to 512 limbs so
+    that small operands exercise the splitting."""
+
+    @pytest.fixture
+    def small_cap(self, monkeypatch):
+        if not im.FFT_ACTIVE:
+            pytest.skip("FFT path needs plain-int mantissas and numpy")
+        monkeypatch.setattr(im, "FFT_MIN_BITS", 64)
+        monkeypatch.setattr(im, "_FFT_MAX_LEN", 512)
+        sizes = []
+        real = im._fft_mat_mul
+
+        def spy(A, B, size):
+            sizes.append(size)
+            return real(A, B, size)
+
+        monkeypatch.setattr(im, "_fft_mat_mul", spy)
+        return sizes
+
+    def test_random_signed(self, small_cap):
+        rng = random.Random(17)
+        for _ in range(40):
+            x = rng.getrandbits(rng.randint(4000, 40000)) * rng.choice((-1, 1))
+            y = rng.getrandbits(rng.randint(4000, 40000)) * rng.choice((-1, 1))
+            assert mul(x, y) == x * y
+        assert small_cap and max(small_cap) <= 512
+
+    def test_all_ones_and_lopsided(self, small_cap):
+        for nx, ny in ((600, 600), (4096, 4096), (5000, 300), (20, 9000)):
+            x, y = (1 << 8 * nx) - 1, (1 << 8 * ny) - 1
+            assert mul(x, y) == x * y
+            assert mul(-x, y) == -(x * y)
+        assert max(small_cap) <= 512
+
+    def test_residue_check_guards_every_piece(self, small_cap, monkeypatch):
+        real = im._from_limb_sums
+        monkeypatch.setattr(im, "_from_limb_sums", lambda v: real(v) + 1)
+        rng = random.Random(23)
+        x, y = rng.getrandbits(30000), -rng.getrandbits(25000)
+        assert mul(x, y) == x * y
+        assert len(small_cap) > 3
+
+
 class TestMatMul:
     def test_random_signed_with_zeros(self, fft):
         rng = random.Random(11)

@@ -153,6 +153,13 @@ def random_valid_recurrence(rng, order, nmax):
         return rec, M, z
 
 
+def eval_xk(poly: BiPoly, x, k) -> Fraction:
+    """poly(x, k) exactly, for rationals x and k."""
+    return sum((Fraction(c) * Fraction(x) ** a * Fraction(k) ** b
+                for a, row in enumerate(poly.grid) for b, c in enumerate(row)),
+               Fraction(0))
+
+
 class TestCompanionCorrectness:
     def test_against_scalar_unrolling(self):
         rng = random.Random(31)
@@ -164,9 +171,9 @@ class TestCompanionCorrectness:
             # unroll the scalar recurrence sum a_j(z,i) c(i+j) = 0 directly
             seq = list(init)
             for i in range(n):
-                s = sum(Fraction(rec.coeffs[j].eval_x(z).eval_at(i)) * seq[i + j]
+                s = sum(eval_xk(rec.coeffs[j], z, i) * seq[i + j]
                         for j in range(order))
-                a_r = Fraction(rec.coeffs[order].eval_x(z).eval_at(i))
+                a_r = eval_xk(rec.coeffs[order], z, i)
                 seq.append(-s / a_r)
             vec = unroll_rational(M, z, n, init)
             assert vec == seq[n:n + order]
