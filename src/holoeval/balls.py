@@ -257,11 +257,6 @@ class Ball:
         q = Fraction(x)
         return abs(self.mid_fraction() - q) <= self.rad_fraction()
 
-    def contains_ball(self, other: "Ball") -> bool:
-        """Exact test whether other's interval is a subset of this one."""
-        d = abs(self.mid_fraction() - other.mid_fraction())
-        return d + other.rad_fraction() <= self.rad_fraction()
-
     def overlaps(self, other: "Ball") -> bool:
         d = abs(self.mid_fraction() - other.mid_fraction())
         return d <= self.rad_fraction() + other.rad_fraction()
@@ -856,6 +851,34 @@ def n_int_dot(coeffs, balls, fix, p):
     return _fused_dot(coeffs, fix, p)
 
 
+def _fix_parts(fix):
+    """The part tables of n_fixed_point's result: a complex one is a pair,
+    a real one a single table (a 4-tuple)."""
+    return fix if len(fix) == 2 else (fix,)
+
+
+def n_dot_sums(coeffs, fix):
+    """The integer sums behind n_int_dot(coeffs, balls, fix, p) for a fix
+    that is not None: [mid, rad] per part, with mid = sum c_j mids_j and
+    rad = sum |c_j| rads_j (0 for an exact part).  n_ball_from_sums makes
+    the same ball from them, bit for bit, so a caller may get the sums by
+    other exact means (the engines' difference table does)."""
+    out = []
+    for mids, _, rads, _ in _fix_parts(fix):
+        out.append(sum(map(operator.mul, coeffs, mids)))
+        out.append(0 if rads is None
+                   else sum(map(operator.mul, map(abs, coeffs), rads)))
+    return out
+
+
+def n_ball_from_sums(sums, fix, p):
+    """The ball of n_int_dot from its sums (see n_dot_sums): the rounding
+    of _fused_dot, part by part."""
+    parts = [_make(sums[2 * k], e, *_u_from_abs(sums[2 * k + 1], re), p)
+             for k, (_, e, _, re) in enumerate(_fix_parts(fix))]
+    return ComplexBall(*parts) if len(parts) == 2 else parts[0]
+
+
 # ---------------------------------------------------------------------------
 # exp / log / pow
 # ---------------------------------------------------------------------------
@@ -963,14 +986,23 @@ def exp(x, p: int):
     return n_reduce(s, p)
 
 
-def _log_seed(x):
-    """log of the nonzero midpoint in float precision, scaled by 2^-s first
-    (s the top exponent of its larger part) so that no float overflows or
-    underflows to zero."""
+def _log_seed(x, d):
+    """log of the nonzero midpoint in float precision.  Near 1, d = x - 1
+    and log|x| = log1p(2a + a^2 + b^2)/2 (a + bi = d) keeps the digits of
+    a tiny logarithm; otherwise x is scaled by 2^-s first (s the top
+    exponent of its larger part) so that no float overflows or underflows
+    to zero."""
     parts = (x.re, x.im) if isinstance(x, ComplexBall) else (x, Ball.zero())
-    s = max(b.exp + b.man.bit_length() for b in parts if b.man)
-    fr, fi = (Ball(b.man, b.exp - s, 0, 0).mid_float() for b in parts)
-    y = Ball.from_float(math.log(math.hypot(fr, fi)) + s * 0.6931471805599453)
+    if d is None:
+        s = max(b.exp + b.man.bit_length() for b in parts if b.man)
+        fr, fi = (Ball(b.man, b.exp - s, 0, 0).mid_float() for b in parts)
+        lr = math.log(math.hypot(fr, fi)) + s * 0.6931471805599453
+    else:
+        a, b = (n_real(d).mid_float(),
+                d.im.mid_float() if isinstance(d, ComplexBall) else 0.0)
+        fr, fi = 1.0 + a, b
+        lr = 0.5 * math.log1p(a * (2.0 + a) + b * b)
+    y = Ball.from_float(lr)
     if isinstance(x, ComplexBall):
         return ComplexBall(y, Ball.from_float(math.atan2(fi, fr)))
     return y
@@ -986,7 +1018,10 @@ def log(x, p: int):
     A last step at wp with the error bound |r|^2 of r = x e^(-y) - 1 makes
     the result rigorous, so only one exp runs at wp: for x = 1/3 at
     p = 8192 log makes 232 ball products, where a ladder up to wp and the
-    term-by-term exp made 799."""
+    term-by-term exp made 799.  r is resolved to 2^-wp absolutely, so for
+    x within 2^-s of 1, where log x is about 2^-s, wp grows by s bits
+    (once s > 16, which the guard bits no longer cover) and the seed is
+    taken from log1p."""
     if isinstance(x, ComplexBall):
         if x.contains_zero():
             raise BallDomainError("log of a complex ball containing zero")
@@ -995,13 +1030,19 @@ def log(x, p: int):
     elif not x.is_positive():
         raise BallDomainError("log of a ball not provably positive")
     wp = p + 48
+    d = n_add_int(x, -1, 64)
+    s = -_top(d, 0)
+    if s > 16:
+        wp += s
+    else:
+        d = None
     # Newton ladder on midpoints, seeded from a float log, up to about wp/2
     # bits: the wrap below is the last Newton step
     precs = [wp // 2 + 16]
     while precs[-1] > 64:
         precs.append(precs[-1] // 2 + 16)
     precs.reverse()
-    y = _log_seed(x)
+    y = _log_seed(x, d)
     xmid = _mid(x)
     one = n_one(x)
     for pr in precs:

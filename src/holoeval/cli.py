@@ -13,7 +13,7 @@ import sys
 
 from . import balls as bl
 from .balls import Ball, BallDomainError
-from .poly import BiPoly, bipoly_from_text, bipoly_to_text
+from .poly import BiPoly, bipoly_from_text
 from .recmat import DenominatorZeroError, RecMatrix, apply_to_vector
 from .engines import ALGORITHMS, eval_dispatch
 from . import special
@@ -85,21 +85,6 @@ def parse_spec_file(text: str, prec: int = 64):
     mat = RecMatrix(grid, den)
     vec = [inits.get(i, Ball.zero()) for i in range(order)]
     return mat, vec
-
-
-def serialize_spec_file(mat: RecMatrix, init=None) -> str:
-    lines = ["order %d" % mat.r]
-    if not mat.has_trivial_den():
-        lines.append("den %s" % bipoly_to_text(mat.den))
-    for i in range(mat.r):
-        for j in range(mat.r):
-            e = mat.entries[i][j]
-            if not e.is_zero():
-                lines.append("entry %d %d %s" % (i, j, bipoly_to_text(e)))
-    if init is not None:
-        for i, v in enumerate(init):
-            lines.append("init %d %s" % (i, bl.to_decimal(v)))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,30 @@ rect-delta      differences of successive giant-step products, expanded
 
 Cost classes are counted per evaluation: "nonscalar" multiplications are
 ball x ball products at working precision; "scalar" operations multiply a
-ball by an exact integer coefficient; "coeff" operations stay in Z.
+ball by an exact integer coefficient (or add the integer sums of such
+products); "coeff" operations stay in Z.
+
+rect-split's giant steps
+------------------------
+Step i evaluates U_i = prod_{t<m} M(x, i m + t) at z.  The power table's
+fused dot reduces U_i(z) to two integer sums per part of z, the midpoint
+sum_j c_j mid_j and the radius sum_j |c_j| rad_j, then rounds once.
+When M(x, k+m) = M(x+m, k) (shift symmetry), U_i(x) = U_0(x + i m): every
+coefficient c_j of U_i is a polynomial in i, and so is the midpoint sum,
+of degree D = deg U_0.  If an entry's coefficients all have one sign, so
+have those of every U_i (a shift by i m >= 0 keeps it), and its radius
+sum is a polynomial in i as well.  The sums at i = 0 .. D come from D
+Taylor shifts of U_0, streamed one entry at a time, and their exact
+forward differences then give each later step with D big-integer
+additions per sum and no dot.  The sums are the dot's integers and the
+rounding is the same, so each step's ball is bit-identical to the dot of
+the exact product.  Otherwise the update falls back to a Taylor shift of
+the previous step followed by the dot: when an entry has coefficients of
+both signs, when the powers of z have no fixed-point form, or when
+D >= n/m.  A matrix without the symmetry multiplies each step's factors
+exactly.  OpCounter.giant_step records the update that ran.  On a
+shift-symmetric matrix of order >= 2, choose_m takes the longer step
+m = p^0.4, whatever z (see there).
 """
 
 from __future__ import annotations
@@ -50,6 +73,9 @@ class OpCounter:
     scalar: int = 0
     coeff: int = 0
     peak_coeffs: int = 0
+    # how rect-split made the giant steps of the numerator product after
+    # the first: "difference table", "taylor shift" or "exact product"
+    giant_step: str | None = None
 
     def note_live_coeffs(self, count: int):
         if count > self.peak_coeffs:
@@ -86,9 +112,11 @@ def mantissa_bits(z) -> int:
     return man.bit_length() - (man & -man).bit_length() + 1
 
 
-def choose_m(algorithm: str, n: int, p: int, zbits: int = 0):
+def choose_m(algorithm: str, n: int, p: int, zbits: int = 0, r: int = 1):
     """Step-length heuristics; returns (m, subn).  zbits is the mantissa
-    size of the evaluation point (see mantissa_bits)."""
+    size of the evaluation point (see mantissa_bits); r is the order of the
+    matrix if it is shift-symmetric (M(x, k+m) = M(x+m, k)), and 1 for every
+    other matrix, which keeps the rule of a scalar recurrence."""
     if n < 1:
         return 1, None
     if algorithm == "multipoint":
@@ -104,6 +132,11 @@ def choose_m(algorithm: str, n: int, p: int, zbits: int = 0):
         # for a short z, but p bits once z's mantissa fills the precision,
         # and the dearer product pays for a longer step
         c = 0.5 if 2 * zbits > p else 0.2
+        if algorithm == "rect-split" and r > 1:
+            # with rect-split's difference table a giant step of a
+            # shift-symmetric matrix costs r^3 nonscalar products and
+            # O(r^2 m) additions, so the step grows to p^0.4 whatever z
+            c = 1.0
         m = int(min(c * p ** 0.4, n ** 0.5))
     else:
         m = 1
@@ -120,11 +153,11 @@ def default_algorithm(n: int) -> str:
 
 
 def make_plan(algorithm: str, n: int, p: int, m: int | None = None,
-              subn: int | None = None, zbits: int = 0) -> EvalPlan:
+              subn: int | None = None, zbits: int = 0, r: int = 1) -> EvalPlan:
     if algorithm not in ALGORITHMS:
         raise ValueError("unknown algorithm %r (choose from %s)"
                          % (algorithm, ", ".join(ALGORITHMS)))
-    auto_m, auto_subn = choose_m(algorithm, n, p, zbits)
+    auto_m, auto_subn = choose_m(algorithm, n, p, zbits, r)
     if m is None:
         m = auto_m
     m = max(1, min(m, max(n, 1)))
@@ -250,7 +283,9 @@ def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     for attempt in range(3):
         eff = EvalPlan("rect-split", m_den, plan.prec,
                        plan.guard + attempt * boost)
+        step = counter.giant_step
         mat = _rect_split_core(sub, z, n, eff, counter)
+        counter.giant_step = step
         val = mat[0][0]
         if not val.contains_zero():
             return val
@@ -503,21 +538,95 @@ def _rect_split_core(M: RecMatrix, z, n: int, plan: EvalPlan,
     w = n // m
     dx = M.deg_x()
     table = PowerTable(z, max(m * dx, dx), p, counter)
-    use_taylor = w >= 3 and M.shift_symmetry_holds(m)
     V = None
-    U = None
-    for i in range(w):
-        if U is None or not use_taylor:
-            factors = _exact_factor_matrices(M, i * m, m, counter)
-            U = product_binsplit_exact(factors)
+    if w:
+        U = product_binsplit_exact(_exact_factor_matrices(M, 0, m, counter))
+        shift = w > 1 and M.shift_symmetry_holds(m)
+        diffs = _difference_table(U, m, w, table, counter) if shift else None
+        if diffs is not None:
+            counter.giant_step = "difference table"
+            steps = _difference_steps(diffs, w, table, p, counter)
         else:
+            counter.giant_step = "taylor shift" if shift else "exact product"
+            steps = _updated_steps(M, U, m, w, shift, table, p, counter)
+        for S in steps:
+            V = _accumulate(V, S, p, counter)
+    return _naive_leftover(M, z, V, m * w, n - m * w, table, p, counter)
+
+
+def _updated_steps(M, U, m, w, shift, table, p, counter):
+    """The giant steps S_i = U_i(z), i < w, each evaluated by one fused
+    dot per entry: U_i = U_0(x + i m) by a Taylor shift of U_(i-1) when
+    shift, else the exact product of its m factors."""
+    for i in range(w):
+        if i and shift:
             U = [[taylor_shift_basecase(e, m) for e in row] for row in U]
             counter.coeff += sum((e.degree() + 1) ** 2 for row in U for e in row)
+        elif i:
+            U = product_binsplit_exact(_exact_factor_matrices(M, i * m, m, counter))
         live = sum(len(e.coeffs) for row in U for e in row)
         counter.note_live_coeffs(live + table.D + 1)
-        S = [[table.eval_int_poly(e.coeffs, p, counter) for e in row] for row in U]
-        V = _accumulate(V, S, p, counter)
-    return _naive_leftover(M, z, V, m * w, n - m * w, table, p, counter)
+        yield [[table.eval_int_poly(e.coeffs, p, counter) for e in row] for row in U]
+
+
+def _difference_table(U, m, w, table, counter):
+    """Forward differences in i of the integer sums (bl.n_dot_sums) behind
+    the fused dots of the giant steps U_i(z) = U_0(z + i m): per entry of
+    U_0 and per sum, [Delta^0, Delta^1, ...] at i = 0, with trailing zero
+    differences dropped.  None where a sum need not be a polynomial in i
+    (an entry's coefficients change sign, so its radius sum over |c_j| is
+    not) or the table would not pay (a degree >= w, or no fixed-point
+    form)."""
+    fix = table._fix
+    if fix is None or max(e.degree() for row in U for e in row) >= w:
+        return None
+    if any(min(e.coeffs) < 0 < max(e.coeffs) for row in U for e in row
+           if e.coeffs):
+        return None
+    diffs = []
+    for row in U:
+        drow = []
+        for e in row:
+            # the sums at i = 0 .. deg e, one Taylor shift apart: only one
+            # shifted polynomial is live at a time
+            vals = []
+            for i in range(max(1, len(e.coeffs))):
+                if i:
+                    e = taylor_shift_basecase(e, m)
+                    counter.coeff += len(e.coeffs) ** 2
+                vals.append(bl.n_dot_sums(e.coeffs, fix))
+                counter.scalar += len(e.coeffs) - e.coeffs.count(0)
+            seqs = [list(s) for s in zip(*vals)]
+            for s in seqs:
+                for k in range(1, len(s)):
+                    for j in range(len(s) - 1, k - 1, -1):
+                        s[j] -= s[j - 1]
+                while len(s) > 1 and not s[-1]:
+                    s.pop()
+            drow.append(seqs)
+        diffs.append(drow)
+    size = sum(len(s) for row in diffs for seqs in row for s in seqs)
+    live = sum(len(e.coeffs) for row in U for e in row)
+    counter.note_live_coeffs(size + live + table.D + 1)
+    return diffs
+
+
+def _difference_steps(diffs, w, table, p, counter):
+    """The giant steps S_i = U_i(z), i < w, from the difference table: one
+    rounding per part of each entry, then Delta^j <- Delta^j + Delta^(j+1)
+    for j = 0, 1, ... (exact integer additions, counted as scalar
+    operations) moves every sum from i to i + 1."""
+    fix = table._fix
+    for i in range(w):
+        yield [[bl.n_ball_from_sums([s[0] for s in seqs], fix, p)
+                for seqs in row] for row in diffs]
+        if i + 1 < w:
+            for row in diffs:
+                for seqs in row:
+                    for s in seqs:
+                        for j in range(len(s) - 1):
+                            s[j] += s[j + 1]
+                        counter.scalar += len(s) - 1
 
 
 def _rect_delta_core(M: RecMatrix, z, n: int, plan: EvalPlan,
@@ -607,7 +716,13 @@ def eval_dispatch(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
         raise ValueError("n must be >= 0")
     if algorithm is None:
         algorithm = default_algorithm(n)
-    plan = make_plan(algorithm, n, p, m=m, subn=subn, zbits=mantissa_bits(z))
+    # rect-split steps further on a shift-symmetric matrix of order >= 2;
+    # the symmetry for m = 1 is the one for every m >= 1: both say that
+    # every entry is a polynomial in x + k
+    r = M.r if (algorithm == "rect-split" and M.r > 1
+                and M.shift_symmetry_holds(1)) else 1
+    plan = make_plan(algorithm, n, p, m=m, subn=subn, zbits=mantissa_bits(z),
+                     r=r)
     counter = OpCounter()
     # the cores take n >= 1 and return None for the identity
     num = _CORES[plan.algorithm](M, z, n, plan, counter) if n else None

@@ -416,6 +416,27 @@ class TestExpLogRectangularSplitting:
         assert Fraction(rm) * Fraction(2) ** re >= 5 * Fraction(2) ** -200 + Fraction(2) ** -260
 
 
+class TestLogNearOne:
+    """log(1 +- 2^-e): the working precision grows by the e leading zeros
+    of x - 1, so the logarithm, about 2^-e, keeps its relative accuracy."""
+
+    @pytest.mark.parametrize("e", [30, 100, 500, 2000])
+    @pytest.mark.parametrize("p", [64, 1024])
+    def test_real_and_complex_contain_mpmath(self, e, p):
+        prec = p + 2 * e + 64
+        mpmath.mp.prec = prec
+        for sign in (1, -1):
+            d = sign * mpmath.ldexp(1, -e)
+            x = Ball.from_man_exp((1 << e) + sign, -e)
+            got = bl.log(x, p)
+            assert _contains_mp(got, mpmath.log(1 + d), prec), (e, p, sign)
+            assert got.rel_accuracy_bits() >= p - 2, (e, p, sign)
+            z = ComplexBall(x, Ball.from_man_exp(sign, -e))
+            got = bl.log(z, p)
+            assert _contains_mpc(got, mpmath.log(mpmath.mpc(1 + d, d)), prec)
+            assert got.rel_accuracy_bits() >= p - 2, (e, p, sign)
+
+
 class TestDecimal:
     def test_exact_display(self):
         assert bl.to_decimal(Ball.from_int(24)) == "24"

@@ -8,8 +8,27 @@ import pytest
 
 import holoeval.balls as bl
 from holoeval.balls import Ball
-from holoeval.cli import main, parse_spec_file, serialize_spec_file
+from holoeval.cli import main, parse_spec_file
+from holoeval.poly import bipoly_to_text
 from holoeval.recmat import unroll_rational
+
+
+def serialize_spec_file(mat, init=None) -> str:
+    """The spec-file text of a matrix and an initial vector, the inverse of
+    parse_spec_file."""
+    lines = ["order %d" % mat.r]
+    if not mat.has_trivial_den():
+        lines.append("den %s" % bipoly_to_text(mat.den))
+    for i in range(mat.r):
+        for j in range(mat.r):
+            e = mat.entries[i][j]
+            if not e.is_zero():
+                lines.append("entry %d %d %s" % (i, j, bipoly_to_text(e)))
+    if init is not None:
+        for i, v in enumerate(init):
+            lines.append("init %d %s" % (i, bl.to_decimal(v)))
+    return "\n".join(lines) + "\n"
+
 
 FIB_SPEC = """\
 # Fibonacci

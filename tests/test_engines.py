@@ -150,63 +150,149 @@ class TestSmallExamples:
             assert mat[1][1].is_exact()
 
 
-@pytest.fixture
-def taylor_calls(monkeypatch):
-    """Counts the giant-step Taylor-shift updates made by rect-split."""
-    calls = []
-    shift = engines.taylor_shift_basecase
-
-    def counted(e, c):
-        calls.append(c)
-        return shift(e, c)
-
-    monkeypatch.setattr(engines, "taylor_shift_basecase", counted)
-    return calls
-
-
 class TestTaylorVariant:
-    """rect-split updates giant steps by Taylor shifts exactly when
-    M(x, k+m) = M(x+m, k) holds, with no caller-side switch."""
+    """rect-split makes the giant steps of a matrix with
+    M(x, k+m) = M(x+m, k) from shifts of the first one, with no caller-side
+    switch, and records which update it used."""
 
-    def test_rising_matches_rect_split(self, taylor_calls):
+    def test_rising_matches_rect_split(self):
         z = Ball.from_fraction(Fraction(1, 2), 400)
-        a = eval_dispatch(RISING, z, 100, 400, algorithm="rect-split", m=7).matrix
-        assert taylor_calls
+        rep = eval_dispatch(RISING, z, 100, 400, algorithm="rect-split", m=7)
+        assert rep.counter.giant_step == "difference table"
+        a = rep.matrix
         b = eval_dispatch(RISING, z, 100, 400, algorithm="naive").matrix
         exact = rising_exact(Fraction(1, 2), 100)
         assert a[0][0].contains(exact) and b[0][0].contains(exact)
         assert a[0][0].overlaps(b[0][0])
 
-    def test_constant_matrix_is_symmetric(self, taylor_calls):
+    def test_constant_matrix_is_symmetric(self):
+        # D = 0: every giant step is the first, and no shift is made
         fib = companion(ScalarRecurrence([bipoly_from_text("-1"),
                                           bipoly_from_text("-1"),
                                           bipoly_from_text("1")]))
-        mat = eval_dispatch(fib, Ball.zero(), 30, 64, algorithm="rect-split",
-                            m=5).matrix
-        assert taylor_calls
-        assert mat[1][1].contains(1346269)  # F_31
+        rep = eval_dispatch(fib, Ball.zero(), 30, 64, algorithm="rect-split",
+                            m=5)
+        assert rep.counter.giant_step == "difference table"
+        assert rep.matrix[1][1].contains(1346269)  # F_31
 
-    def test_hyp1f1_matrix_symmetry(self, taylor_calls):
+    def test_hyp1f1_matrix_symmetry(self):
         # 1 + k + x is symmetric under (k -> k+m) vs (x -> x+m), and the
-        # constant entry is invariant, so the Taylor update applies
+        # constant entry is invariant, so the shift update applies
         M = hyp1f1_gamma_matrix(17)
         assert M.shift_symmetry_holds(4)
         z = Ball.from_fraction(Fraction(5, 4), 128)
-        a = eval_dispatch(M, z, 40, 128, algorithm="rect-split", m=5).matrix
-        assert taylor_calls
-        rep = eval_dispatch(M, z, 40, 128, algorithm="naive")
+        rep = eval_dispatch(M, z, 40, 128, algorithm="rect-split", m=5)
+        assert rep.counter.giant_step == "difference table"
+        ref = eval_dispatch(M, z, 40, 128, algorithm="naive")
         for i in range(2):
             for j in range(2):
-                assert a[i][j].overlaps(rep.matrix[i][j])
+                assert rep.matrix[i][j].overlaps(ref.matrix[i][j])
 
-    def test_asymmetric_matrix_contains(self, taylor_calls):
-        # M(x, k+4) != M(x+4, k): a Taylor-shift update of the giant step
-        # would give a ball (midpoint 7962624) that misses 20!
+    def test_asymmetric_matrix_contains(self):
+        # M(x, k+4) != M(x+4, k): a shift update of the giant step would
+        # give a ball (midpoint 7962624) that misses 20!
         M = RecMatrix([[bipoly_from_text("1 + k")]])
         assert not M.shift_symmetry_holds(4)
         rep = eval_dispatch(M, Ball.one(), 20, 64, algorithm="rect-split", m=4)
-        assert not taylor_calls
+        assert rep.counter.giant_step == "exact product"
         assert rep.matrix[0][0].contains(math.factorial(20))
+
+
+def _ball_key(b):
+    if isinstance(b, ComplexBall):
+        return _ball_key(b.re), _ball_key(b.im)
+    return int(b.man), b.exp, b.rm, b.re
+
+
+class _ExactSteps(RecMatrix):
+    """The same matrix with the shift symmetry hidden, so that rect-split
+    makes every giant step as the exact product of its factors."""
+
+    def shift_symmetry_holds(self, m: int = 1) -> bool:
+        return False
+
+
+def _exact_step_reference(M, z, n, p, m):
+    rep = eval_dispatch(_ExactSteps(M.entries, M.den), z, n, p,
+                        algorithm="rect-split", m=m)
+    assert rep.counter.giant_step == "exact product"
+    return rep
+
+
+class TestDifferenceTable:
+    """The giant steps from the difference table are bit-identical to the
+    per-step exact products at the same m."""
+
+    def _same_as_exact_steps(self, M, z, n, p, m, update="difference table"):
+        rep = eval_dispatch(M, z, n, p, algorithm="rect-split", m=m)
+        assert rep.counter.giant_step == update
+        ref = _exact_step_reference(M, z, n, p, m)
+        for mat, rmat in ((rep.numerator, ref.numerator), (rep.matrix, ref.matrix)):
+            assert [[_ball_key(e) for e in row] for row in mat] == \
+                [[_ball_key(e) for e in row] for row in rmat]
+        return rep
+
+    @pytest.mark.parametrize("zq", [Fraction(1, 3), Fraction(2, 7),
+                                    Fraction(1, 4), Fraction(-7, 2)])
+    @pytest.mark.parametrize("n, p, m", [(100, 256, 7), (1000, 1024, 13),
+                                         (2000, 4096, 30)])
+    def test_rising_real(self, zq, n, p, m):
+        rep = self._same_as_exact_steps(RISING, Ball.from_fraction(zq, p),
+                                        n, p, m)
+        assert rep.matrix[0][0].contains(rising_exact(zq, n))
+
+    def test_rising_complex(self):
+        p = 512
+        z = ComplexBall(Ball.from_fraction(Fraction(3, 2), p),
+                        Ball.from_fraction(Fraction(-5, 7), p))
+        self._same_as_exact_steps(RISING, z, 300, p, 9)
+
+    def test_rising_tiny_z_takes_the_taylor_shift(self):
+        # the powers of 2^-3000 span too wide a range for a fixed-point
+        # table at p = 64, so there are no integer sums to difference
+        z = Ball.from_man_exp(1, -3000)
+        table = PowerTable(z, 8, 64 + engines.guard_bits(200))
+        assert table._fix is None
+        self._same_as_exact_steps(RISING, z, 200, 64, 8, update="taylor shift")
+
+    @pytest.mark.parametrize("zq", [Fraction(4, 3), Fraction(5, 4)])
+    def test_hyp1f1(self, zq):
+        M = hyp1f1_gamma_matrix(300)
+        for n, p, m in ((400, 256, 9), (1500, 1024, 20)):
+            self._same_as_exact_steps(M, Ball.from_fraction(zq, p), n, p, m)
+
+    def test_mixed_signs_take_the_taylor_shift(self):
+        # prod (x + i - 3) changes sign in its coefficients: the radius sum
+        # over |c_j| is no polynomial in the step index
+        M = RecMatrix([[bipoly_from_text("x + k - 3")]])
+        assert M.shift_symmetry_holds(1)
+        zq = Fraction(1, 3)
+        rep = self._same_as_exact_steps(M, Ball.from_fraction(zq, 256), 100,
+                                        256, 7, update="taylor shift")
+        assert rep.matrix[0][0].contains(rising_exact(zq - 3, 100))
+
+    def test_degree_at_least_w_takes_the_taylor_shift(self):
+        # w = 3 giant steps of degree 7 would need 8 values for the table
+        z = Ball.from_fraction(Fraction(1, 3), 128)
+        self._same_as_exact_steps(RISING, z, 21, 128, 7, update="taylor shift")
+
+    def test_shift_symmetric_order_two_gets_the_longer_step(self):
+        # a 2 x 2 shift-symmetric matrix steps by p^0.4; the rising
+        # factorial and matrices without the symmetry keep the scalar rule
+        p, n = 8192, 20000
+        z = Ball.from_fraction(Fraction(5, 4), p)
+        rep = eval_dispatch(hyp1f1_gamma_matrix(10), z, 40, 64,
+                            algorithm="rect-split")
+        assert rep.plan.m == int(64 ** 0.4) == 5
+        fib_k = companion(ScalarRecurrence([bipoly_from_text("-1"),
+                                            bipoly_from_text("-k"),
+                                            bipoly_from_text("1")]))
+        assert not fib_k.shift_symmetry_holds(1)
+        rep = eval_dispatch(fib_k, z, 40, 64, algorithm="rect-split")
+        assert rep.plan.m == 1
+        assert make_plan("rect-split", n, p, r=2).m == int(p ** 0.4)
+        assert make_plan("rect-split", n, p).m == int(0.2 * p ** 0.4)
+        assert make_plan("rect-delta", n, p, r=2).m == int(0.2 * p ** 0.4)
 
 
 def rand_bipoly(rng, maxdeg=2, bound=5):

@@ -20,6 +20,12 @@ from holoeval.special import (BernoulliCache, bernoulli_even, gamma_1f1,
                               stirling_params, vsc_denominator)
 
 
+def contains_ball(outer, inner) -> bool:
+    """Exact test whether inner's interval is a subset of outer's."""
+    d = abs(outer.mid_fraction() - inner.mid_fraction())
+    return d + inner.rad_fraction() <= outer.rad_fraction()
+
+
 def rising_exact(z, n):
     acc = Fraction(1)
     for i in range(n):
@@ -251,7 +257,7 @@ class TestGamma:
     def test_gamma_half_sqrt_pi(self):
         g = gamma_stirling(Ball.from_fraction(Fraction(1, 2), 256), 256)
         sq = bl.sqrt(bl.pi(320), 320)
-        assert g.overlaps(sq) and g.contains_ball(sq)
+        assert g.overlaps(sq) and contains_ball(g, sq)
 
     def test_gamma_15_1f1(self):
         g = gamma_1f1(Ball.from_fraction(Fraction(3, 2), 192), 192)
