@@ -12,7 +12,7 @@ very-high-precision gamma computation.
 
 from .balls import (Ball, BallDomainError, ComplexBall, add, add_int, div,
                     div_int, exp, inv, log, log2_const, mul, mul_2exp,
-                    mul_int, parse_decimal, pi, pow_int, power, reduce, sqrt,
+                    mul_int, parse_decimal, pi, pow_int, reduce, sqrt,
                     sub, to_decimal)
 from .poly import (BiPoly, UniPoly, bipoly_from_text, bipoly_to_text,
                    product_tree, taylor_shift_basecase,
@@ -28,7 +28,7 @@ from .special import (BernoulliCache, RisingDeltaCoeffs, StirlingParams,
                       bernoulli_even, gamma_1f1, gamma_stirling,
                       hyp1f1_gamma_matrix, rising_delta_coeffs,
                       rising_factorial, rising_factorial_report,
-                      stirling_params, vsc_denominator)
+                      stirling_params)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "BernoulliCache", "RisingDeltaCoeffs", "StirlingParams",
     "ALGORITHMS",
     "add", "add_int", "sub", "mul", "mul_int", "mul_2exp", "div", "div_int",
-    "inv", "sqrt", "exp", "log", "power", "pow_int", "pi", "log2_const",
+    "inv", "sqrt", "exp", "log", "pow_int", "pi", "log2_const",
     "reduce", "to_decimal", "parse_decimal",
     "taylor_shift_basecase", "taylor_shift_convolution", "product_tree",
     "bipoly_from_text", "bipoly_to_text",
@@ -48,6 +48,6 @@ __all__ = [
     "choose_m", "default_algorithm", "make_plan", "eval_dispatch",
     "bivariate_delta",
     "rising_factorial", "rising_factorial_report", "rising_delta_coeffs",
-    "bernoulli_even", "vsc_denominator", "stirling_params", "gamma_stirling",
+    "bernoulli_even", "stirling_params", "gamma_stirling",
     "gamma_1f1", "hyp1f1_gamma_matrix",
 ]

@@ -637,7 +637,15 @@ class ComplexBall:
         return _rad_add(*self.re.abs_upper(), *self.im.abs_upper())
 
     def rel_accuracy_bits(self) -> int:
-        return min(self.re.rel_accuracy_bits(), self.im.rel_accuracy_bits())
+        """Ball.rel_accuracy_bits of the box: the top bit of the larger
+        midpoint part minus that of the larger radius, so that an exact
+        zero part with a tiny radius does not hide the other part."""
+        parts = (self.re, self.im)
+        rads = [b.re + b.rm.bit_length() for b in parts if b.rm]
+        if not rads:
+            return 1 << 30
+        mids = [b.exp + b.man.bit_length() for b in parts if b.man]
+        return max(mids) - max(rads) if mids else 0
 
     def __neg__(self):
         return ComplexBall(-self.re, -self.im)
@@ -649,32 +657,12 @@ class ComplexBall:
         )
 
 
-def c_add(a: ComplexBall, b: ComplexBall, p: int) -> ComplexBall:
-    return ComplexBall(add(a.re, b.re, p), add(a.im, b.im, p))
-
-
-def c_sub(a: ComplexBall, b: ComplexBall, p: int) -> ComplexBall:
-    return ComplexBall(sub(a.re, b.re, p), sub(a.im, b.im, p))
-
-
 def c_mul(a: ComplexBall, b: ComplexBall, p: int) -> ComplexBall:
     ac = mul(a.re, b.re, p)
     bd = mul(a.im, b.im, p)
     ad = mul(a.re, b.im, p)
     bc = mul(a.im, b.re, p)
     return ComplexBall(sub(ac, bd, p), add(ad, bc, p))
-
-
-def c_mul_int(a: ComplexBall, c, p: int) -> ComplexBall:
-    return ComplexBall(mul_int(a.re, c, p), mul_int(a.im, c, p))
-
-
-def c_mul_2exp(a: ComplexBall, e: int) -> ComplexBall:
-    return ComplexBall(mul_2exp(a.re, e), mul_2exp(a.im, e))
-
-
-def c_div_int(a: ComplexBall, c, p: int) -> ComplexBall:
-    return ComplexBall(div_int(a.re, c, p), div_int(a.im, c, p))
 
 
 def c_div(a: ComplexBall, b: ComplexBall, p: int) -> ComplexBall:
@@ -684,23 +672,19 @@ def c_div(a: ComplexBall, b: ComplexBall, p: int) -> ComplexBall:
     return ComplexBall(div(num.re, den, p), div(num.im, den, p))
 
 
-def c_add_int(a: ComplexBall, n, p: int) -> ComplexBall:
-    return ComplexBall(add_int(a.re, n, p), a.im)
-
-
 # ---------------------------------------------------------------------------
 # generic dispatch over H = real or complex balls
 # ---------------------------------------------------------------------------
 
 def n_add(a, b, p):
     if isinstance(a, ComplexBall):
-        return c_add(a, b, p)
+        return ComplexBall(add(a.re, b.re, p), add(a.im, b.im, p))
     return add(a, b, p)
 
 
 def n_sub(a, b, p):
     if isinstance(a, ComplexBall):
-        return c_sub(a, b, p)
+        return ComplexBall(sub(a.re, b.re, p), sub(a.im, b.im, p))
     return sub(a, b, p)
 
 
@@ -712,7 +696,7 @@ def n_mul(a, b, p):
 
 def n_mul_int(a, c, p):
     if isinstance(a, ComplexBall):
-        return c_mul_int(a, c, p)
+        return ComplexBall(mul_int(a.re, c, p), mul_int(a.im, c, p))
     return mul_int(a, c, p)
 
 
@@ -742,19 +726,19 @@ def n_reduce(a, p):
 
 def n_add_int(a, n, p):
     if isinstance(a, ComplexBall):
-        return c_add_int(a, n, p)
+        return ComplexBall(add_int(a.re, n, p), a.im)
     return add_int(a, n, p)
 
 
 def n_mul_2exp(a, e):
     if isinstance(a, ComplexBall):
-        return c_mul_2exp(a, e)
+        return ComplexBall(mul_2exp(a.re, e), mul_2exp(a.im, e))
     return mul_2exp(a, e)
 
 
 def n_div_int(a, c, p):
     if isinstance(a, ComplexBall):
-        return c_div_int(a, c, p)
+        return ComplexBall(div_int(a.re, c, p), div_int(a.im, c, p))
     return div_int(a, c, p)
 
 
@@ -1062,11 +1046,6 @@ def log(x, p: int):
 # the complex names of exp and log, kept for callers that look them up
 c_exp = exp
 c_log = log
-
-
-def power(x: Ball, y: Ball, p: int) -> Ball:
-    """x**y = exp(y log x) for positive x."""
-    return exp(mul(log(x, p + 16), y, p + 16), p)
 
 
 # ---------------------------------------------------------------------------

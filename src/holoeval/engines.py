@@ -31,15 +31,15 @@ have those of every U_i (a shift by i m >= 0 keeps it), and its radius
 sum is a polynomial in i as well.  The sums at i = 0 .. D come from D
 Taylor shifts of U_0, streamed one entry at a time, and their exact
 forward differences then give each later step with D big-integer
-additions per sum and no dot.  The sums are the dot's integers and the
-rounding is the same, so each step's ball is bit-identical to the dot of
-the exact product.  Otherwise the update falls back to a Taylor shift of
-the previous step followed by the dot: when an entry has coefficients of
-both signs, when the powers of z have no fixed-point form, or when
-D >= n/m.  A matrix without the symmetry multiplies each step's factors
-exactly.  OpCounter.giant_step records the update that ran.  On a
-shift-symmetric matrix of order >= 2, choose_m takes the longer step
-m = p^0.4, whatever z (see there).
+additions per sum and no dot.  With fewer steps than sums (D >= n/m) the
+table is built from the n/m sums that are needed.  The sums are the dot's
+integers and the rounding is the same, so each step's ball is
+bit-identical to the dot of the exact product.  Every other giant step is
+that exact product of the step's m factors: when the matrix lacks the
+symmetry, when an entry has coefficients of both signs, or when the
+powers of z have no fixed-point form.  OpCounter.giant_step records which
+of the two updates ran.  On a shift-symmetric matrix of order >= 2,
+choose_m takes the longer step m = p^0.4, whatever z (see there).
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class OpCounter:
     scalar: int = 0
     coeff: int = 0
     peak_coeffs: int = 0
-    # how rect-split made the giant steps of the numerator product after
-    # the first: "difference table", "taylor shift" or "exact product"
+    # how rect-split made the giant steps of the numerator product:
+    # "difference table" or "exact product"
     giant_step: str | None = None
 
     def note_live_coeffs(self, count: int):
@@ -153,20 +153,16 @@ def default_algorithm(n: int) -> str:
 
 
 def make_plan(algorithm: str, n: int, p: int, m: int | None = None,
-              subn: int | None = None, zbits: int = 0, r: int = 1) -> EvalPlan:
+              zbits: int = 0, r: int = 1) -> EvalPlan:
     if algorithm not in ALGORITHMS:
         raise ValueError("unknown algorithm %r (choose from %s)"
                          % (algorithm, ", ".join(ALGORITHMS)))
-    auto_m, auto_subn = choose_m(algorithm, n, p, zbits, r)
+    auto_m, subn = choose_m(algorithm, n, p, zbits, r)
     if m is None:
         m = auto_m
     m = max(1, min(m, max(n, 1)))
-    if algorithm == "rect-ps":
-        if subn is None:
-            subn = auto_subn if auto_subn is not None else m
-        subn = max(m, min(subn, max(n, 1)))
-    else:
-        subn = None
+    if subn is not None:
+        subn = max(m, subn)
     return EvalPlan(algorithm, m, p, guard_bits(n), subn)
 
 
@@ -541,28 +537,24 @@ def _rect_split_core(M: RecMatrix, z, n: int, plan: EvalPlan,
     V = None
     if w:
         U = product_binsplit_exact(_exact_factor_matrices(M, 0, m, counter))
-        shift = w > 1 and M.shift_symmetry_holds(m)
-        diffs = _difference_table(U, m, w, table, counter) if shift else None
+        diffs = (_difference_table(U, m, w, table, counter)
+                 if M.shift_symmetry_holds() else None)
         if diffs is not None:
             counter.giant_step = "difference table"
             steps = _difference_steps(diffs, w, table, p, counter)
         else:
-            counter.giant_step = "taylor shift" if shift else "exact product"
-            steps = _updated_steps(M, U, m, w, shift, table, p, counter)
+            counter.giant_step = "exact product"
+            steps = _updated_steps(M, U, m, w, table, p, counter)
         for S in steps:
             V = _accumulate(V, S, p, counter)
     return _naive_leftover(M, z, V, m * w, n - m * w, table, p, counter)
 
 
-def _updated_steps(M, U, m, w, shift, table, p, counter):
-    """The giant steps S_i = U_i(z), i < w, each evaluated by one fused
-    dot per entry: U_i = U_0(x + i m) by a Taylor shift of U_(i-1) when
-    shift, else the exact product of its m factors."""
+def _updated_steps(M, U, m, w, table, p, counter):
+    """The giant steps S_i = U_i(z), i < w, each the exact product of its
+    m factors (U = U_0 is given) evaluated by one fused dot per entry."""
     for i in range(w):
-        if i and shift:
-            U = [[taylor_shift_basecase(e, m) for e in row] for row in U]
-            counter.coeff += sum((e.degree() + 1) ** 2 for row in U for e in row)
-        elif i:
+        if i:
             U = product_binsplit_exact(_exact_factor_matrices(M, i * m, m, counter))
         live = sum(len(e.coeffs) for row in U for e in row)
         counter.note_live_coeffs(live + table.D + 1)
@@ -573,24 +565,23 @@ def _difference_table(U, m, w, table, counter):
     """Forward differences in i of the integer sums (bl.n_dot_sums) behind
     the fused dots of the giant steps U_i(z) = U_0(z + i m): per entry of
     U_0 and per sum, [Delta^0, Delta^1, ...] at i = 0, with trailing zero
-    differences dropped.  None where a sum need not be a polynomial in i
-    (an entry's coefficients change sign, so its radius sum over |c_j| is
-    not) or the table would not pay (a degree >= w, or no fixed-point
-    form)."""
+    differences dropped.  An entry of degree d gives min(d + 1, w) sums:
+    the differences of any w values give those w values back exactly.
+    None where a sum need not be a polynomial in i (an entry's
+    coefficients change sign, so its radius sum over |c_j| is not) or
+    there is no fixed-point form."""
     fix = table._fix
-    if fix is None or max(e.degree() for row in U for e in row) >= w:
-        return None
-    if any(min(e.coeffs) < 0 < max(e.coeffs) for row in U for e in row
-           if e.coeffs):
+    if fix is None or any(min(e.coeffs) < 0 < max(e.coeffs)
+                          for row in U for e in row if e.coeffs):
         return None
     diffs = []
     for row in U:
         drow = []
         for e in row:
-            # the sums at i = 0 .. deg e, one Taylor shift apart: only one
+            # the sums at i = 0, 1, ..., one Taylor shift apart: only one
             # shifted polynomial is live at a time
             vals = []
-            for i in range(max(1, len(e.coeffs))):
+            for i in range(max(1, min(len(e.coeffs), w))):
                 if i:
                     e = taylor_shift_basecase(e, m)
                     counter.coeff += len(e.coeffs) ** 2
@@ -708,7 +699,7 @@ def _is_one(v) -> bool:
 
 
 def eval_dispatch(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
-                  m: int | None = None, subn: int | None = None) -> EvalReport:
+                  m: int | None = None) -> EvalReport:
     """The entry point of every engine: select a plan (unless overridden),
     run the engine and report the divided product with the achieved
     accuracy."""
@@ -716,13 +707,10 @@ def eval_dispatch(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
         raise ValueError("n must be >= 0")
     if algorithm is None:
         algorithm = default_algorithm(n)
-    # rect-split steps further on a shift-symmetric matrix of order >= 2;
-    # the symmetry for m = 1 is the one for every m >= 1: both say that
-    # every entry is a polynomial in x + k
+    # rect-split steps further on a shift-symmetric matrix of order >= 2
     r = M.r if (algorithm == "rect-split" and M.r > 1
-                and M.shift_symmetry_holds(1)) else 1
-    plan = make_plan(algorithm, n, p, m=m, subn=subn, zbits=mantissa_bits(z),
-                     r=r)
+                and M.shift_symmetry_holds()) else 1
+    plan = make_plan(algorithm, n, p, m=m, zbits=mantissa_bits(z), r=r)
     counter = OpCounter()
     # the cores take n >= 1 and return None for the identity
     num = _CORES[plan.algorithm](M, z, n, plan, counter) if n else None

@@ -72,15 +72,19 @@ class RecMatrix:
     def has_trivial_den(self) -> bool:
         return self.den == BiPoly.const(1)
 
-    def shift_symmetry_holds(self, m: int = 1) -> bool:
-        """Symbolic check of M(x, k+m) == M(x+m, k) (including the
-        denominator), which allows Taylor-shift updates of giant-step
-        products."""
+    def shift_symmetry_holds(self) -> bool:
+        """Symbolic check of M(x, k+1) == M(x+1, k) (including the
+        denominator), which makes the giant-step products shifts of one
+        another: U_i(x) = U_0(x + i m) for every step length m.
+
+        The check for m = 1 is the one for every m >= 1: write an entry as
+        P(x + k, x); M(x, k+m) == M(x+m, k) says P(s, x) == P(s, x + m),
+        and a polynomial that is m-periodic in x does not depend on x."""
         for row in self.entries:
             for e in row:
-                if e.shift_k(m) != e.shift_x(m):
+                if e.shift_k(1) != e.shift_x(1):
                     return False
-        return self.den.shift_k(m) == self.den.shift_x(m)
+        return self.den.shift_k(1) == self.den.shift_x(1)
 
     def __eq__(self, other):
         return (isinstance(other, RecMatrix) and self.entries == other.entries

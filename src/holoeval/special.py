@@ -46,18 +46,6 @@ class RisingDeltaCoeffs:
     def coeff(self, v: int, i: int) -> int:
         return self.rows[v][i]
 
-    def recurrence_holds(self) -> bool:
-        """(v+1) C(v+1, i) == (i+1) C(v, i+1) wherever both sides exist."""
-        for v in range(self.m - 1):
-            for i in range(len(self.rows[v + 1])):
-                if (v + 1) * self.rows[v + 1][i] != (i + 1) * self.rows[v][i + 1]:
-                    return False
-        return True
-
-    def as_bipoly(self) -> BiPoly:
-        grid = [list(row) for row in self.rows]
-        return BiPoly(grid)
-
 
 def rising_delta_coeffs(m: int) -> RisingDeltaCoeffs:
     """The table C_m(v, i): the v = 0 row from the closed form with unsigned
@@ -127,15 +115,6 @@ def _primes_upto(n: int):
         if sieve[p]:
             sieve[p * p::p] = b"\x00" * len(sieve[p * p::p])
     return [i for i, v in enumerate(sieve) if v]
-
-
-def vsc_denominator(two_k: int) -> int:
-    """von Staudt-Clausen: product of primes p with (p-1) | 2k."""
-    d = 1
-    for p in _primes_upto(two_k + 1):
-        if two_k % (p - 1) == 0:
-            d *= p
-    return d
 
 
 def _vsc_primes(nmax: int):
@@ -354,7 +333,7 @@ def _stirling_remainder_ok(w, nterms: int, target_bits: int) -> bool:
     return um == 0 or ue + um.bit_length() < -target_bits
 
 
-def stirling_params(x, p: int, n_override: int | None = None) -> StirlingParams:
+def stirling_params(x, p: int) -> StirlingParams:
     """Choose the argument shift n and the series length N so that the
     remainder is rigorously below 2^-p.
 
@@ -370,16 +349,13 @@ def stirling_params(x, p: int, n_override: int | None = None) -> StirlingParams:
     secfac = _sec_half_arg_factor(x)  # arg shrinks as n grows; this is safe
     cap = _bernoulli_cap(p)
     nmax = max(16 * cap, p)
-    if n_override is not None:
-        n = n_override
-    else:
-        t = max(_SHIFT_SLOPE * p, re_mid, 4.0)
-        while True:
-            nn = _stirling_nterms_float(t, secfac, p, nmax)
-            if nn is not None and nn <= cap:
-                break
-            t *= 1.25
-        n = max(0, math.ceil(t - re_mid))
+    t = max(_SHIFT_SLOPE * p, re_mid, 4.0)
+    while True:
+        nn = _stirling_nterms_float(t, secfac, p, nmax)
+        if nn is not None and nn <= cap:
+            break
+        t *= 1.25
+    n = max(0, math.ceil(t - re_mid))
     w_approx = max(re_mid + n, 4.0)
     nterms = _stirling_nterms_float(w_approx, secfac, p, nmax)
     if nterms is None:
@@ -445,11 +421,10 @@ def log_gamma_stirling(w, nterms: int, wp: int,
     return bl.n_widen(out, *rad)
 
 
-def gamma_stirling(x, p: int, n_override: int | None = None,
-                   cache: BernoulliCache | None = None):
+def gamma_stirling(x, p: int, cache: BernoulliCache | None = None):
     """Gamma(x) via the asymptotic series for Gamma(x + n) divided by the
     rising factorial x (x+1) ... (x+n-1)."""
-    params = stirling_params(x, p + 16, n_override=n_override)
+    params = stirling_params(x, p + 16)
     t_est = max(bl.n_real(x).mid_float() + params.n, 4.0)
     wp = p + 48 + int(t_est * math.log(t_est) + 2).bit_length()
     w = bl.n_add_int(x, params.n, wp)
@@ -482,7 +457,7 @@ def _gamma_1f1_params(p: int):
     return nbig, nsum
 
 
-def gamma_1f1(x, p: int, algorithm: str | None = None):
+def gamma_1f1(x, p: int):
     """Gamma(x) via the truncated series for the lower incomplete gamma
     , evaluated as an order-2 parametric matrix product."""
     if p < 2:
@@ -497,7 +472,7 @@ def gamma_1f1(x, p: int, algorithm: str | None = None):
     if not bl.n_real(z).is_positive():
         raise BallDomainError("argument too wide to shift into [1, 2]")
     M = hyp1f1_gamma_matrix(nbig)
-    rep = eval_dispatch(M, z, nsum + 1, wp, algorithm=algorithm)
+    rep = eval_dispatch(M, z, nsum + 1, wp)
     pmat = rep.matrix
     q00 = pmat[0][0]
     zq = bl.n_mul(z, q00, wp)

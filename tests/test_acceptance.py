@@ -22,8 +22,9 @@ from holoeval.recmat import (DenominatorZeroError, ScalarRecurrence,
                              unroll_rational)
 from holoeval.engines import ALGORITHMS, bivariate_delta, eval_dispatch
 from holoeval.special import (BernoulliCache, gamma_1f1, gamma_stirling,
-                              rising_delta_coeffs, rising_factorial_report,
-                              vsc_denominator)
+                              rising_delta_coeffs, rising_factorial_report)
+from test_special import (delta_as_bipoly, delta_recurrence_holds,
+                          vsc_denominator)
 
 
 def contains_ball(outer, inner) -> bool:
@@ -86,7 +87,7 @@ def test_criterion_1_exact_oracle_equivalence():
 def test_criterion_2_smith_m4_and_kauers():
     c4 = rising_delta_coeffs(4)
     ok = c4.rows == ((840, 632, 168, 16), (632, 336, 48), (168, 48), (16,))
-    ok = ok and all(rising_delta_coeffs(m).recurrence_holds()
+    ok = ok and all(delta_recurrence_holds(rising_delta_coeffs(m))
                     for m in range(1, 13))
     report(2, ok, "m=4 table (840,632,168,16/632,336,48/168,48/16) and the "
                   "exchange recurrence for all m <= 12")
@@ -96,7 +97,7 @@ def test_criterion_3_generic_vs_closed_form_delta():
     ok = True
     for m in range(1, 13):
         generic = bivariate_delta(RISING, m)[0][0]
-        if generic != rising_delta_coeffs(m).as_bipoly():
+        if generic != delta_as_bipoly(rising_delta_coeffs(m)):
             ok = False
             break
     report(3, ok, "bivariate giant-step difference equals the closed-form "

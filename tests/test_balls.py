@@ -212,11 +212,6 @@ class TestElementaryFunctions:
             if saved is not None:
                 bl._const_cache["log2pi"] = saved
 
-    def test_power(self):
-        p = 128
-        v = bl.power(Ball.from_int(5), Ball.from_fraction(Fraction(1, 2), p), p)
-        assert bl.mul(v, v, p).contains(5)
-
     def test_complex_exp_log(self):
         for re_q, im_q, p in [
             (Fraction(5, 4), Fraction(1, 3), 256),
@@ -490,3 +485,21 @@ class TestAccuracy:
         assert Ball.from_int(5).rel_accuracy_bits() > 10 ** 6
         v = bl.div(Ball.from_int(1), Ball.from_int(3), 200)
         assert 190 <= v.rel_accuracy_bits() <= 210
+        assert Ball(0, 0, 1, -10).rel_accuracy_bits() == 0
+        assert Ball(3, 0, 1, -10).rel_accuracy_bits() == 2 - (-9)
+
+    def test_complex_rel_accuracy_ignores_a_tiny_zero_part(self):
+        # exp and log of a real value in a complex ball leave an imaginary
+        # part 0 +- tiny: the box is as accurate as its real part
+        p = 64
+        for fn, q in ((bl.log, Fraction(3)), (bl.exp, Fraction(5, 4))):
+            got = fn(ComplexBall(Ball.from_fraction(q, p), Ball.zero()), p)
+            assert got.re.rel_accuracy_bits() >= 60
+            assert got.im.man == 0 and got.im.rm
+            assert got.rel_accuracy_bits() >= 60, fn
+        # the larger radius counts against the larger midpoint part
+        z = ComplexBall(Ball(1, 10, 1, -20), Ball(1, 0, 1, -5))
+        assert z.rel_accuracy_bits() == 11 - (-4)
+        zero = Ball(0, 0, 1, 0)
+        assert ComplexBall(zero, zero).rel_accuracy_bits() == 0
+        assert ComplexBall.from_int(3).rel_accuracy_bits() == 1 << 30

@@ -101,14 +101,20 @@ class TestSmallExamples:
         assert rep.matrix[0][0].contains(rising_exact(Fraction(1, 2), 100))
 
     def test_rect_ps_rising_8(self):
+        # n = 8: one subproduct of length int(2 sqrt 8) = 5 and a leftover
+        # of 3; n = 4: one subproduct of length n, rows of m = 3
         z = Ball.from_fraction(Fraction(1, 2), 128)
-        rep = eval_dispatch(RISING, z, 8, 128, algorithm="rect-ps", m=3,
-                            subn=8)
+        rep = eval_dispatch(RISING, z, 8, 128, algorithm="rect-ps", m=3)
+        assert (rep.plan.m, rep.plan.subn) == (3, 5)
         assert rep.matrix[0][0].contains(Fraction(2027025, 256))
+        rep = eval_dispatch(RISING, z, 4, 128, algorithm="rect-ps", m=3)
+        assert (rep.plan.m, rep.plan.subn) == (3, 4)
+        assert rep.matrix[0][0].contains(Fraction(105, 16))
 
     def test_rect_ps_trivial(self):
         z = Ball.from_fraction(Fraction(1, 2), 64)
-        rep = eval_dispatch(RISING, z, 1, 64, algorithm="rect-ps", m=1, subn=1)
+        rep = eval_dispatch(RISING, z, 1, 64, algorithm="rect-ps")
+        assert (rep.plan.m, rep.plan.subn) == (1, 1)
         assert rep.matrix[0][0].contains(Fraction(1, 2))
 
     def test_rect_split_degenerate_m1(self):
@@ -152,7 +158,7 @@ class TestSmallExamples:
 
 class TestTaylorVariant:
     """rect-split makes the giant steps of a matrix with
-    M(x, k+m) = M(x+m, k) from shifts of the first one, with no caller-side
+    M(x, k+1) = M(x+1, k) from a difference table, with no caller-side
     switch, and records which update it used."""
 
     def test_rising_matches_rect_split(self):
@@ -166,7 +172,7 @@ class TestTaylorVariant:
         assert a[0][0].overlaps(b[0][0])
 
     def test_constant_matrix_is_symmetric(self):
-        # D = 0: every giant step is the first, and no shift is made
+        # D = 0: every giant step is the first, a table of one sum each
         fib = companion(ScalarRecurrence([bipoly_from_text("-1"),
                                           bipoly_from_text("-1"),
                                           bipoly_from_text("1")]))
@@ -177,9 +183,9 @@ class TestTaylorVariant:
 
     def test_hyp1f1_matrix_symmetry(self):
         # 1 + k + x is symmetric under (k -> k+m) vs (x -> x+m), and the
-        # constant entry is invariant, so the shift update applies
+        # constant entry is invariant, so the difference table applies
         M = hyp1f1_gamma_matrix(17)
-        assert M.shift_symmetry_holds(4)
+        assert M.shift_symmetry_holds()
         z = Ball.from_fraction(Fraction(5, 4), 128)
         rep = eval_dispatch(M, z, 40, 128, algorithm="rect-split", m=5)
         assert rep.counter.giant_step == "difference table"
@@ -189,10 +195,10 @@ class TestTaylorVariant:
                 assert rep.matrix[i][j].overlaps(ref.matrix[i][j])
 
     def test_asymmetric_matrix_contains(self):
-        # M(x, k+4) != M(x+4, k): a shift update of the giant step would
-        # give a ball (midpoint 7962624) that misses 20!
+        # M(x, k+4) != M(x+4, k): a shifted first giant step would give a
+        # ball (midpoint 7962624) that misses 20!
         M = RecMatrix([[bipoly_from_text("1 + k")]])
-        assert not M.shift_symmetry_holds(4)
+        assert not M.shift_symmetry_holds()
         rep = eval_dispatch(M, Ball.one(), 20, 64, algorithm="rect-split", m=4)
         assert rep.counter.giant_step == "exact product"
         assert rep.matrix[0][0].contains(math.factorial(20))
@@ -208,7 +214,7 @@ class _ExactSteps(RecMatrix):
     """The same matrix with the shift symmetry hidden, so that rect-split
     makes every giant step as the exact product of its factors."""
 
-    def shift_symmetry_holds(self, m: int = 1) -> bool:
+    def shift_symmetry_holds(self) -> bool:
         return False
 
 
@@ -247,13 +253,14 @@ class TestDifferenceTable:
                         Ball.from_fraction(Fraction(-5, 7), p))
         self._same_as_exact_steps(RISING, z, 300, p, 9)
 
-    def test_rising_tiny_z_takes_the_taylor_shift(self):
+    def test_rising_tiny_z_takes_the_exact_product(self):
         # the powers of 2^-3000 span too wide a range for a fixed-point
         # table at p = 64, so there are no integer sums to difference
         z = Ball.from_man_exp(1, -3000)
         table = PowerTable(z, 8, 64 + engines.guard_bits(200))
         assert table._fix is None
-        self._same_as_exact_steps(RISING, z, 200, 64, 8, update="taylor shift")
+        self._same_as_exact_steps(RISING, z, 200, 64, 8,
+                                  update="exact product")
 
     @pytest.mark.parametrize("zq", [Fraction(4, 3), Fraction(5, 4)])
     def test_hyp1f1(self, zq):
@@ -261,20 +268,30 @@ class TestDifferenceTable:
         for n, p, m in ((400, 256, 9), (1500, 1024, 20)):
             self._same_as_exact_steps(M, Ball.from_fraction(zq, p), n, p, m)
 
-    def test_mixed_signs_take_the_taylor_shift(self):
+    def test_mixed_signs_take_the_exact_product(self):
         # prod (x + i - 3) changes sign in its coefficients: the radius sum
         # over |c_j| is no polynomial in the step index
         M = RecMatrix([[bipoly_from_text("x + k - 3")]])
-        assert M.shift_symmetry_holds(1)
+        assert M.shift_symmetry_holds()
         zq = Fraction(1, 3)
         rep = self._same_as_exact_steps(M, Ball.from_fraction(zq, 256), 100,
-                                        256, 7, update="taylor shift")
+                                        256, 7, update="exact product")
         assert rep.matrix[0][0].contains(rising_exact(zq - 3, 100))
 
-    def test_degree_at_least_w_takes_the_taylor_shift(self):
-        # w = 3 giant steps of degree 7 would need 8 values for the table
-        z = Ball.from_fraction(Fraction(1, 3), 128)
-        self._same_as_exact_steps(RISING, z, 21, 128, 7, update="taylor shift")
+    @pytest.mark.parametrize("n", [21, 23])
+    def test_degree_at_least_w_uses_w_sums(self, n):
+        # w = 3 giant steps of degree 7: the table holds the 3 sums that
+        # are needed, not 8; n = 23 leaves 2 factors over
+        rep = self._same_as_exact_steps(
+            RISING, Ball.from_fraction(Fraction(1, 3), 128), n, 128, 7)
+        assert rep.matrix[0][0].contains(rising_exact(Fraction(1, 3), n))
+
+    @pytest.mark.parametrize("M, n", [(RISING, 10), (RISING, 7),
+                                      (hyp1f1_gamma_matrix(30), 12)])
+    def test_one_giant_step(self, M, n):
+        # n < 2m: a single giant step, from a table of one sum per part
+        self._same_as_exact_steps(M, Ball.from_fraction(Fraction(5, 4), 128),
+                                  n, 128, 7)
 
     def test_shift_symmetric_order_two_gets_the_longer_step(self):
         # a 2 x 2 shift-symmetric matrix steps by p^0.4; the rising
@@ -287,7 +304,7 @@ class TestDifferenceTable:
         fib_k = companion(ScalarRecurrence([bipoly_from_text("-1"),
                                             bipoly_from_text("-k"),
                                             bipoly_from_text("1")]))
-        assert not fib_k.shift_symmetry_holds(1)
+        assert not fib_k.shift_symmetry_holds()
         rep = eval_dispatch(fib_k, z, 40, 64, algorithm="rect-split")
         assert rep.plan.m == 1
         assert make_plan("rect-split", n, p, r=2).m == int(p ** 0.4)

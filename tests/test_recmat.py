@@ -85,6 +85,21 @@ class TestEvalFactor:
         assert M.entries[0][0] == bipoly_from_text("1 + k + x")
 
 
+class TestShiftSymmetry:
+    @pytest.mark.parametrize("text, holds", [
+        ("x + k", True), ("x^2 + 2*x*k + k^2 - 3*x - 3*k + 5", True),
+        ("7", True), ("1 + k", False), ("x*k", False), ("x + 2*k", False)])
+    def test_step_one_decides_every_step(self, text, holds):
+        # M(x, k+1) = M(x+1, k) holds exactly when M(x, k+m) = M(x+m, k)
+        # holds for some, and then every, m >= 1
+        e = bipoly_from_text(text)
+        assert RecMatrix([[e]]).shift_symmetry_holds() is holds
+        for m in range(1, 5):
+            assert (e.shift_k(m) == e.shift_x(m)) is holds
+        den = RecMatrix([[bipoly_from_text("x + k")]], e)
+        assert den.shift_symmetry_holds() is holds
+
+
 class TestProducts:
     def test_binsplit_scalars(self):
         fs = [[[c]] for c in (1, 2, 3, 4)]
