@@ -1211,7 +1211,9 @@ def _rad_to_decimal(rm, re) -> str:
 
 def parse_decimal(s: str, p: int) -> Ball:
     """Parse a decimal (optionally scientific) or rational literal, or a
-    "mid ± rad" pair, into a ball at precision p."""
+    "mid ± rad" pair, into a ball at precision p.  A decimal literal is
+    d * 10^e for integers d and e, made exactly: |e| > 10^6 raises
+    ValueError (10^e alone would take minutes far beyond that)."""
     s = s.strip()
     for sep in ("±", "+/-"):
         if sep in s:
@@ -1242,6 +1244,8 @@ def _decimal_fraction(s: str) -> Fraction:
         digits = mant.lstrip("+")
     if digits in ("", "-"):
         raise ValueError("empty decimal literal: %r" % s)
+    if abs(e) > 10 ** 6:
+        raise ValueError("decimal exponent %d beyond +-10^6" % e)
     val = Fraction(_str_to_int(digits))
     if e >= 0:
         return val * 10 ** e

@@ -92,7 +92,7 @@ def parse_spec_file(text: str, prec: int = 64):
 # ---------------------------------------------------------------------------
 
 def _prec_from_args(args) -> int:
-    if getattr(args, "digits", None):
+    if args.digits is not None:
         return int(math.ceil(args.digits * math.log2(10))) + 2
     return args.prec_bits
 
@@ -143,6 +143,26 @@ def cmd_gamma(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo."""
+    def check(text):
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError("%s is below %d" % (text, lo))
+        return int(text)
+    check.__name__ = "int"  # argparse names the type in its messages
+    return check
+
+
+def _number(text):
+    """argparse type: a literal that parse_decimal reads (checked at a low
+    precision; the command reads it again at its own)."""
+    try:
+        bl.parse_decimal(text, 2)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError("%r: %s" % (text, exc))
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="holoeval",
@@ -152,30 +172,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_prec(p):
         g = p.add_mutually_exclusive_group()
-        g.add_argument("--prec-bits", type=int, default=64,
+        g.add_argument("--prec-bits", type=_int_at_least(2), default=64,
                        help="working precision in bits (default 64)")
-        g.add_argument("--digits", type=int,
+        g.add_argument("--digits", type=_int_at_least(1),
                        help="decimal digits (converted to bits)")
 
     p = sub.add_parser("eval", help="evaluate c(z, n) from a recurrence spec file")
     p.add_argument("spec", help="path to the recurrence spec file")
-    p.add_argument("n", type=int)
-    p.add_argument("--z", help="parameter value (decimal or rational)", default=None)
+    p.add_argument("n", type=_int_at_least(0))
+    p.add_argument("--z", type=_number, default=None,
+                   help="parameter value (decimal or rational)")
     p.add_argument("--algorithm", choices=ALGORITHMS, default=None)
-    p.add_argument("--m", type=int, default=None, help="step length override")
+    p.add_argument("--m", type=_int_at_least(1), help="step length override")
     add_prec(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("rising", help="rising factorial z (z+1) ... (z+n-1)")
-    p.add_argument("z")
-    p.add_argument("n", type=int)
+    p.add_argument("z", type=_number)
+    p.add_argument("n", type=_int_at_least(0))
     p.add_argument("--algorithm", choices=ALGORITHMS, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=_int_at_least(1))
     add_prec(p)
     p.set_defaults(func=cmd_rising)
 
     p = sub.add_parser("gamma", help="gamma function of a real argument")
-    p.add_argument("x")
+    p.add_argument("x", type=_number)
     p.add_argument("--method", choices=("stirling", "1f1"), default="stirling")
     add_prec(p)
     p.set_defaults(func=cmd_gamma)

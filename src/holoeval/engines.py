@@ -19,36 +19,44 @@ ball x ball products at working precision; "scalar" operations multiply a
 ball by an exact integer coefficient (or add the integer sums of such
 products); "coeff" operations stay in Z.
 
+The engine loop
+---------------
+Every engine runs in one driver, _run.  The engine builds its power table
+and hands over the number of factors its giant steps cover and the steps
+themselves, ball matrices S in order; the driver makes V <- S V for each
+(one nonscalar matrix product, none for the first) and then multiplies in
+the factors left over one at a time through the table.  Giant steps that
+are exact subproducts over Z[x] all come from _subproduct_steps, which
+evaluates each entry by Paterson-Stockmeyer (_ps_eval); rows as long as
+the table make that one fused dot.  The denominator product of an
+x-dependent denominator is the same loop on the 1 x 1 matrix [q].
+
 rect-split's giant steps
 ------------------------
-Step i evaluates U_i = prod_{t<m} M(x, i m + t) at z.  The power table's
-fused dot reduces U_i(z) to two integer sums per part of z, the midpoint
-sum_j c_j mid_j and the radius sum_j |c_j| rad_j, then rounds once.
-When M(x, k+m) = M(x+m, k) (shift symmetry), U_i(x) = U_0(x + i m): every
-coefficient c_j of U_i is a polynomial in i, and so is the midpoint sum,
-of degree D = deg U_0.  If an entry's coefficients all have one sign, so
-have those of every U_i (a shift by i m >= 0 keeps it), and its radius
-sum is a polynomial in i as well.  The sums at i = 0 .. D come from D
-Taylor shifts of U_0, streamed one entry at a time, and their exact
-forward differences then give each later step with D big-integer
-additions per sum and no dot.  With fewer steps than sums (D >= n/m) the
-table is built from the n/m sums that are needed.  The sums are the dot's
-integers and the rounding is the same, so each step's ball is
-bit-identical to the dot of the exact product.  Every other giant step is
-that exact product of the step's m factors: when the matrix lacks the
-symmetry, when an entry has coefficients of both signs, or when the
-powers of z have no fixed-point form.  OpCounter.giant_step records which
-of the two updates ran.  On a shift-symmetric matrix of order >= 2,
-choose_m takes the longer step m = p^0.4, whatever z (see there).
+Step i evaluates U_i = prod_{t<m} M(x, i m + t) at z by the power table's
+fused dot: two integer sums per part of z, the midpoint sum_j c_j mid_j
+and the radius sum_j |c_j| rad_j, rounded once.  When M(x, k+m) =
+M(x+m, k) (shift symmetry), U_i(x) = U_0(x + i m), so the midpoint sum is
+a polynomial in i of degree D = deg U_0, and so is the radius sum when
+the entry's coefficients all have one sign (a shift by i m >= 0 keeps
+it).  The sums at i = 0 .. min(D, n/m - 1) come from Taylor shifts of
+U_0, streamed one entry at a time; their exact forward differences then
+give each later step with D big-integer additions per sum and no dot,
+bit-identical to the dot of the exact product.  Without the symmetry,
+with coefficients of both signs, or when the powers of z have no
+fixed-point form, every step is that exact product.  OpCounter.giant_step
+records which of the two updates ran.  On a shift-symmetric matrix of
+order >= 2, choose_m takes the longer step m = p^0.4, whatever z.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from . import balls as bl
-from .balls import Ball, ComplexBall
+from .balls import ComplexBall
 # taylor_shift_convolution is not called here (the basecase shift is faster
 # at every giant-step degree), but stays importable from this module, where
 # tracing tools look up the Taylor shifts
@@ -192,9 +200,6 @@ class PowerTable:
         self.powers = powers
         self._fix = bl.n_fixed_point(powers, p)
 
-    def power(self, j: int):
-        return self.powers[j]
-
     def eval_int_poly(self, coeffs, p: int | None = None,
                       counter: OpCounter | None = None):
         """sum_j coeffs[j] * z^j using scalar operations only."""
@@ -235,13 +240,6 @@ def ball_mat_mul(A, B, p, counter: OpCounter | None = None):
     return out
 
 
-def _accumulate(V, S, p, counter):
-    """V <- S x V with an identity-skipping sentinel."""
-    if V is None:
-        return S
-    return ball_mat_mul(S, V, p, counter)
-
-
 # ---------------------------------------------------------------------------
 # denominator products
 # ---------------------------------------------------------------------------
@@ -263,10 +261,9 @@ def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
             if v == 0:
                 raise DenominatorZeroError(
                     "denominator vanishes at index %d" % i, index=i)
-            vals.append(v)
+            vals.append([[v]])
         counter.coeff += n
-        prod = _int_binsplit(vals, 0, len(vals))
-        return bl.n_from_int(prod, z)
+        return bl.n_from_int(product_binsplit_exact(vals)[0][0], z)
     sub = RecMatrix([[den]])
     # the 1x1 denominator product must be provably nonzero, so it always
     # goes through the stable scalar-only engine: the multipoint remainder
@@ -280,7 +277,7 @@ def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
         eff = EvalPlan("rect-split", m_den, plan.prec,
                        plan.guard + attempt * boost)
         step = counter.giant_step
-        mat = _rect_split_core(sub, z, n, eff, counter)
+        mat = _run(sub, z, n, eff, counter)
         counter.giant_step = step
         val = mat[0][0]
         if not val.contains_zero():
@@ -289,13 +286,6 @@ def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     raise DenominatorZeroError(
         "denominator product contains zero (first suspect index %s)" % idx,
         index=idx)
-
-
-def _int_binsplit(vals, a, b):
-    if b - a == 1:
-        return vals[a]
-    m = (a + b) // 2
-    return _int_binsplit(vals, a, m) * _int_binsplit(vals, m, b)
 
 
 def _find_zero_index(M: RecMatrix, z, n: int, p: int):
@@ -313,88 +303,101 @@ def _find_zero_index(M: RecMatrix, z, n: int, p: int):
 # the engines (numerator products)
 # ---------------------------------------------------------------------------
 
-def _naive_leftover(M, z, V, start, count, table, p, counter):
-    """V <- M(z, start+count-1) ... M(z, start) V, one factor at a time;
-    V = None stands for the identity."""
-    for i in range(start, start + count):
-        grid, _ = eval_factor(M, i)
-        counter.coeff += sum(len(e.coeffs) for row in grid for e in row)
-        S = [[table.eval_int_poly(e.coeffs, p, counter) for e in row]
-             for row in grid]
-        V = _accumulate(V, S, p, counter)
+def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
+    """prod_{i<n} M(z, i), the loop of every engine.  The engine gives its
+    power table, the number of factors its giant steps cover and the steps
+    themselves (ball matrices, in order); each step S makes V <- S V with
+    one nonscalar matrix product (the first step is V), and the factors
+    left over follow one at a time through the table."""
+    if not n:
+        return ball_identity(M.r, z)
+    p = plan.work_prec
+    table, covered, steps = _ENGINES[plan.algorithm](M, z, n, plan, counter)
+    tail = ([[table.eval_int_poly(e.coeffs, p, counter) for e in row]
+             for row in _factor(M, i, counter)] for i in range(covered, n))
+    V = None
+    for S in chain(steps, tail):
+        V = S if V is None else ball_mat_mul(S, V, p, counter)
     return V
 
 
-def _exact_factor_matrices(M: RecMatrix, start: int, count: int, counter):
-    out = []
-    for i in range(start, start + count):
-        grid, _ = eval_factor(M, i)
-        counter.coeff += sum(len(e.coeffs) for row in grid for e in row)
-        out.append(grid)
-    return out
+def _factor(M: RecMatrix, i: int, counter: OpCounter):
+    """M(x, i) as a grid of UniPoly in x (coefficient work)."""
+    grid, _ = eval_factor(M, i)
+    counter.coeff += sum(len(e.coeffs) for row in grid for e in row)
+    return grid
 
 
-def _binsplit_core(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
-    p = plan.work_prec
-    factors = _exact_factor_matrices(M, 0, n, counter)
-    U = product_binsplit_exact(factors)
-    counter.coeff += sum(len(e.coeffs) for row in U for e in row)
-    deg = max(e.degree() for row in U for e in row)
-    m = max(1, math.isqrt(max(deg, 0)) + 1)
-    table = PowerTable(z, m, p, counter)
-    return [[_ps_eval(e.coeffs, table, m, p, counter) for e in row] for row in U]
+def _exact_product(M: RecMatrix, start: int, count: int, counter: OpCounter):
+    """M(x, start+count-1) ... M(x, start) over Z[x]."""
+    return product_binsplit_exact(
+        [_factor(M, i, counter) for i in range(start, start + count)])
+
+
+def _subproduct_steps(M, length, w, table, row, p, counter, U=None):
+    """The giant steps U_i(z), i < w, with U_i the exact product of the
+    length factors from i * length on (U_0 = U when given), each entry
+    evaluated by _ps_eval in rows of row coefficients: row = table.D + 1
+    makes it one fused dot."""
+    for i in range(w):
+        if U is None:
+            U = _exact_product(M, i * length, length, counter)
+        live = sum(len(e.coeffs) for r in U for e in r)
+        counter.note_live_coeffs(live + table.D + 1)
+        yield [[_ps_eval(e.coeffs, table, row, p, counter) for e in r]
+               for r in U]
+        U = None
 
 
 def _ps_eval(coeffs, table: PowerTable, m: int, p: int, counter: OpCounter):
     """Paterson-Stockmeyer: rows of length m via the table (scalar only),
     rows combined by Horner with z^m (one nonscalar product per row)."""
-    if not coeffs:
-        return bl.n_zero(table.z)
-    rows = [coeffs[t:t + m] for t in range(0, len(coeffs), m)]
-    zm = table.power(m)
-    acc = table.eval_int_poly(rows[-1], p, counter)
-    for row in reversed(rows[:-1]):
-        acc = bl.n_mul(acc, zm, p)
+    top = max(len(coeffs) - 1, 0) // m * m
+    acc = table.eval_int_poly(coeffs[top:], p, counter)
+    for t in range(top - m, -1, -m):
+        acc = bl.n_mul(acc, table.powers[m], p)
         counter.nonscalar += 1
-        acc = bl.n_add(acc, table.eval_int_poly(row, p, counter), p)
+        acc = bl.n_add(acc, table.eval_int_poly(coeffs[t:t + m], p, counter), p)
     return acc
 
 
-def _multipoint_core(M: RecMatrix, z, n: int, plan: EvalPlan,
-                     counter: OpCounter):
+def _naive(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
+    return PowerTable(z, M.deg_x(), plan.work_prec, counter), 0, ()
+
+
+def _binsplit_exact(M: RecMatrix, z, n: int, plan: EvalPlan,
+                    counter: OpCounter):
+    U = _exact_product(M, 0, n, counter)
+    counter.coeff += sum(len(e.coeffs) for row in U for e in row)
+    deg = max(e.degree() for row in U for e in row)
+    m = max(1, math.isqrt(max(deg, 0)) + 1)
+    table = PowerTable(z, m, plan.work_prec, counter)
+    return table, n, _subproduct_steps(M, n, 1, table, m, plan.work_prec,
+                                       counter, U)
+
+
+def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     p = plan.work_prec
     m = plan.m
     w = n // m
     xtable = PowerTable(z, M.deg_x(), p, counter)
-    V = None
-    if w > 0:
-        base = _substitute_x(M, xtable, p, counter)
-        # T_j = base(k + j), shifts over ball coefficients (scalar work)
-        tmats = [base]
-        for j in range(1, m):
-            tmats.append(_bpmat_shift(base, j, p, counter))
-        U = _bpmat_binsplit(tmats, 0, m, p, counter)
-        points = [i * m for i in range(w)]
-        values = _bpmat_multipoint(U, points, p, counter, z)
-        for S in values:
-            V = _accumulate(V, S, p, counter)
-    return _naive_leftover(M, z, V, m * w, n - m * w, xtable, p, counter)
+    if not w:
+        return xtable, 0, ()
+    base = _substitute_x(M, xtable, p, counter)
+    # T_j = base(k + j), shifts over ball coefficients (scalar work)
+    tmats = [base] + [[[_bp_shift(e, j, p, counter) for e in row]
+                       for row in base] for j in range(1, m)]
+    U = _bpmat_binsplit(tmats, 0, m, p, counter)
+    points = [i * m for i in range(w)]
+    return xtable, m * w, _bpmat_multipoint(U, points, p, counter, z)
 
 
 def _substitute_x(M: RecMatrix, xtable: PowerTable, p, counter):
     """Entries of M as polynomials in k with ball coefficients."""
-    out = []
-    for row in M.entries:
-        orow = []
-        for e in row:
-            nk = e.deg_k() + 1 if not e.is_zero() else 0
-            coeffs = []
-            for b in range(nk):
-                col = [e.coeff(a, b) for a in range(e.deg_x() + 1)]
-                coeffs.append(xtable.eval_int_poly(col, p, counter))
-            orow.append(coeffs)
-        out.append(orow)
-    return out
+    return [[[xtable.eval_int_poly([e.coeff(a, b) for a in range(e.deg_x() + 1)],
+                                   p, counter)
+              for b in range(0 if e.is_zero() else e.deg_k() + 1)]
+             for e in row] for row in M.entries]
 
 
 def _ball_is_exact_zero(b) -> bool:
@@ -416,10 +419,6 @@ def _bp_shift(coeffs, c: int, p, counter: OpCounter):
         counter.scalar += len(out)
         out = nxt
     return out
-
-
-def _bpmat_shift(mat, c, p, counter):
-    return [[_bp_shift(e, c, p, counter) for e in row] for row in mat]
 
 
 def _bp_mul(a, b, p, counter: OpCounter):
@@ -490,75 +489,47 @@ def _bp_rem_monic(coeffs, node: UniPoly, p, counter: OpCounter):
 def _bpmat_multipoint(U, points, p, counter, like):
     """Values of a ball-poly matrix at integer points via a remainder tree
     over the exact integer product tree."""
-    tree = product_tree(points)
     zero = bl.n_zero(like)
     out = []
 
     def descend(node, mat):
+        mat = [[_bp_rem_monic(e, node.poly, p, counter) for e in row]
+               for row in mat]
         if node.left is None:
             out.append([[e[0] if e else zero for e in row] for row in mat])
-            return
-        lmat = [[_bp_rem_monic(e, node.left.poly, p, counter) for e in row]
-                for row in mat]
-        rmat = [[_bp_rem_monic(e, node.right.poly, p, counter) for e in row]
-                for row in mat]
-        descend(node.left, lmat)
-        descend(node.right, rmat)
+        else:
+            descend(node.left, mat)
+            descend(node.right, mat)
 
-    root = [[_bp_rem_monic(e, tree.poly, p, counter) for e in row] for row in U]
-    descend(tree, root)
+    descend(product_tree(points), U)
     return out
 
 
-def _rect_ps_core(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
-    p = plan.work_prec
+def _rect_ps(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     subn = plan.subn or n
-    m = plan.m
-    table = PowerTable(z, max(m, M.deg_x()), p, counter)
-    V = None
-    i = 0
-    while i + subn <= n:
-        factors = _exact_factor_matrices(M, i, subn, counter)
-        U = product_binsplit_exact(factors)
-        counter.note_live_coeffs(sum(len(e.coeffs) for row in U for e in row))
-        S = [[_ps_eval(e.coeffs, table, m, p, counter) for e in row] for row in U]
-        V = _accumulate(V, S, p, counter)
-        i += subn
-    return _naive_leftover(M, z, V, i, n - i, table, p, counter)
+    w = n // subn
+    table = PowerTable(z, max(plan.m, M.deg_x()), plan.work_prec, counter)
+    return table, subn * w, _subproduct_steps(M, subn, w, table, plan.m,
+                                              plan.work_prec, counter)
 
 
-def _rect_split_core(M: RecMatrix, z, n: int, plan: EvalPlan,
-                     counter: OpCounter):
+def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     p = plan.work_prec
     m = plan.m
     w = n // m
     dx = M.deg_x()
     table = PowerTable(z, max(m * dx, dx), p, counter)
-    V = None
-    if w:
-        U = product_binsplit_exact(_exact_factor_matrices(M, 0, m, counter))
-        diffs = (_difference_table(U, m, w, table, counter)
-                 if M.shift_symmetry_holds() else None)
-        if diffs is not None:
-            counter.giant_step = "difference table"
-            steps = _difference_steps(diffs, w, table, p, counter)
-        else:
-            counter.giant_step = "exact product"
-            steps = _updated_steps(M, U, m, w, table, p, counter)
-        for S in steps:
-            V = _accumulate(V, S, p, counter)
-    return _naive_leftover(M, z, V, m * w, n - m * w, table, p, counter)
-
-
-def _updated_steps(M, U, m, w, table, p, counter):
-    """The giant steps S_i = U_i(z), i < w, each the exact product of its
-    m factors (U = U_0 is given) evaluated by one fused dot per entry."""
-    for i in range(w):
-        if i:
-            U = product_binsplit_exact(_exact_factor_matrices(M, i * m, m, counter))
-        live = sum(len(e.coeffs) for row in U for e in row)
-        counter.note_live_coeffs(live + table.D + 1)
-        yield [[table.eval_int_poly(e.coeffs, p, counter) for e in row] for row in U]
+    if not w:
+        return table, 0, ()
+    U = _exact_product(M, 0, m, counter)
+    diffs = (_difference_table(U, m, w, table, counter)
+             if M.shift_symmetry_holds() else None)
+    if diffs is not None:
+        counter.giant_step = "difference table"
+        return table, m * w, _difference_steps(diffs, w, table, p, counter)
+    counter.giant_step = "exact product"
+    return table, m * w, _subproduct_steps(M, m, w, table, table.D + 1, p,
+                                           counter, U)
 
 
 def _difference_table(U, m, w, table, counter):
@@ -620,31 +591,32 @@ def _difference_steps(diffs, w, table, p, counter):
                         counter.scalar += len(s) - 1
 
 
-def _rect_delta_core(M: RecMatrix, z, n: int, plan: EvalPlan,
-                     counter: OpCounter):
-    p = plan.work_prec
+def _rect_delta(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     m = plan.m
-    w = n // m
     dx = M.deg_x()
-    table = PowerTable(z, max(m * dx, dx), p, counter)
-    V = None
-    if w > 0:
-        # S = C_0 = prod_{i<m} M(z, i): one exact product over Z[x], then
-        # scalar operations only (products of table powers would carry the
-        # table's exponent into every later nonscalar product)
-        C0 = product_binsplit_exact(_exact_factor_matrices(M, 0, m, counter))
-        S = [[table.eval_int_poly(e.coeffs, p, counter) for e in row] for row in C0]
-        V = S
-        delta = bivariate_delta(M, m, counter) if w > 1 else []
-        step_coeff = sum(len(kr) for row in delta for e in row for kr in e.grid)
-        counter.note_live_coeffs(step_coeff + table.D + 1)
-        for i in range(w - 1):
-            k0 = m * i
-            counter.coeff += step_coeff
-            S = [[bl.n_add(s, table.eval_int_poly(e.eval_k(k0).coeffs, p, counter), p)
-                  for s, e in zip(srow, drow)] for srow, drow in zip(S, delta)]
-            V = ball_mat_mul(S, V, p, counter)
-    return _naive_leftover(M, z, V, m * w, n - m * w, table, p, counter)
+    table = PowerTable(z, max(m * dx, dx), plan.work_prec, counter)
+    return table, n // m * m, _delta_steps(M, m, n // m, table,
+                                           plan.work_prec, counter)
+
+
+def _delta_steps(M, m, w, table, p, counter):
+    """rect-delta's giant steps S_i = prod_{t<m} M(z, i m + t), i < w:
+    S_0 = C_0 is one exact product over Z[x] evaluated by scalar operations
+    (products of table powers would carry the table's exponent into every
+    later nonscalar product), then S_{i+1} = S_i + Delta_m(z, i m)."""
+    if not w:
+        return
+    S, = _subproduct_steps(M, m, 1, table, table.D + 1, p, counter)
+    yield S
+    delta = bivariate_delta(M, m, counter) if w > 1 else []
+    step_coeff = sum(len(kr) for row in delta for e in row for kr in e.grid)
+    counter.note_live_coeffs(step_coeff + table.D + 1)
+    for i in range(w - 1):
+        counter.coeff += step_coeff
+        S = [[bl.n_add(s, table.eval_int_poly(e.eval_k(m * i).coeffs, p,
+                                              counter), p)
+              for s, e in zip(srow, drow)] for srow, drow in zip(S, delta)]
+        yield S
 
 
 def bivariate_delta(M: RecMatrix, m: int, counter: OpCounter | None = None):
@@ -663,16 +635,9 @@ def bivariate_delta(M: RecMatrix, m: int, counter: OpCounter | None = None):
     return [[hi[i][j] - lo[i][j] for j in range(r)] for i in range(r)]
 
 
-_CORES = {
-    "naive": lambda M, z, n, plan, counter: _naive_leftover(
-        M, z, None, 0, n, PowerTable(z, M.deg_x(), plan.work_prec, counter),
-        plan.work_prec, counter),
-    "binsplit-exact": _binsplit_core,
-    "multipoint": _multipoint_core,
-    "rect-ps": _rect_ps_core,
-    "rect-split": _rect_split_core,
-    "rect-delta": _rect_delta_core,
-}
+_ENGINES = {"naive": _naive, "binsplit-exact": _binsplit_exact,
+            "multipoint": _multipoint, "rect-ps": _rect_ps,
+            "rect-split": _rect_split, "rect-delta": _rect_delta}
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +670,8 @@ def eval_dispatch(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
     accuracy."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if p < 2:
+        raise ValueError("p must be >= 2")
     if algorithm is None:
         algorithm = default_algorithm(n)
     # rect-split steps further on a shift-symmetric matrix of order >= 2
@@ -712,17 +679,12 @@ def eval_dispatch(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
                 and M.shift_symmetry_holds()) else 1
     plan = make_plan(algorithm, n, p, m=m, zbits=mantissa_bits(z), r=r)
     counter = OpCounter()
-    # the cores take n >= 1 and return None for the identity
-    num = _CORES[plan.algorithm](M, z, n, plan, counter) if n else None
-    if num is None:
-        num = ball_identity(M.r, z)
+    num = _run(M, z, n, plan, counter)
     den = _den_product(M, z, n, plan, counter)
-    wp = plan.work_prec
-    if isinstance(den, (Ball, ComplexBall)) and not _is_one(den):
-        mat = [[bl.n_div(e, den, wp) for e in row] for row in num]
+    mat = num
+    if not _is_one(den):
+        mat = [[bl.n_div(e, den, plan.work_prec) for e in row] for row in num]
         counter.nonscalar += M.r * M.r
-    else:
-        mat = num
     mat = [[bl.n_reduce(e, p) for e in row] for row in mat]
     acc = min(min(e.rel_accuracy_bits() for e in row) for row in mat)
     return EvalReport(mat, num, den, plan, counter, min(acc, p))

@@ -266,6 +266,16 @@ def _contains_nonpositive_integer(x) -> bool:
     return lo <= k <= hi
 
 
+def _re_mid_float(x) -> float:
+    """Re x's midpoint as a float; a part beyond the float range is a
+    domain error (its Gamma is far outside any exponent range)."""
+    mids = [b.mid_float() for b in
+            ((x.re, x.im) if isinstance(x, ComplexBall) else (x,))]
+    if not all(map(math.isfinite, mids)):
+        raise BallDomainError("gamma argument beyond the float range")
+    return mids[0]
+
+
 def _sec_half_arg_factor(w) -> float:
     """Float upper estimate of sec^2(arg(w)/2) = 2|w| / (|w| + Re w)."""
     if not isinstance(w, ComplexBall):
@@ -345,7 +355,7 @@ def stirling_params(x, p: int) -> StirlingParams:
         raise ValueError("p must be >= 2")
     if _contains_nonpositive_integer(x):
         raise BallDomainError("gamma argument contains a pole")
-    re_mid = bl.n_real(x).mid_float()
+    re_mid = _re_mid_float(x)
     secfac = _sec_half_arg_factor(x)  # arg shrinks as n grows; this is safe
     cap = _bernoulli_cap(p)
     nmax = max(16 * cap, p)
@@ -464,7 +474,7 @@ def gamma_1f1(x, p: int):
         raise ValueError("p must be >= 2")
     if _contains_nonpositive_integer(x):
         raise BallDomainError("gamma argument contains a pole")
-    re_mid = bl.n_real(x).mid_float()
+    re_mid = _re_mid_float(x)
     shift = math.floor(re_mid) - 1
     nbig, nsum = _gamma_1f1_params(p)
     wp = p + 64 + max(0, shift).bit_length() + nsum.bit_length()

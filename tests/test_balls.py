@@ -470,6 +470,20 @@ class TestDecimal:
         finally:
             sys.set_int_max_str_digits(old)
 
+    def test_decimal_exponent_bound(self):
+        # 10^|e| is built exactly, so exponents beyond 10^6 are refused
+        # before that power is made (1e999999999 would take minutes)
+        for s in ("1e999999999", "-1e-999999999", "2.5e-1000000",
+                  "1 ± 1e1000001"):
+            with pytest.raises(ValueError, match="exponent"):
+                bl.parse_decimal(s, 64)
+        # at the bound: 1.5e1000000 is an exact integer, 1e-1000000 a
+        # 64-bit ball, both with their leading bit in place
+        big = bl.parse_decimal("1.5e1000000", 64)
+        assert big.is_exact() and big.mid_fraction() == 15 * 10 ** 999999
+        small = bl.parse_decimal("1e-1000000", 64)
+        assert small.exp + small.man.bit_length() == -3321928
+
     def test_roundtrip_through_string(self):
         rng = random.Random(9)
         for _ in range(40):

@@ -8,7 +8,7 @@ import pytest
 
 import holoeval.balls as bl
 from holoeval.balls import Ball
-from holoeval.cli import main, parse_spec_file
+from holoeval.cli import SpecFileError, main, parse_spec_file
 from holoeval.poly import bipoly_to_text
 from holoeval.recmat import unroll_rational
 
@@ -71,6 +71,10 @@ class TestSpecFile:
         mat, _ = parse_spec_file("order 2\nentry 0 0 1\n")
         assert mat.entries[0][1].is_zero()
         assert mat.entries[1][1].is_zero()
+
+    def test_init_exponent_bound(self):
+        with pytest.raises(SpecFileError, match="line 3"):
+            parse_spec_file("order 1\nentry 0 0 1\ninit 0 1e999999999\n")
 
     def test_errors_carry_line_numbers(self):
         with pytest.raises(Exception) as err:
@@ -147,3 +151,37 @@ class TestCommands:
         mat, _ = parse_spec_file(RISING_SPEC)
         exact = unroll_rational(mat, Fraction(1, 2), 9)[0][0]
         assert ball.contains(exact)
+
+
+class TestArguments:
+    """Out-of-range numbers and unreadable literals are argument errors:
+    argparse's usage message and exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["rising", "1/3", "5", "--prec-bits", "1"],
+        ["gamma", "2", "--prec-bits", "-3"],
+        ["rising", "1/3", "5", "--digits", "0"],
+        ["rising", "1/3", "-1"],
+        ["eval", "fib.spec", "-1"],
+        ["rising", "1/3", "5", "--m", "0"],
+        ["eval", "fib.spec", "5", "--m", "0"],
+        ["rising", "abc", "3"],
+        ["eval", "fib.spec", "5", "--z", "1/0"],
+        ["gamma", "1e999999999"],
+    ])
+    def test_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
+
+    def test_smallest_accepted_values(self, capsys):
+        # --digits 1 is 6 bits, not the 64-bit default
+        assert main(["rising", "1/3", "2", "--digits", "1", "--m", "1"]) == 0
+        acc = int(capsys.readouterr().err.split("accuracy:")[1].split()[0])
+        assert 0 < acc <= 6
+        assert main(["gamma", "2", "--prec-bits", "2"]) == 0
+
+    def test_gamma_beyond_float_range_exits_4(self, capsys):
+        assert main(["gamma", "1e400"]) == 4
+        assert main(["gamma", "1e400", "--method", "1f1"]) == 4

@@ -333,6 +333,91 @@ def random_valid_recurrence(rng, nmax):
         return M, z, exact
 
 
+class _Gaussian:
+    """Exact a + b i over Q, with what unroll_rational needs of a number."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def lift(v):
+        return v if isinstance(v, _Gaussian) else _Gaussian(v)
+
+    def __add__(self, o):
+        o = self.lift(o)
+        return _Gaussian(self.re + o.re, self.im + o.im)
+
+    def __mul__(self, o):
+        o = self.lift(o)
+        return _Gaussian(self.re * o.re - self.im * o.im,
+                         self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        o = self.lift(o)
+        d = o.re ** 2 + o.im ** 2
+        return _Gaussian((self.re * o.re + self.im * o.im) / d,
+                         (self.im * o.re - self.re * o.im) / d)
+
+    def __rtruediv__(self, o):
+        return self.lift(o) / self
+
+    def __eq__(self, o):
+        o = self.lift(o)
+        return self.re == o.re and self.im == o.im
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
+def _boundary_ns(m):
+    """No giant step, one step and nothing over, one step and a tail of
+    one, two steps and a tail of one, and n = 0."""
+    return sorted({0, 1, m - 1, m, m + 1, 2 * m + 1})
+
+
+class TestDriverBoundaries:
+    """Every engine through the one loop at the edges of its giant steps,
+    against the exact oracle; n = 0 is the exact identity."""
+
+    # an x-dependent leading coefficient (the denominator) and
+    # M(x, k+1) != M(x+1, k): no engine leans on the shift symmetry
+    COMPANION = companion(ScalarRecurrence([bipoly_from_text("x - 2*k + 1"),
+                                            bipoly_from_text("-3 - x*k"),
+                                            bipoly_from_text("2 + x + k^2")]))
+
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_companion_complex_z(self, alg, m):
+        M = self.COMPANION
+        assert not M.shift_symmetry_holds() and M.den.deg_x() == 1
+        zq = _Gaussian(Fraction(3, 2), Fraction(-5, 7))
+        z = ComplexBall(Ball.from_fraction(zq.re, 128),
+                        Ball.from_fraction(zq.im, 128))
+        for n in _boundary_ns(m):
+            rep = eval_dispatch(M, z, n, 128, algorithm=alg, m=m)
+            exact = unroll_rational(M, zq, n)
+            for i in range(2):
+                for j in range(2):
+                    v, e = rep.matrix[i][j], _Gaussian.lift(exact[i][j])
+                    assert v.contains(e.re, e.im), (alg, m, n, i, j)
+                    assert v.is_exact() or n
+
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_rising(self, alg, m):
+        zq = Fraction(1, 3)
+        z = Ball.from_fraction(zq, 128)
+        for n in _boundary_ns(m):
+            v = eval_dispatch(RISING, z, n, 128, algorithm=alg, m=m).matrix[0][0]
+            assert v.contains(unroll_rational(RISING, zq, n)[0][0]), (alg, m, n)
+            assert v.is_exact() or n
+
+    def test_precision_below_two_is_refused(self):
+        for p in (1, 0, -3):
+            with pytest.raises(ValueError, match="p must be"):
+                eval_dispatch(RISING, Ball.one(), 5, p)
+
+
 class TestCrossAlgorithmAgreement:
     def test_containment_all_engines(self):
         rng = random.Random(2024)

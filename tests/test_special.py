@@ -284,6 +284,19 @@ class TestGamma:
         half_sqrt_pi = bl.mul_2exp(bl.sqrt(bl.pi(256), 256), -1)
         assert g.overlaps(half_sqrt_pi)
 
+    def test_beyond_float_range_is_a_domain_error(self):
+        # 10^400 has no float midpoint: a domain error for both methods,
+        # like Gamma(10^20) by Stirling, whose value overflows the
+        # exponent range
+        for x in (Ball.from_int(10 ** 400),
+                  Ball.from_fraction(Fraction(-2 * 10 ** 400 - 1, 2), 2000),
+                  ComplexBall(Ball.from_int(2), Ball.from_int(10 ** 400))):
+            for gamma in (gamma_stirling, gamma_1f1):
+                with pytest.raises(BallDomainError):
+                    gamma(x, 64)
+        with pytest.raises(BallDomainError):
+            gamma_stirling(Ball.from_int(10 ** 20), 64)
+
     def test_gamma2_is_one(self):
         assert gamma_1f1(Ball.from_int(2), 128).contains(1)
         assert gamma_stirling(Ball.from_int(2), 128).contains(1)
