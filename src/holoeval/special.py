@@ -131,16 +131,94 @@ def _vsc_primes(nmax: int):
 
 def _check_bernoulli(two_k: int, b: Fraction, primes) -> None:
     """Raise ValueError unless b can be B_2k: B_0 = 1; otherwise the
-    denominator of b is the product of the von Staudt-Clausen primes,
+    denominator d of b is the product of the von Staudt-Clausen primes,
     b + sum 1/p over them is an integer, and b has the sign (-1)^(k+1)."""
     if two_k == 0:
         ok = b == 1
     else:
-        ok = (b.denominator == math.prod(primes)
-              and (b + sum(Fraction(1, p) for p in primes)).denominator == 1
+        d = math.prod(primes)
+        ok = (b.denominator == d
+              and (b.numerator + sum(d // p for p in primes)) % d == 0
               and (b > 0) == (two_k % 4 == 2))
     if not ok:
-        raise ValueError("B_%d in the file is not a Bernoulli number" % two_k)
+        raise ValueError("B_%d fails the Bernoulli number checks" % two_k)
+
+
+# B_2k for k above _ZETA_FROM come from zeta(2k) in reverse order, below it
+# from the tangent triangle: its cost grows as k^3, but a scan of the
+# crossover at K = 120 ... 736 numbers was flat from 30 to 70 and rose
+# beyond 80.  _ZETA_GUARD bits are carried below the units of d_k B_2k.
+_ZETA_FROM = 64
+_ZETA_GUARD = 32
+
+
+def _fixed(b: Ball, q: int):
+    """(m, e) with |b 2^q - m| <= e: b in fixed point with q fraction bits."""
+    s, t = b.exp + q, b.re + q
+    return (b.man << s if s >= 0 else b.man >> -s,
+            (b.rm << t if t >= 0 else b.rm >> -t) + 2)
+
+
+def _bernoulli_zeta(top: int, bottom: int, primes):
+    """B_2k for k = top, top - 1, ..., bottom + 1 from d_k |B_2k| =
+    d_k G_k zeta(2k), G_k = 2 (2k)! / (2 pi)^(2k), rounded only where a
+    proved error bound leaves one integer; the list stops at the first k
+    where it does not.
+
+    Each quantity is an integer m in fixed point with an error count e in
+    units of its last place.  G_k has Q fraction bits, the largest d_k's
+    bits plus guard bits, and is stepped down by (2 pi)^2 / (2k (2k-1)).
+    zeta(2k) (1 - 2^-2k) - 1 is the sum S of n^-2k over odd n >= 3, each
+    term stepped by n^2 and all at P fraction bits, as many as G_k has bits.
+    P falls with k by about log2(4k^2 / (2 pi)^2) bits a step, more than
+    the log2(n^2) by which a term kept grows, so no term loses relative
+    accuracy when multiplied up.  The tail after the last n kept, T, is
+    below T^-2k (1 + (T+2) / (2k-1))."""
+    if top <= bottom:
+        return []
+    Q = max(math.prod(primes[k]).bit_length()
+            for k in range(bottom + 1, top + 1)) + _ZETA_GUARD
+    wp = Q + 16 + int(math.lgamma(2 * top + 1) / math.log(2)
+                      - 2 * top * math.log2(2 * math.pi))
+    cball = bl.mul_2exp(bl.mul(bl.pi(wp), bl.pi(wp), wp), 2)  # (2 pi)^2
+    g, eg = _fixed(bl.div(Ball.from_int(2 * math.factorial(2 * top)),
+                          bl.pow_int(cball, top, wp), wp), Q)
+    c, ec = _fixed(cball, wp)
+    P = g.bit_length() + 4
+    terms = []
+    for n in range(3, 1 << P, 2):
+        terms.append([n * n, (1 << P) // n ** (2 * top), 1])
+        if terms[-1][1] <= 1:
+            break
+    out = []
+    for k in range(top, bottom, -1):
+        if k < top:
+            sh = max(0, wp - g.bit_length() - 8)
+            ck, eck, q = c >> sh, (ec >> sh) + 2, (2 * k + 2) * (2 * k + 1)
+            g, eg = (((g * ck) >> (wp - sh)) // q,
+                     (((eg * (ck + eck) + g * eck) >> (wp - sh)) + 1) // q + 2)
+            sh = P - g.bit_length() - 4
+            P -= sh
+            for term in terms:
+                term[1] = (term[1] * term[0]) >> sh
+                term[2] = ((term[2] * term[0]) >> sh) + 2
+            while len(terms) > 1 and terms[-2][1] <= 1:
+                terms.pop()
+        n2, t, e = terms[-1]
+        z = sum(term[1] for term in terms) + (1 << (P - 2 * k))
+        ez = (sum(term[2] for term in terms) + 1
+              + (t + e) * (2 * k + 1 + math.isqrt(n2)) // (2 * k - 1))
+        m = (1 << 2 * k) - 1  # (S + 2^-2k) / (1 - 2^-2k) = zeta(2k) - 1
+        z, ez = z + z // m, ez + ez // m + 2
+        h = ((g >> 2 * k) * z) >> (P - 2 * k)
+        eh = ((eg * (z + ez) + g * ez + (z << 2 * k)) >> P) + 2
+        d = math.prod(primes[k])
+        x, ex = d * (g + h), d * (eg + eh)
+        num = (x + (1 << (Q - 1))) >> Q
+        if abs(x - (num << Q)) + ex >= 1 << (Q - 1):
+            break
+        out.append(Fraction(int(num) if k % 2 else -int(num), d))
+    return out
 
 
 class BernoulliCache:
@@ -157,26 +235,31 @@ class BernoulliCache:
         return 2 * (len(self._even) - 1)
 
     def ensure(self, upto_2n: int) -> None:
+        """Extend the cache through B_upto_2n.  Only the new indices are
+        computed: from zeta(2k) above _ZETA_FROM, from the tangent triangle
+        below it and wherever the zeta path cannot prove its rounding."""
         need = upto_2n // 2
         if need < len(self._even):
             return
         with self._lock:
-            if need < len(self._even):
+            old = len(self._even) - 1
+            if need <= old:
                 return
-            tang = _tangent_numbers(need)
             primes = _vsc_primes(need)
-            new = [Fraction(1)]
-            for n in range(1, need + 1):
-                t = tang[n - 1]
-                den_full = (_Z(4) ** n) * ((_Z(4) ** n) - 1)
-                d = math.prod(primes[n])
-                num, rem = divmod(2 * n * t * d, den_full)
-                if rem:
-                    raise ArithmeticError("tangent-number identity violated")
-                if n % 2 == 0:
-                    num = -num
-                new.append(Fraction(int(num), d))
-            self._even = new
+            new = _bernoulli_zeta(need, max(old, _ZETA_FROM), primes)[::-1]
+            low = need - len(new)
+            if low > old:
+                tang = _tangent_numbers(low)
+                for n in range(low, old, -1):  # B_2n from 2n T_n / 4^n (4^n-1)
+                    d = math.prod(primes[n])
+                    num, rem = divmod(2 * n * tang[n - 1] * d,
+                                      (_Z(4) ** n) * ((_Z(4) ** n) - 1))
+                    if rem:
+                        raise ArithmeticError("tangent-number identity violated")
+                    new.insert(0, Fraction(int(num) if n % 2 else -int(num), d))
+            for n, b in enumerate(new, old + 1):
+                _check_bernoulli(2 * n, b, primes[n])
+            self._even = self._even + new
 
     def get(self, two_k: int) -> Fraction:
         if two_k % 2 == 1:
@@ -209,8 +292,15 @@ class BernoulliCache:
                                       bl._str_to_int(den_s))
         top = max(entries) if entries else -1
         primes = _vsc_primes(max(top, 0) // 2)
+        c = bl.mul_2exp(bl.mul(bl.pi(64), bl.pi(64), 64), 2)  # (2 pi)^2
+        g, gk = Ball.from_int(2), 0  # 2 gk! / (2 pi)^gk, up to the first hole
         for k in sorted(entries):
             _check_bernoulli(k, entries[k], primes[k // 2])
+            if k == gk + 2:  # |B_k| = g zeta(k), zeta(k) in [1, 1 + 2^(2-k)]
+                g, gk = bl.div(bl.mul_int(g, k * (k - 1), 64), c, 64), k
+                if not bl.mul(g, Ball((1 << (k - 1)) + 1, 1 - k, 1, 1 - k),
+                              64).contains(abs(entries[k])):
+                    raise ValueError("|B_%d| in the file is out of range" % k)
         with self._lock:
             if top < self.max_index():
                 return
@@ -251,8 +341,9 @@ class StirlingParams:
 _SHIFT_SLOPE = 0.5
 
 
-# series-term cap: beyond this many exact Bernoulli numbers the O(N^2)
-# generation dominates, so the shift n is enlarged instead
+# series-term cap: beyond this many exact Bernoulli numbers their generation
+# (from zeta(2k), about N products of N log N bits) dominates a cold call, so
+# the shift n is enlarged instead
 def _bernoulli_cap(p: int) -> int:
     return 1024 + p // 22
 
@@ -349,7 +440,7 @@ def stirling_params(x, p: int) -> StirlingParams:
 
     The default shift aims at Re(x) + n ~ p / 2; at very high precision
     the shift is enlarged further to keep the number of exact Bernoulli
-    numbers manageable (their generation costs O(N^2) integer operations).
+    numbers manageable (N of them cost about N products of N log N bits).
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -467,15 +558,23 @@ def _gamma_1f1_params(p: int):
     return nbig, nsum
 
 
+# the shift of 1F1's argument into [1, 2] costs a rising factorial of that
+# many factors, linear in the shift (about 6 s for 10^6 factors at p = 64)
+_1F1_MAX_SHIFT = 1 << 20
+
+
 def gamma_1f1(x, p: int):
-    """Gamma(x) via the truncated series for the lower incomplete gamma
-    , evaluated as an order-2 parametric matrix product."""
+    """Gamma(x) via the truncated series for the lower incomplete gamma,
+    evaluated as an order-2 parametric matrix product.  An argument that
+    needs a shift of more than _1F1_MAX_SHIFT factors is a domain error."""
     if p < 2:
         raise ValueError("p must be >= 2")
     if _contains_nonpositive_integer(x):
         raise BallDomainError("gamma argument contains a pole")
     re_mid = _re_mid_float(x)
     shift = math.floor(re_mid) - 1
+    if abs(shift) > _1F1_MAX_SHIFT:
+        raise BallDomainError("1F1 shifts the argument by over 2^20 factors")
     nbig, nsum = _gamma_1f1_params(p)
     wp = p + 64 + max(0, shift).bit_length() + nsum.bit_length()
     z = bl.n_add_int(x, -shift, wp)

@@ -118,12 +118,14 @@ def test_criterion_4_gamma_correctness():
     ok = ok and ok2
 
     for p in (1024, 16384, 110772):
+        tp = time.perf_counter()
         x = Ball.from_fraction(Fraction(5, 4), p)
         a = gamma_stirling(x, p)
         b = gamma_1f1(x, p)
         shared = min(a.rel_accuracy_bits(), b.rel_accuracy_bits())
         okp = a.overlaps(b) and shared >= p - 64
-        detail.append("p=%d overlap+acc>=p-64: %s (acc %d)" % (p, okp, shared))
+        detail.append("p=%d overlap+acc>=p-64: %s (acc %d) [%.1fs]"
+                      % (p, okp, shared, time.perf_counter() - tp))
         ok = ok and okp
     report(4, ok, "; ".join(detail) + " [%.0fs]" % (time.perf_counter() - t0))
 

@@ -185,3 +185,7 @@ class TestArguments:
     def test_gamma_beyond_float_range_exits_4(self, capsys):
         assert main(["gamma", "1e400"]) == 4
         assert main(["gamma", "1e400", "--method", "1f1"]) == 4
+
+    def test_gamma_1f1_long_shift_exits_4(self, capsys):
+        assert main(["gamma", "1e20", "--method", "1f1"]) == 4
+        assert "2^20" in capsys.readouterr().err

@@ -4,12 +4,14 @@ Bernoulli numbers, and both gamma algorithms at small/medium precision."""
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 import holoeval.balls as bl
+import holoeval.special as special
 from holoeval.balls import Ball, BallDomainError, ComplexBall
 from holoeval.engines import bivariate_delta, eval_dispatch
 from holoeval.poly import BiPoly
@@ -202,6 +204,99 @@ class TestBernoulli:
         with pytest.raises(ValueError, match="B_0"):
             BernoulliCache().load(path)
 
+    def test_load_refuses_a_numerator_off_by_its_denominator(self, tmp_path):
+        # B_14 = 7/6 saved as 13/6 passes the denominator, integrality and
+        # sign checks; only its magnitude gives it away
+        source = BernoulliCache()
+        source.ensure(40)
+        path = tmp_path / "bernoulli.txt"
+        source.save(path)
+        lines = path.read_text().splitlines()
+        assert lines[7] == "14 7 6"
+        lines[7] = "14 13 6"
+        path.write_text("\n".join(lines) + "\n")
+        cache = BernoulliCache()
+        cache.ensure(10)
+        before = [cache.get(k) for k in range(0, 11, 2)]
+        with pytest.raises(ValueError, match="B_14"):
+            cache.load(path)
+        assert [cache.get(k) for k in range(0, 11, 2)] == before
+        assert cache.max_index() == 10
+
+
+def triangle_bernoulli(upto_2n: int, monkeypatch) -> list:
+    """B_0 .. B_upto_2n from the tangent triangle alone."""
+    with monkeypatch.context() as m:
+        m.setattr(special, "_ZETA_FROM", 10 ** 9)
+        cache = BernoulliCache()
+        cache.ensure(upto_2n)
+    return [cache.get(k) for k in range(0, upto_2n + 1, 2)]
+
+
+class Spy:
+    """Wraps a function and records its first argument on each call."""
+
+    def __init__(self, fn):
+        self.fn, self.args = fn, []
+
+    def __call__(self, *args):
+        self.args.append(args[0])
+        return self.fn(*args)
+
+
+class TestBernoulliZeta:
+    """Above special._ZETA_FROM, BernoulliCache.ensure computes B_2k from
+    zeta(2k), from the top index down, and keeps an index only where a
+    proved error bound leaves one integer."""
+
+    def test_equals_the_triangle_up_to_1000(self, monkeypatch):
+        expected = triangle_bernoulli(2000, monkeypatch)
+        tangents = Spy(special._tangent_numbers)
+        monkeypatch.setattr(special, "_tangent_numbers", tangents)
+        cache = BernoulliCache()
+        cache.ensure(2000)
+        # the zeta path made every index above the crossover: no fallback
+        assert tangents.args == [special._ZETA_FROM]
+        assert [cache.get(k) for k in range(0, 2001, 2)] == expected
+        # highly composite 2k, where the denominator d_k jumps
+        for two_k in (720, 840):
+            d = cache.get(two_k).denominator
+            assert d == vsc_denominator(two_k)
+            assert d > 2 ** 40 * cache.get(two_k - 2).denominator
+
+    def test_no_guard_bits_falls_back_to_the_triangle(self, monkeypatch):
+        expected = triangle_bernoulli(800, monkeypatch)
+        tangents = Spy(special._tangent_numbers)
+        monkeypatch.setattr(special, "_tangent_numbers", tangents)
+        monkeypatch.setattr(special, "_ZETA_GUARD", 0)
+        cache = BernoulliCache()
+        cache.ensure(800)
+        assert tangents.args[0] > special._ZETA_FROM  # the bound failed
+        assert [cache.get(k) for k in range(0, 801, 2)] == expected
+
+    def test_extension_computes_only_the_new_indices(self, monkeypatch):
+        checked = Spy(special._check_bernoulli)
+        tangents = Spy(special._tangent_numbers)
+        monkeypatch.setattr(special, "_check_bernoulli", checked)
+        monkeypatch.setattr(special, "_tangent_numbers", tangents)
+        cache = BernoulliCache()
+        cache.ensure(1400)
+        assert checked.args == list(range(2, 1401, 2))
+        del checked.args[:], tangents.args[:]
+        cache.ensure(1480)
+        assert sorted(checked.args) == list(range(1402, 1481, 2))
+        assert tangents.args == []
+        fresh = BernoulliCache()
+        fresh.ensure(1480)
+        assert [cache.get(k) for k in range(0, 1481, 2)] == \
+            [fresh.get(k) for k in range(0, 1481, 2)]
+        # below the crossover the triangle reruns, for the new indices only
+        small = BernoulliCache()
+        small.ensure(40)
+        del checked.args[:]
+        small.ensure(60)
+        assert sorted(checked.args) == list(range(42, 61, 2))
+
 
 class TestBernoulliPersistence:
     def test_roundtrip_beyond_default_digit_limit(self, tmp_path):
@@ -296,6 +391,15 @@ class TestGamma:
                     gamma(x, 64)
         with pytest.raises(BallDomainError):
             gamma_stirling(Ball.from_int(10 ** 20), 64)
+
+    def test_1f1_refuses_a_long_shift(self):
+        # the shift into [1, 2] costs a rising factorial of about x factors
+        for x in (Ball.from_int(10 ** 20),
+                  Ball.from_fraction(Fraction(-2 * 10 ** 20 + 1, 2), 128)):
+            t0 = time.perf_counter()
+            with pytest.raises(BallDomainError):
+                gamma_1f1(x, 64)
+            assert time.perf_counter() - t0 < 1
 
     def test_gamma2_is_one(self):
         assert gamma_1f1(Ball.from_int(2), 128).contains(1)
