@@ -5,6 +5,7 @@ with argument reduction, and a confluent hypergeometric partial sum).
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -156,7 +157,7 @@ def _fixed(b: Ball, q: int):
     """(m, e) with |b 2^q - m| <= e: b in fixed point with q fraction bits."""
     s, t = b.exp + q, b.re + q
     return (b.man << s if s >= 0 else b.man >> -s,
-            (b.rm << t if t >= 0 else b.rm >> -t) + 2)
+            (b.rm << t if t >= 0 else -(-b.rm >> -t)) + (s < 0))
 
 
 def _bernoulli_zeta(top: int, bottom: int, primes):
@@ -208,8 +209,11 @@ def _bernoulli_zeta(top: int, bottom: int, primes):
         z = sum(term[1] for term in terms) + (1 << (P - 2 * k))
         ez = (sum(term[2] for term in terms) + 1
               + (t + e) * (2 * k + 1 + math.isqrt(n2)) // (2 * k - 1))
-        m = (1 << 2 * k) - 1  # (S + 2^-2k) / (1 - 2^-2k) = zeta(2k) - 1
-        z, ez = z + z // m, ez + ez // m + 2
+        # (S + 2^-2k) / (1 - 2^-2k) = zeta(2k) - 1: z / (2^2k - 1) is the
+        # sum of the shifts z >> 2kj, each one unit low, and a rest below 2
+        shifts = range(2 * k, z.bit_length(), 2 * k)
+        z, ez = (z + sum(z >> j for j in shifts),
+                 ez + (ez >> (2 * k - 1)) + len(shifts) + 3)
         h = ((g >> 2 * k) * z) >> (P - 2 * k)
         eh = ((eg * (z + ez) + g * ez + (z << 2 * k)) >> P) + 2
         d = math.prod(primes[k])
@@ -275,9 +279,9 @@ class BernoulliCache:
 
     def load(self, path) -> None:
         """Replace the cache by the numbers in the file when they reach
-        further and leave no hole.  The file is untrusted: the first entry
-        that cannot be a Bernoulli number raises ValueError, and the cache
-        stays as it was."""
+        further and leave no hole.  The file is untrusted: a file with a
+        hole is ignored, the first entry that cannot be a Bernoulli number
+        raises ValueError, and either way the cache stays as it was."""
         entries = {}
         with open(path) as fh:
             for line in fh:
@@ -291,25 +295,21 @@ class BernoulliCache:
                 entries[k] = Fraction(bl._str_to_int(num_s),
                                       bl._str_to_int(den_s))
         top = max(entries) if entries else -1
+        if len(entries) != top // 2 + 1:
+            return  # a hole: refuse the file before any work its top sets
         primes = _vsc_primes(max(top, 0) // 2)
         c = bl.mul_2exp(bl.mul(bl.pi(64), bl.pi(64), 64), 2)  # (2 pi)^2
-        g, gk = Ball.from_int(2), 0  # 2 gk! / (2 pi)^gk, up to the first hole
-        for k in sorted(entries):
+        g = Ball.from_int(2)  # 2 k! / (2 pi)^k
+        for k in range(0, top + 2, 2):
             _check_bernoulli(k, entries[k], primes[k // 2])
-            if k == gk + 2:  # |B_k| = g zeta(k), zeta(k) in [1, 1 + 2^(2-k)]
-                g, gk = bl.div(bl.mul_int(g, k * (k - 1), 64), c, 64), k
+            if k:  # |B_k| = g zeta(k), zeta(k) in [1, 1 + 2^(2-k)]
+                g = bl.div(bl.mul_int(g, k * (k - 1), 64), c, 64)
                 if not bl.mul(g, Ball((1 << (k - 1)) + 1, 1 - k, 1, 1 - k),
                               64).contains(abs(entries[k])):
                     raise ValueError("|B_%d| in the file is out of range" % k)
         with self._lock:
-            if top < self.max_index():
-                return
-            new = []
-            for k in range(0, top + 2, 2):
-                if k not in entries:
-                    return  # refuse holes; keep current cache
-                new.append(entries[k])
-            self._even = new
+            if top >= self.max_index():
+                self._even = [entries[k] for k in range(0, top + 2, 2)]
 
 
 _shared_bernoulli = BernoulliCache()
@@ -381,15 +381,26 @@ def _sec_half_arg_factor(w) -> float:
 
 def _stirling_nterms_float(t: float, secfac: float, target_bits: int,
                            nmax: int) -> int | None:
-    """Smallest N with the float model of the remainder below 2^-target."""
-    log2 = math.log(2)
-    for nn in range(1, nmax + 1):
+    """Smallest N <= nmax with the float model of the remainder below
+    2^-target.  The model's first difference, log(2N (2N-1)) - 2 log(2 pi t)
+    + log secfac, grows with N, so that N lies where the model still falls,
+    and a doubling search with bisection finds the first N that is below
+    the target or past the model's minimum."""
+    def below(nn):
         val = (math.log(2 * 1.645) + math.lgamma(2 * nn + 1)
                - 2 * nn * math.log(2 * math.pi) - (2 * nn - 1) * math.log(t)
                - math.log(2 * nn * (2 * nn - 1)) + nn * math.log(secfac))
-        if val / log2 < -(target_bits + 4):
-            return nn
-    return None
+        return val / math.log(2) < -(target_bits + 4)
+
+    def stop(nn):
+        return below(nn) or (math.log(2 * nn * (2 * nn - 1)) + math.log(secfac)
+                             >= 2 * math.log(2 * math.pi * t))
+    lo, hi = 0, 1
+    while hi < nmax and not stop(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, nmax)
+    nn = bisect.bisect_left(range(lo + 1, hi + 1), True, key=stop) + lo + 1
+    return nn if nn <= hi and below(nn) else None
 
 
 def _stirling_remainder_bound(w, nterms: int):
@@ -471,35 +482,48 @@ def stirling_params(x, p: int) -> StirlingParams:
     return StirlingParams(p=p, n=n, nterms=nterms)
 
 
-def _stirling_series(w, nterms: int, wp: int, cache: BernoulliCache):
-    """sum_{k=1}^{N-1} c_k / w^(2k-1) with c_k = B_2k / (2k (2k-1)), by
-    Horner in 1/w^2.  Step k carries the terms from k on, whose sum is near
-    c_k / w^(2k-1): drop_k bits below the leading c_1 / w, so the step runs
-    at wp - drop_k plus guard bits.  The drop is estimated with Re w <= |w|,
-    which never overstates it; for Re w <= 1 every step runs at wp."""
-    if nterms <= 1:
-        return bl.n_zero(w)
-    re = bl.n_real(w).mid_float()
-    log2w = math.log2(re) if re > 1 else None
+def _stirling_series(y, nterms: int, wp: int, log2w, cache: BernoulliCache):
+    """sum_{k=1}^{N-1} c_k y^(k-1) with c_k = B_2k / (2k (2k-1)), by Horner
+    on integers in fixed point.  For y = 1/w^2 step k carries the terms from
+    k on, whose sum is near c_k / w^(2k-2): drop_k bits below the leading
+    c_1, so c_k gets prec_k = wp - drop_k plus guard bits, and the step runs
+    at c_k's last place.  The drop is estimated with log2w = log2 Re w <=
+    log2 |w|, which never overstates it; with log2w None every step runs at
+    wp.  acc and y are lists of parts (one real, two for re and im) with
+    one count of the error of each part in units of the last place."""
+    parts = (y.re, y.im) if isinstance(y, ComplexBall) else (y,)
+    fy = wp - max((b.exp + b.man.bit_length() for b in parts if b.man),
+                  default=0)
+    ys = [_fixed(b, fy) for b in parts]
+    ey, ys = max(e for _, e in ys), [m for m, _ in ys]
+    ybits = max(v.bit_length() for v in ys)
     guard = 16 + nterms.bit_length()
-    wsq_inv = bl.n_div(bl.n_one(w), bl.n_mul(w, w, wp), wp)
-    acc = None
+    acc, e, f = [0] * len(ys), 0, 0
     for k in range(nterms - 1, 0, -1):
         b = cache.get(2 * k)
-        den = 2 * k * (2 * k - 1)
+        num, d = b.numerator, b.denominator * 2 * k * (2 * k - 1)
         prec = wp
         if log2w is not None:
-            log2ck = (b.numerator.bit_length() - b.denominator.bit_length()
-                      - math.log2(den))
+            log2ck = (num.bit_length() - b.denominator.bit_length()
+                      - math.log2(2 * k * (2 * k - 1)))
             drop = -math.log2(12) - log2ck + (2 * k - 2) * log2w
             prec = min(wp, max(64, wp - int(drop) + guard))
-        ck = bl.n_from_ball(bl.div_int(Ball.from_fraction(b, prec), den, prec), w)
-        if acc is None:
-            acc = ck
-        else:
-            acc = bl.n_mul(acc, bl.n_reduce(wsq_inv, prec), prec)
-            acc = bl.n_add(acc, ck, prec)
-    return bl.n_div(acc, w, wp)
+        fk = prec - num.bit_length() + d.bit_length()  # c_k 2^fk has prec bits
+        if k < nterms - 1:  # acc y, y cut to prec bits, at 2^-fk
+            s = max(0, ybits - prec)
+            yk, eyk = [v >> s for v in ys], -(-ey >> s) + (s > 0)
+            fk = min(fk, f + fy - s)
+            prod = ([acc[0] * yk[0] - acc[1] * yk[1], acc[0] * yk[1]
+                     + acc[1] * yk[0]] if len(yk) == 2 else [acc[0] * yk[0]])
+            err = (sum(map(abs, acc)) * eyk
+                   + e * (sum(map(abs, yk)) + len(yk) * eyk))
+            t = f + fy - s - fk
+            acc, e = [v >> t for v in prod], -(-err >> t) + (t > 0)
+        # floor(c_k 2^fk); for fk < 0 the shift first keeps the divisor small
+        acc[0] += (num << fk) // d if fk >= 0 else (num >> -fk) // d
+        e, f = e + 1, fk
+    out = [bl._make(v, -f, *bl._u_from_abs(e, -f), wp) for v in acc]
+    return ComplexBall(*out) if len(out) == 2 else out[0]
 
 
 def log_gamma_stirling(w, nterms: int, wp: int,
@@ -518,7 +542,11 @@ def log_gamma_stirling(w, nterms: int, wp: int,
     out = bl.n_sub(out, w, wp)
     l2pi_half = bl.mul_2exp(bl.log_2pi(wp), -1)
     out = bl.n_add(out, bl.n_from_ball(l2pi_half, w), wp)
-    out = bl.n_add(out, _stirling_series(w, nterms, wp, cache), wp)
+    re = bl.n_real(w).mid_float()
+    log2w = math.log2(re) if re > 1 else None
+    y = bl.n_div(bl.n_one(w), bl.n_mul(w, w, wp), wp)
+    series = _stirling_series(y, nterms, wp, log2w, cache)
+    out = bl.n_add(out, bl.n_div(series, w, wp), wp)
     return bl.n_widen(out, *rad)
 
 

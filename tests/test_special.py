@@ -223,6 +223,19 @@ class TestBernoulli:
         assert [cache.get(k) for k in range(0, 11, 2)] == before
         assert cache.max_index() == 10
 
+    def test_load_refuses_a_hole_before_sizing_by_the_top(self, tmp_path):
+        # the untrusted top index 2000000 must not size the prime sieve
+        path = tmp_path / "bernoulli.txt"
+        path.write_text("0 1 1\n2000000 1 6\n")
+        cache = BernoulliCache()
+        cache.ensure(10)
+        before = [cache.get(k) for k in range(0, 11, 2)]
+        t0 = time.perf_counter()
+        cache.load(path)
+        assert time.perf_counter() - t0 < 0.2
+        assert cache.max_index() == 10
+        assert [cache.get(k) for k in range(0, 11, 2)] == before
+
 
 def triangle_bernoulli(upto_2n: int, monkeypatch) -> list:
     """B_0 .. B_upto_2n from the tangent triangle alone."""
@@ -335,6 +348,27 @@ class TestStirlingParams:
         assert sp.nterms <= NTERMS_AT_022P[p]
         w = bl.add_int(Ball.from_int(1), sp.n, 64)
         assert _stirling_remainder_ok(w, sp.nterms, p)
+
+    def test_nterms_bisection_equals_the_scan(self):
+        # the first N of the float model below the target, by a plain scan
+        def scan(t, secfac, target, nmax):
+            for nn in range(1, nmax + 1):
+                val = (math.log(2 * 1.645) + math.lgamma(2 * nn + 1)
+                       - 2 * nn * math.log(2 * math.pi)
+                       - (2 * nn - 1) * math.log(t)
+                       - math.log(2 * nn * (2 * nn - 1))
+                       + nn * math.log(secfac))
+                if val / math.log(2) < -(target + 4):
+                    return nn
+            return None
+
+        for target in (2, 8, 64, 333, 1024, 4096, 8192, 16384):
+            nmax = max(16 * special._bernoulli_cap(target), target)
+            for t in {max(4.0, c * target) for c in (0, 0.1, 0.5, 0.52)}:
+                for secfac in (1.0, 1.3, 4.0, math.inf):
+                    assert (special._stirling_nterms_float(t, secfac, target,
+                                                           nmax)
+                            == scan(t, secfac, target, nmax)), (t, secfac)
 
     def test_no_shift_needed(self):
         sp = stirling_params(Ball.from_int(10), 8)
@@ -507,6 +541,55 @@ class TestStirlingAccuracy:
             pairs = ((a.re, b.re), (a.im, b.im)) if im else ((a, b),)
             for u, v in pairs:
                 assert (u.man, u.exp, u.rm, u.re) == (v.man, v.exp, v.rm, v.re)
+
+
+# w of the fixed-point Horner test: (Re w, Im w)
+HORNER_W = ((Fraction(1000, 3), 0), (Fraction(4099, 4), 0),
+            (Fraction(10 ** 6, 7), 0), (Fraction(55, 7), 0),
+            (Fraction(55, 7), Fraction(-3, 2)))
+
+
+def _horner_exact(cache, nterms, y):
+    """sum_{k=1}^{N-1} c_k y^(k-1) for a complex rational y = (re, im)."""
+    re, im = Fraction(0), Fraction(0)
+    yr, yi = y
+    for k in range(nterms - 1, 0, -1):
+        re, im = re * yr - im * yi, re * yi + im * yr
+        re += cache.get(2 * k) / (2 * k * (2 * k - 1))
+    return re, im
+
+
+class TestStirlingHorner:
+    """special._stirling_series alone, before the division by w, which
+    swamps the loop's own error: the ball of the raw sum contains the exact
+    sum at both ends and the middle of each part of y."""
+
+    @pytest.mark.parametrize("rad_exp", [None, -51])  # exact, 2^-50 wide
+    @pytest.mark.parametrize("p", [64, 128, 333])
+    @pytest.mark.parametrize("w", HORNER_W, ids=str)
+    def test_contains_the_exact_sum(self, w, p, rad_exp):
+        cache = bernoulli_even(60, BernoulliCache())
+        re_w, im_w = w
+        mod2 = re_w * re_w + im_w * im_w  # 1/w^2 = conj(w)^2 / |w|^4
+        exact = ((re_w * re_w - im_w * im_w) / mod2 ** 2,
+                 -2 * re_w * im_w / mod2 ** 2)
+        parts = []
+        for q in exact[:2 if im_w else 1]:
+            b = Ball.from_fraction(q, p)
+            parts.append(Ball(b.man, b.exp, *((1, rad_exp) if rad_exp
+                                              else (0, 0))))
+        y = ComplexBall(*parts) if im_w else parts[0]
+        grids = [sorted({b.mid_fraction() + s * b.rad_fraction()
+                         for s in (-1, 0, 1)}) for b in parts] + [[0]]
+        for nterms in (5, 13, 30):
+            out = special._stirling_series(y, nterms, p, math.log2(re_w),
+                                           cache)
+            out_parts = (out.re, out.im) if im_w else (out,)
+            for yr in grids[0]:
+                for yi in grids[1]:
+                    value = _horner_exact(cache, nterms, (yr, yi))
+                    for part, v in zip(out_parts, value):
+                        assert part.contains(v), (w, p, rad_exp, nterms, yr, yi)
 
 
 class TestGammaSweep:
