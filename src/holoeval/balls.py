@@ -127,23 +127,18 @@ def _rad_div_upper(num_rm, num_re, den_lm, den_le):
 
 def _round_man(man, exp: int, p: int):
     """Round man*2**exp to p mantissa bits; returns man, exp and error radius."""
-    bl = man.bit_length()
-    if bl <= p:
+    s = man.bit_length() - p
+    if s <= 0:
         return man, exp, 0, 0
-    tz = (man & -man).bit_length() - 1
-    if tz:
-        man >>= tz
-        exp += tz
-        bl -= tz
-        if bl <= p:
-            return man, exp, 0, 0
-    s = bl - p
-    half = _ONE << (s - 1)
-    if man >= 0:
-        q = (man + half) >> s
-    else:
-        q = -((-man + half) >> s)
-    return q, exp + s, 1, exp + s - 1
+    a = -man if man < 0 else man
+    low = a & ((_ONE << s) - 1)
+    if not low:
+        # the s dropped bits are zero: exact, with the trailing zeros gone
+        tz = (a & -a).bit_length() - 1
+        return man >> tz, exp + tz, 0, 0
+    # round half away from zero on the dropped bits alone
+    q = (a >> s) + (low >> (s - 1))
+    return (-q if man < 0 else q), exp + s, 1, exp + s - 1
 
 
 class Ball:

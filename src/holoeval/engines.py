@@ -24,12 +24,17 @@ The engine loop
 Every engine runs in one driver, _run.  The engine builds its power table
 and hands over the number of factors its giant steps cover and the steps
 themselves, ball matrices S in order; the driver makes V <- S V for each
-(one nonscalar matrix product, none for the first) and then multiplies in
-the factors left over one at a time through the table.  Giant steps that
-are exact subproducts over Z[x] all come from _subproduct_steps, which
-evaluates each entry by Paterson-Stockmeyer (_ps_eval); rows as long as
-the table make that one fused dot.  The denominator product of an
-x-dependent denominator is the same loop on the 1 x 1 matrix [q].
+(one matrix product, none for the first) and then multiplies in the
+factors left over one at a time through the table.  For one row r of the
+product the order turns round: the leftover factors from i = n - 1 down,
+then the steps last first, each R <- R S from R = row r of the first.
+ball_mat_mul makes no product with an exact-zero factor, so on the 1F1
+matrix [[a, b], [0, N^m]] a step costs R0 a, R0 b and R1 N^m, two p x p
+products where S V makes three.  Giant steps that are exact subproducts
+over Z[x] all come from _subproduct_steps, which evaluates each entry by
+Paterson-Stockmeyer (_ps_eval); rows as long as the table make that one
+fused dot.  The denominator product of an x-dependent denominator is the
+same loop on the 1 x 1 matrix [q].
 
 rect-split's giant steps
 ------------------------
@@ -44,9 +49,12 @@ U_0, streamed one entry at a time; their exact forward differences then
 give each later step with D big-integer additions per sum and no dot,
 bit-identical to the dot of the exact product.  Without the symmetry,
 with coefficients of both signs, or when the powers of z have no
-fixed-point form, every step is that exact product.  OpCounter.giant_step
-records which of the two updates ran.  On a shift-symmetric matrix of
-order >= 2, choose_m takes the longer step m = p^0.4, whatever z.
+fixed-point form, every step is that exact product.  For the steps last
+first, the table starts from U_0(x + (w-1) m) with shifts by -m: every
+value is still U_0 shifted by i m >= 0, and each step's ball is
+bit-identical to the forward one.  OpCounter.giant_step records which of
+the two updates ran.  On a shift-symmetric matrix of order >= 2, choose_m
+takes the longer step m = p^0.4, whatever z.
 """
 
 from __future__ import annotations
@@ -75,7 +83,8 @@ DEFAULT_THRESHOLDS = (32, 1000)
 
 @dataclass
 class OpCounter:
-    """Instrumentation for one evaluation."""
+    """Instrumentation for one evaluation.  nonscalar counts the ball x
+    ball products made: ball_mat_mul makes none with an exact-zero factor."""
 
     nonscalar: int = 0
     scalar: int = 0
@@ -142,8 +151,8 @@ def choose_m(algorithm: str, n: int, p: int, zbits: int = 0, r: int = 1):
         c = 0.5 if 2 * zbits > p else 0.2
         if algorithm == "rect-split" and r > 1:
             # with rect-split's difference table a giant step of a
-            # shift-symmetric matrix costs r^3 nonscalar products and
-            # O(r^2 m) additions, so the step grows to p^0.4 whatever z
+            # shift-symmetric matrix costs at most r^3 nonscalar products
+            # and O(r^2 m) additions, so the step grows to p^0.4 whatever z
             c = 1.0
         m = int(min(c * p ** 0.4, n ** 0.5))
     else:
@@ -225,18 +234,31 @@ def ball_identity(r: int, like):
 
 
 def ball_mat_mul(A, B, p, counter: OpCounter | None = None):
-    r = len(A)
+    """A B for an r x r ball matrix B and A an r x r matrix or a 1 x r row.
+    A product with an exact-zero factor is not made: the exact zero that
+    n_mul would give takes its place in the sum, so the result is the dense
+    product's, bit for bit."""
+    zero = bl.n_zero(B[0][0])
+    r = len(B)
+    bnz = [[not _ball_is_exact_zero(b) for b in brow] for brow in B]
+    made = 0
     out = []
-    for i in range(r):
+    for arow in A:
+        anz = [not _ball_is_exact_zero(a) for a in arow]
         row = []
         for j in range(r):
-            acc = bl.n_mul(A[i][0], B[0][j], p)
-            for t in range(1, r):
-                acc = bl.n_add(acc, bl.n_mul(A[i][t], B[t][j], p), p)
+            acc = None
+            for t in range(r):
+                if anz[t] and bnz[t][j]:
+                    x = bl.n_mul(arow[t], B[t][j], p)
+                    made += 1
+                else:
+                    x = zero
+                acc = x if acc is None else bl.n_add(acc, x, p)
             row.append(acc)
         out.append(row)
     if counter is not None:
-        counter.nonscalar += r * r * r
+        counter.nonscalar += made
     return out
 
 
@@ -303,21 +325,32 @@ def _find_zero_index(M: RecMatrix, z, n: int, p: int):
 # the engines (numerator products)
 # ---------------------------------------------------------------------------
 
-def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
-    """prod_{i<n} M(z, i), the loop of every engine.  The engine gives its
-    power table, the number of factors its giant steps cover and the steps
-    themselves (ball matrices, in order); each step S makes V <- S V with
-    one nonscalar matrix product (the first step is V), and the factors
-    left over follow one at a time through the table."""
+def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
+         row: int | None = None):
+    """P = prod_{i<n} M(z, i), the loop of every engine, or with row = r
+    only its row r as a 1 x r matrix.  The engine gives its power table,
+    the number of factors its giant steps cover and the steps themselves
+    (ball matrices, in order, or last first for a row); the factors left
+    over go through the table one at a time.  Each factor S makes one
+    matrix product, V <- S V, or R <- R S for the row, from i = n - 1
+    down; the first factor is V (its row r is R)."""
     if not n:
-        return ball_identity(M.r, z)
+        one = ball_identity(M.r, z)
+        return one if row is None else [one[row]]
     p = plan.work_prec
-    table, covered, steps = _ENGINES[plan.algorithm](M, z, n, plan, counter)
-    tail = ([[table.eval_int_poly(e.coeffs, p, counter) for e in row]
-             for row in _factor(M, i, counter)] for i in range(covered, n))
+    table, covered, steps = _ENGINES[plan.algorithm](M, z, n, plan, counter,
+                                                    row is not None)
+    left = range(covered, n)
+    tail = ([[table.eval_int_poly(e.coeffs, p, counter) for e in r]
+             for r in _factor(M, i, counter)]
+            for i in (left if row is None else reversed(left)))
     V = None
-    for S in chain(steps, tail):
-        V = S if V is None else ball_mat_mul(S, V, p, counter)
+    if row is None:
+        for S in chain(steps, tail):
+            V = S if V is None else ball_mat_mul(S, V, p, counter)
+        return V
+    for S in chain(tail, steps):
+        V = [S[row]] if V is None else ball_mat_mul(V, S, p, counter)
     return V
 
 
@@ -334,19 +367,19 @@ def _exact_product(M: RecMatrix, start: int, count: int, counter: OpCounter):
         [_factor(M, i, counter) for i in range(start, start + count)])
 
 
-def _subproduct_steps(M, length, w, table, row, p, counter, U=None):
-    """The giant steps U_i(z), i < w, with U_i the exact product of the
-    length factors from i * length on (U_0 = U when given), each entry
+def _subproduct_steps(M, length, order, table, row, p, counter, U=None):
+    """The giant steps U_i(z) for i in order, with U_i the exact product of
+    the length factors from i * length on (U_0 = U when given), each entry
     evaluated by _ps_eval in rows of row coefficients: row = table.D + 1
     makes it one fused dot."""
-    for i in range(w):
-        if U is None:
-            U = _exact_product(M, i * length, length, counter)
-        live = sum(len(e.coeffs) for r in U for e in r)
+    for i in order:
+        Ui = (U if i == 0 and U is not None
+              else _exact_product(M, i * length, length, counter))
+        live = sum(len(e.coeffs) for r in Ui for e in r)
         counter.note_live_coeffs(live + table.D + 1)
         yield [[_ps_eval(e.coeffs, table, row, p, counter) for e in r]
-               for r in U]
-        U = None
+               for r in Ui]
+        Ui = None
 
 
 def _ps_eval(coeffs, table: PowerTable, m: int, p: int, counter: OpCounter):
@@ -361,22 +394,24 @@ def _ps_eval(coeffs, table: PowerTable, m: int, p: int, counter: OpCounter):
     return acc
 
 
-def _naive(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
+def _naive(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
+           reverse: bool):
     return PowerTable(z, M.deg_x(), plan.work_prec, counter), 0, ()
 
 
 def _binsplit_exact(M: RecMatrix, z, n: int, plan: EvalPlan,
-                    counter: OpCounter):
+                    counter: OpCounter, reverse: bool):
     U = _exact_product(M, 0, n, counter)
     counter.coeff += sum(len(e.coeffs) for row in U for e in row)
     deg = max(e.degree() for row in U for e in row)
     m = max(1, math.isqrt(max(deg, 0)) + 1)
     table = PowerTable(z, m, plan.work_prec, counter)
-    return table, n, _subproduct_steps(M, n, 1, table, m, plan.work_prec,
+    return table, n, _subproduct_steps(M, n, (0,), table, m, plan.work_prec,
                                        counter, U)
 
 
-def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
+def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
+                reverse: bool):
     p = plan.work_prec
     m = plan.m
     w = n // m
@@ -388,8 +423,8 @@ def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     tmats = [base] + [[[_bp_shift(e, j, p, counter) for e in row]
                        for row in base] for j in range(1, m)]
     U = _bpmat_binsplit(tmats, 0, m, p, counter)
-    points = [i * m for i in range(w)]
-    return xtable, m * w, _bpmat_multipoint(U, points, p, counter, z)
+    steps = _bpmat_multipoint(U, [i * m for i in range(w)], p, counter, z)
+    return xtable, m * w, steps[::-1] if reverse else steps
 
 
 def _substitute_x(M: RecMatrix, xtable: PowerTable, p, counter):
@@ -505,15 +540,22 @@ def _bpmat_multipoint(U, points, p, counter, like):
     return out
 
 
-def _rect_ps(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
+def _order(w: int, reverse: bool):
+    return range(w - 1, -1, -1) if reverse else range(w)
+
+
+def _rect_ps(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
+             reverse: bool):
     subn = plan.subn or n
     w = n // subn
     table = PowerTable(z, max(plan.m, M.deg_x()), plan.work_prec, counter)
-    return table, subn * w, _subproduct_steps(M, subn, w, table, plan.m,
-                                              plan.work_prec, counter)
+    return table, subn * w, _subproduct_steps(M, subn, _order(w, reverse),
+                                              table, plan.m, plan.work_prec,
+                                              counter)
 
 
-def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
+def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
+                reverse: bool):
     p = plan.work_prec
     m = plan.m
     w = n // m
@@ -522,39 +564,42 @@ def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     if not w:
         return table, 0, ()
     U = _exact_product(M, 0, m, counter)
-    diffs = (_difference_table(U, m, w, table, counter)
+    diffs = (_difference_table(U, m, w, table, counter, reverse)
              if M.shift_symmetry_holds() else None)
     if diffs is not None:
         counter.giant_step = "difference table"
         return table, m * w, _difference_steps(diffs, w, table, p, counter)
     counter.giant_step = "exact product"
-    return table, m * w, _subproduct_steps(M, m, w, table, table.D + 1, p,
-                                           counter, U)
+    return table, m * w, _subproduct_steps(M, m, _order(w, reverse), table,
+                                           table.D + 1, p, counter, U)
 
 
-def _difference_table(U, m, w, table, counter):
+def _difference_table(U, m, w, table, counter, reverse):
     """Forward differences in i of the integer sums (bl.n_dot_sums) behind
     the fused dots of the giant steps U_i(z) = U_0(z + i m): per entry of
     U_0 and per sum, [Delta^0, Delta^1, ...] at i = 0, with trailing zero
-    differences dropped.  An entry of degree d gives min(d + 1, w) sums:
-    the differences of any w values give those w values back exactly.
-    None where a sum need not be a polynomial in i (an entry's
-    coefficients change sign, so its radius sum over |c_j| is not) or
-    there is no fixed-point form."""
+    differences dropped; reversed, the differences in w - 1 - i at
+    i = w - 1, from U_0(x + (w-1) m) and shifts by -m.  An entry of degree
+    d gives min(d + 1, w) sums: the differences of any w values give those
+    w values back exactly.  None where a sum need not be a polynomial in i
+    (an entry's coefficients change sign, so its radius sum over |c_j| is
+    not) or there is no fixed-point form."""
     fix = table._fix
     if fix is None or any(min(e.coeffs) < 0 < max(e.coeffs)
                           for row in U for e in row if e.coeffs):
         return None
+    start, step = ((w - 1) * m, -m) if reverse else (0, m)
     diffs = []
     for row in U:
         drow = []
         for e in row:
-            # the sums at i = 0, 1, ..., one Taylor shift apart: only one
-            # shifted polynomial is live at a time
+            # the sums at i = 0, 1, ... (or w - 1, w - 2, ...), one Taylor
+            # shift apart: only one shifted polynomial is live at a time
             vals = []
             for i in range(max(1, min(len(e.coeffs), w))):
-                if i:
-                    e = taylor_shift_basecase(e, m)
+                shift = step if i else start
+                if shift:
+                    e = taylor_shift_basecase(e, shift)
                     counter.coeff += len(e.coeffs) ** 2
                 vals.append(bl.n_dot_sums(e.coeffs, fix))
                 counter.scalar += len(e.coeffs) - e.coeffs.count(0)
@@ -574,10 +619,10 @@ def _difference_table(U, m, w, table, counter):
 
 
 def _difference_steps(diffs, w, table, p, counter):
-    """The giant steps S_i = U_i(z), i < w, from the difference table: one
+    """The w giant steps S_i = U_i(z) from the difference table: one
     rounding per part of each entry, then Delta^j <- Delta^j + Delta^(j+1)
     for j = 0, 1, ... (exact integer additions, counted as scalar
-    operations) moves every sum from i to i + 1."""
+    operations) moves every sum on to the next step."""
     fix = table._fix
     for i in range(w):
         yield [[bl.n_ball_from_sums([s[0] for s in seqs], fix, p)
@@ -591,12 +636,16 @@ def _difference_steps(diffs, w, table, p, counter):
                         counter.scalar += len(s) - 1
 
 
-def _rect_delta(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
+def _rect_delta(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
+                reverse: bool):
     m = plan.m
     dx = M.deg_x()
     table = PowerTable(z, max(m * dx, dx), plan.work_prec, counter)
-    return table, n // m * m, _delta_steps(M, m, n // m, table,
-                                           plan.work_prec, counter)
+    steps = _delta_steps(M, m, n // m, table, plan.work_prec, counter)
+    # last first, the steps are still made in order and then held: the
+    # backward update S_i - Delta_m would subtract from the largest step
+    # and lose the bits of its ratio to the smallest
+    return table, n // m * m, list(steps)[::-1] if reverse else steps
 
 
 def _delta_steps(M, m, w, table, p, counter):
@@ -606,7 +655,7 @@ def _delta_steps(M, m, w, table, p, counter):
     later nonscalar product), then S_{i+1} = S_i + Delta_m(z, i m)."""
     if not w:
         return
-    S, = _subproduct_steps(M, m, 1, table, table.D + 1, p, counter)
+    S, = _subproduct_steps(M, m, (0,), table, table.D + 1, p, counter)
     yield S
     delta = bivariate_delta(M, m, counter) if w > 1 else []
     step_coeff = sum(len(kr) for row in delta for e in row for kr in e.grid)
@@ -664,10 +713,10 @@ def _is_one(v) -> bool:
 
 
 def eval_dispatch(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
-                  m: int | None = None) -> EvalReport:
+                  m: int | None = None, row: int | None = None) -> EvalReport:
     """The entry point of every engine: select a plan (unless overridden),
     run the engine and report the divided product with the achieved
-    accuracy."""
+    accuracy; with row = r, only row r of it, as a 1 x r matrix."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if p < 2:
@@ -679,12 +728,12 @@ def eval_dispatch(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
                 and M.shift_symmetry_holds()) else 1
     plan = make_plan(algorithm, n, p, m=m, zbits=mantissa_bits(z), r=r)
     counter = OpCounter()
-    num = _run(M, z, n, plan, counter)
+    num = _run(M, z, n, plan, counter, row)
     den = _den_product(M, z, n, plan, counter)
     mat = num
     if not _is_one(den):
-        mat = [[bl.n_div(e, den, plan.work_prec) for e in row] for row in num]
-        counter.nonscalar += M.r * M.r
-    mat = [[bl.n_reduce(e, p) for e in row] for row in mat]
-    acc = min(min(e.rel_accuracy_bits() for e in row) for row in mat)
+        mat = [[bl.n_div(e, den, plan.work_prec) for e in r] for r in num]
+        counter.nonscalar += len(num) * M.r
+    mat = [[bl.n_reduce(e, p) for e in r] for r in mat]
+    acc = min(min(e.rel_accuracy_bits() for e in r) for r in mat)
     return EvalReport(mat, num, den, plan, counter, min(acc, p))

@@ -609,12 +609,12 @@ def gamma_1f1(x, p: int):
     if not bl.n_real(z).is_positive():
         raise BallDomainError("argument too wide to shift into [1, 2]")
     M = hyp1f1_gamma_matrix(nbig)
-    rep = eval_dispatch(M, z, nsum + 1, wp)
-    pmat = rep.matrix
-    q00 = pmat[0][0]
+    # row 0 of the product is enough: its lower-right entry is N^(nsum+1)
+    q00, s_num = eval_dispatch(M, z, nsum + 1, wp, row=0).matrix[0]
     zq = bl.n_mul(z, q00, wp)
-    s_n = bl.n_div(pmat[0][1], zq, wp)
-    t_next = bl.n_div(pmat[1][1], zq, wp)
+    s_n = bl.n_div(s_num, zq, wp)
+    nterm = bl.pow_int(Ball.from_int(nbig), nsum + 1, wp)
+    t_next = bl.n_div(bl.n_from_ball(nterm, z), zq, wp)
     # tail of the series: |sum_{k>n} t_k| <= 2 |t_{n+1}| once the term
     # ratio N/(z+k+1) has dropped below 1/2 (guaranteed by nsum >= 2N+8)
     tail = _tail_ball(t_next, z)

@@ -143,6 +143,42 @@ class TestContainmentProperty:
         assert worse <= trials // 10
 
 
+def _round_man_reference(man, exp, p):
+    """The rounding of balls._round_man in its first form: trailing zeros
+    stripped from the whole mantissa, then (|man| + half) >> s."""
+    bits = man.bit_length()
+    if bits <= p:
+        return man, exp, 0, 0
+    tz = (man & -man).bit_length() - 1
+    if tz:
+        man >>= tz
+        exp += tz
+        bits -= tz
+        if bits <= p:
+            return man, exp, 0, 0
+    s = bits - p
+    half = 1 << (s - 1)
+    q = (man + half) >> s if man >= 0 else -((-man + half) >> s)
+    return q, exp + s, 1, exp + s - 1
+
+
+# mantissas with long runs of trailing zeros, and runs of ones that carry
+# into a new top bit when rounded up
+_MANTISSAS = st.builds(
+    lambda body, tz, neg: (-1 if neg else 1) * (body << tz),
+    st.one_of(st.integers(0, 1 << 400),
+              st.integers(1, 400).map(lambda k: (1 << k) - 1)),
+    st.integers(0, 300), st.booleans())
+
+
+class TestRounding:
+    @given(_MANTISSAS, st.integers(-500, 500), st.integers(1, 300))
+    @settings(max_examples=400, deadline=None)
+    def test_round_man_matches_the_reference(self, man, exp, p):
+        got = bl._round_man(bl._Z(man), exp, p)
+        assert [int(v) for v in got] == list(_round_man_reference(man, exp, p))
+
+
 class TestComplex:
     def test_mul_contains(self):
         z = ComplexBall(frac_ball(Fraction(1, 3)), frac_ball(Fraction(1, 7)))

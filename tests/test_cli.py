@@ -129,6 +129,9 @@ class TestCommands:
         assert main(["gamma", "1.25", "--digits", "50", "--method", "1f1"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("0.90640247705547707")
+        # the digits and radius printed when 1F1 took the whole product
+        assert out.strip() == ("0.906402477055477077982671288966918000748791"
+                               "920720015 ± 17e-52")
 
     def test_rising_factorial_100(self, capsys):
         assert main(["rising", "1", "100", "--prec-bits", "600"]) == 0

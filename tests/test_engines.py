@@ -2,6 +2,7 @@
 tuning formulas, operation-count and storage instrumentation, and error
 behavior."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -218,21 +219,23 @@ class _ExactSteps(RecMatrix):
         return False
 
 
-def _exact_step_reference(M, z, n, p, m):
+def _exact_step_reference(M, z, n, p, m, row=None):
     rep = eval_dispatch(_ExactSteps(M.entries, M.den), z, n, p,
-                        algorithm="rect-split", m=m)
+                        algorithm="rect-split", m=m, row=row)
     assert rep.counter.giant_step == "exact product"
     return rep
 
 
 class TestDifferenceTable:
     """The giant steps from the difference table are bit-identical to the
-    per-step exact products at the same m."""
+    per-step exact products at the same m, in order and (for one row of the
+    product) last first."""
 
-    def _same_as_exact_steps(self, M, z, n, p, m, update="difference table"):
-        rep = eval_dispatch(M, z, n, p, algorithm="rect-split", m=m)
+    def _same_as_exact_steps(self, M, z, n, p, m, update="difference table",
+                             row=None):
+        rep = eval_dispatch(M, z, n, p, algorithm="rect-split", m=m, row=row)
         assert rep.counter.giant_step == update
-        ref = _exact_step_reference(M, z, n, p, m)
+        ref = _exact_step_reference(M, z, n, p, m, row)
         for mat, rmat in ((rep.numerator, ref.numerator), (rep.matrix, ref.matrix)):
             assert [[_ball_key(e) for e in row] for row in mat] == \
                 [[_ball_key(e) for e in row] for row in rmat]
@@ -292,6 +295,26 @@ class TestDifferenceTable:
         # n < 2m: a single giant step, from a table of one sum per part
         self._same_as_exact_steps(M, Ball.from_fraction(Fraction(5, 4), 128),
                                   n, 128, 7)
+
+    @pytest.mark.parametrize("M, zq, n, p, m, row", [
+        (RISING, Fraction(1, 3), 1000, 1024, 13, 0),
+        (RISING, Fraction(-7, 2), 100, 256, 7, 0),
+        (RISING, Fraction(1, 3), 23, 128, 7, 0),  # degree >= w, 2 left over
+        (hyp1f1_gamma_matrix(300), Fraction(4, 3), 400, 256, 9, 0),
+        (hyp1f1_gamma_matrix(300), Fraction(5, 4), 1500, 1024, 20, 1),
+        (hyp1f1_gamma_matrix(30), Fraction(5, 4), 12, 128, 7, 0)])
+    def test_reversed_steps(self, M, zq, n, p, m, row):
+        # the table starts from U_0(x + (w-1) m) and shifts by -m
+        rep = self._same_as_exact_steps(M, Ball.from_fraction(zq, p), n, p,
+                                        m, row=row)
+        exact = unroll_rational(M, zq, n)[row]
+        assert all(v.contains(e) for v, e in zip(rep.matrix[0], exact))
+
+    def test_reversed_steps_complex(self):
+        p = 512
+        z = ComplexBall(Ball.from_fraction(Fraction(3, 2), p),
+                        Ball.from_fraction(Fraction(-5, 7), p))
+        self._same_as_exact_steps(RISING, z, 300, p, 9, row=0)
 
     def test_shift_symmetric_order_two_gets_the_longer_step(self):
         # a 2 x 2 shift-symmetric matrix steps by p^0.4; the rising
@@ -416,6 +439,128 @@ class TestDriverBoundaries:
         for p in (1, 0, -3):
             with pytest.raises(ValueError, match="p must be"):
                 eval_dispatch(RISING, Ball.one(), 5, p)
+
+
+def _contains(v, e):
+    if isinstance(v, ComplexBall):
+        e = _Gaussian.lift(e)
+        return v.contains(e.re, e.im)
+    return v.contains(e)
+
+
+class TestRowMode:
+    """eval_dispatch(..., row=r) returns row r of the product as a 1 x r
+    matrix, from the factors taken last first, on every engine: it holds
+    the exact row, at the edges of the giant steps and for n = 0."""
+
+    # order 3, x-dependent and pure-k denominators; neither is shift
+    # symmetric
+    COMPANION_X = companion(ScalarRecurrence([
+        bipoly_from_text("x - 2*k + 1"), bipoly_from_text("-3 - x*k"),
+        bipoly_from_text("1 + k^2"), bipoly_from_text("2 + x + k^2")]))
+    COMPANION_K = companion(ScalarRecurrence([
+        bipoly_from_text("x^2 - k"), bipoly_from_text("3 + x"),
+        bipoly_from_text("-1 + x*k"), bipoly_from_text("1 + k")]))
+
+    def _check(self, M, zq, z, m, p=128):
+        for alg in ALGORITHMS:
+            for n in _boundary_ns(m):
+                exact = unroll_rational(M, zq, n)
+                for r in range(M.r):
+                    rep = eval_dispatch(M, z, n, p, algorithm=alg, m=m, row=r)
+                    row, = rep.matrix
+                    assert len(row) == M.r
+                    assert all(_contains(v, e) for v, e in zip(row, exact[r])), \
+                        (alg, m, n, r)
+                    assert n or all(v.is_exact() for v in row)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_rising(self, m):
+        zq = Fraction(1, 3)
+        self._check(RISING, zq, Ball.from_fraction(zq, 128), m)
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_hyp1f1(self, m):
+        zq = Fraction(5, 4)
+        self._check(hyp1f1_gamma_matrix(30), zq, Ball.from_fraction(zq, 128), m)
+
+    @pytest.mark.parametrize("M", [COMPANION_X, COMPANION_K])
+    def test_companion(self, M):
+        assert M.den.deg_x() == (1 if M is self.COMPANION_X else 0)
+        zq = Fraction(3, 2)
+        self._check(M, zq, Ball.from_fraction(zq, 128), 3)
+
+    @pytest.mark.parametrize("M", [COMPANION_X, TestDriverBoundaries.COMPANION,
+                                   RISING])
+    def test_complex_z(self, M):
+        zq = _Gaussian(Fraction(3, 2), Fraction(-5, 7))
+        z = ComplexBall(Ball.from_fraction(zq.re, 128),
+                        Ball.from_fraction(zq.im, 128))
+        self._check(M, zq, z, 3)
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_row_keeps_the_accuracy_of_the_matrix(self, alg):
+        # steps ~ (700/m)^m times larger at the end than at the start: a
+        # last-first update that subtracted from the largest step would
+        # lose those bits (26 of 256 here for rect-delta)
+        M, p = hyp1f1_gamma_matrix(180), 256
+        z = Ball.from_fraction(Fraction(69, 50), p)
+        full = eval_dispatch(M, z, 700, p, algorithm=alg).matrix[0]
+        row, = eval_dispatch(M, z, 700, p, algorithm=alg, row=0).matrix
+        for a, b in zip(full, row):
+            assert b.rel_accuracy_bits() >= a.rel_accuracy_bits() - 2
+
+    def test_hyp1f1_row_makes_three_products_per_factor(self):
+        # a factor S = [[a, b], [0, N^m]] costs R0 a, R0 b and R1 N^m on a
+        # row; on the matrix, S V for an upper triangular V makes 4 of the
+        # 8 products (the other 4 have an exact-zero factor)
+        M = hyp1f1_gamma_matrix(300)
+        for n in (700, 703):
+            z = Ball.from_fraction(Fraction(4, 3), 512)
+            for row, per_factor in ((0, 3), (None, 4)):
+                rep = eval_dispatch(M, z, n, 512, algorithm="rect-split",
+                                    row=row)
+                m = rep.plan.m
+                factors = n // m + n % m  # giant steps and the tail
+                assert rep.counter.nonscalar == (m - 1) + per_factor * (factors - 1)
+
+
+def _dense_mat_mul(A, B, p):
+    """A B with every product made, exact zeros included."""
+    return [[functools.reduce(lambda acc, t: bl.n_add(acc, t, p),
+                              [bl.n_mul(a, brow[j], p) for a, brow in zip(arow, B)])
+             for j in range(len(B))] for arow in A]
+
+
+class TestBallMatMul:
+    @pytest.mark.parametrize("z", [
+        Ball.from_fraction(Fraction(3, 7), 200),
+        ComplexBall(Ball.from_fraction(Fraction(3, 2), 200),
+                    Ball.from_fraction(Fraction(-5, 7), 200))])
+    def test_skipping_exact_zeros_is_bit_identical(self, z):
+        # companion factors hold exact zeros off the last row; the products
+        # of their running product and of one of its rows
+        M = TestRowMode.COMPANION_X
+        p = 200
+        table = PowerTable(z, M.deg_x(), p)
+        factors = [[[table.eval_int_poly(e.coeffs) for e in r]
+                    for r in engines._factor(M, i, engines.OpCounter())]
+                   for i in range(6)]
+        V = factors[0]
+        for S in factors[1:]:
+            counter = engines.OpCounter()
+            for A, B in ((S, V), ([V[1]], S)):
+                got = engines.ball_mat_mul(A, B, p, counter)
+                ref = _dense_mat_mul(A, B, p)
+                assert [[_ball_key(e) for e in r] for r in got] == \
+                    [[_ball_key(e) for e in r] for r in ref]
+            made = sum(not (engines._ball_is_exact_zero(a)
+                            or engines._ball_is_exact_zero(brow[j]))
+                       for A, B in ((S, V), ([V[1]], S))
+                       for arow in A for j in range(3)
+                       for a, brow in zip(arow, B))
+            assert counter.nonscalar == made < 36
+            V = engines.ball_mat_mul(S, V, p)
 
 
 class TestCrossAlgorithmAgreement:

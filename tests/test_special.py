@@ -435,6 +435,27 @@ class TestGamma:
                 gamma_1f1(x, 64)
             assert time.perf_counter() - t0 < 1
 
+    # rel_accuracy_bits of gamma_1f1 at x = j + 1/3 and j + 1/4 for
+    # p = 2048, 4096, 8192, when it took the whole product matrix
+    ACCURACY_1F1 = {Fraction(4, 3): (2043, 4091, 8187),
+                    Fraction(7, 3): (2043, 4091, 8187),
+                    Fraction(10, 3): (2042, 4090, 8186),
+                    Fraction(5, 4): (2048, 4096, 8192),
+                    Fraction(9, 4): (2048, 4096, 8192),
+                    Fraction(13, 4): (2048, 4096, 8192)}
+
+    def test_1f1_on_the_benchmark_inputs(self):
+        # gamma_1f1 takes row 0 of the product and N^(nsum+1) by powering:
+        # the balls still meet Stirling's, and keep their accuracy
+        cache = BernoulliCache()
+        for x, accs in self.ACCURACY_1F1.items():
+            for p, acc in zip((2048, 4096, 8192), accs):
+                xb = Ball.from_fraction(x, p)
+                b = gamma_1f1(xb, p)
+                assert b.overlaps(gamma_stirling(xb, p, cache=cache)), (x, p)
+                got = b.rel_accuracy_bits()
+                assert got >= p - 64 and abs(got - acc) <= 2, (x, p, got)
+
     def test_gamma2_is_one(self):
         assert gamma_1f1(Ball.from_int(2), 128).contains(1)
         assert gamma_stirling(Ball.from_int(2), 128).contains(1)
