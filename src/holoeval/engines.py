@@ -36,25 +36,27 @@ Paterson-Stockmeyer (_ps_eval); rows as long as the table make that one
 fused dot.  The denominator product of an x-dependent denominator is the
 same loop on the 1 x 1 matrix [q].
 
-rect-split's giant steps
-------------------------
-Step i evaluates U_i = prod_{t<m} M(x, i m + t) at z by the power table's
-fused dot: two integer sums per part of z, the midpoint sum_j c_j mid_j
-and the radius sum_j |c_j| rad_j, rounded once.  When M(x, k+m) =
-M(x+m, k) (shift symmetry), U_i(x) = U_0(x + i m), so the midpoint sum is
-a polynomial in i of degree D = deg U_0, and so is the radius sum when
-the entry's coefficients all have one sign (a shift by i m >= 0 keeps
-it).  The sums at i = 0 .. min(D, n/m - 1) come from Taylor shifts of
-U_0, streamed one entry at a time; their exact forward differences then
-give each later step with D big-integer additions per sum and no dot,
-bit-identical to the dot of the exact product.  Without the symmetry,
-with coefficients of both signs, or when the powers of z have no
-fixed-point form, every step is that exact product.  For the steps last
-first, the table starts from U_0(x + (w-1) m) with shifts by -m: every
-value is still U_0 shifted by i m >= 0, and each step's ball is
-bit-identical to the forward one.  OpCounter.giant_step records which of
-the two updates ran.  On a shift-symmetric matrix of order >= 2, choose_m
-takes the longer step m = p^0.4, whatever z.
+Difference tables
+-----------------
+The fused dot of the power table rounds two integer sums per part of z,
+the midpoint sum_j c_j mid_j and the radius sum_j |c_j| rad_j.  When each
+c_j is a polynomial in the step index, so are the sums, and their exact
+forward differences (_difference_table) give each later step by deg
+additions per sum and no dot, bit-identical to the dot (_difference_steps).
+The precondition (_sums_are_polynomial): the table has a fixed-point form,
+and either its radii are all zero or every x^a coefficient, a polynomial in
+k >= 0, keeps one sign, so that |c_j| is a polynomial too.  Three users:
+- rect-split, for a shift-symmetric matrix (M(x, k+m) = M(x+m, k)):
+  U_i(x) = U_0(x + i m), and the first min(D + 1, w) sums come from Taylor
+  shifts of U_0 (last first, from U_0(x + (w-1) m) by shifts of -m);
+  otherwise each step is the exact product U_i;
+- rect-delta's Delta_m(z, i m), from eval_k at the first deg_k + 1 steps;
+  otherwise each step is eval_k and a dot;
+- the factors _run multiplies in one at a time, in either order, from
+  eval_k at the first deg_k + 1 indices; otherwise eval_k and a dot each.
+OpCounter.giant_step records the update of rect-split and rect-delta.  On a
+shift-symmetric matrix of order >= 2, choose_m takes the longer step
+m = p^0.4, whatever z.
 """
 
 from __future__ import annotations
@@ -84,14 +86,17 @@ DEFAULT_THRESHOLDS = (32, 1000)
 @dataclass
 class OpCounter:
     """Instrumentation for one evaluation.  nonscalar counts the ball x
-    ball products made: ball_mat_mul makes none with an exact-zero factor."""
+    ball products made: ball_mat_mul makes none with an exact-zero factor.
+    scalar counts a dot's nonzero coefficients, or one per addition in a
+    difference table (about as many per step, no products); coeff counts
+    work in Z, and falls where a table evaluates deg_k + 1 indices only."""
 
     nonscalar: int = 0
     scalar: int = 0
     coeff: int = 0
     peak_coeffs: int = 0
-    # how rect-split made the giant steps of the numerator product:
-    # "difference table" or "exact product"
+    # how the giant steps of the numerator product were made: "difference
+    # table", else "exact product" (rect-split) or "delta evaluation"
     giant_step: str | None = None
 
     def note_live_coeffs(self, count: int):
@@ -340,10 +345,9 @@ def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     p = plan.work_prec
     table, covered, steps = _ENGINES[plan.algorithm](M, z, n, plan, counter,
                                                     row is not None)
-    left = range(covered, n)
-    tail = ([[table.eval_int_poly(e.coeffs, p, counter) for e in r]
-             for r in _factor(M, i, counter)]
-            for i in (left if row is None else reversed(left)))
+    _, tail = _bivariate_steps(M.entries, covered if row is None else n - 1,
+                               1 if row is None else -1, n - covered, table,
+                               p, counter)
     V = None
     if row is None:
         for S in chain(steps, tail):
@@ -564,45 +568,54 @@ def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     if not w:
         return table, 0, ()
     U = _exact_product(M, 0, m, counter)
-    diffs = (_difference_table(U, m, w, table, counter, reverse)
-             if M.shift_symmetry_holds() else None)
-    if diffs is not None:
-        counter.giant_step = "difference table"
-        return table, m * w, _difference_steps(diffs, w, table, p, counter)
-    counter.giant_step = "exact product"
-    return table, m * w, _subproduct_steps(M, m, _order(w, reverse), table,
-                                           table.D + 1, p, counter, U)
-
-
-def _difference_table(U, m, w, table, counter, reverse):
-    """Forward differences in i of the integer sums (bl.n_dot_sums) behind
-    the fused dots of the giant steps U_i(z) = U_0(z + i m): per entry of
-    U_0 and per sum, [Delta^0, Delta^1, ...] at i = 0, with trailing zero
-    differences dropped; reversed, the differences in w - 1 - i at
-    i = w - 1, from U_0(x + (w-1) m) and shifts by -m.  An entry of degree
-    d gives min(d + 1, w) sums: the differences of any w values give those
-    w values back exactly.  None where a sum need not be a polynomial in i
-    (an entry's coefficients change sign, so its radius sum over |c_j| is
-    not) or there is no fixed-point form."""
-    fix = table._fix
-    if fix is None or any(min(e.coeffs) < 0 < max(e.coeffs)
-                          for row in U for e in row if e.coeffs):
-        return None
+    # the rows of U_0(x + k) keep one sign exactly when U_0's coefficients do
+    if not (M.shift_symmetry_holds() and _sums_are_polynomial(
+            table, [e.coeffs for row in U for e in row])):
+        counter.giant_step = "exact product"
+        return table, m * w, _subproduct_steps(M, m, _order(w, reverse), table,
+                                               table.D + 1, p, counter, U)
+    counter.giant_step = "difference table"
     start, step = ((w - 1) * m, -m) if reverse else (0, m)
+
+    def shifts(e):
+        # U_0(x + i m) for i = 0, 1, ... (or w - 1, w - 2, ...), one Taylor
+        # shift apart: only one shifted polynomial is live at a time
+        for i in range(max(1, min(len(e.coeffs), w))):
+            shift = step if i else start
+            if shift:
+                e = taylor_shift_basecase(e, shift)
+                counter.coeff += len(e.coeffs) ** 2
+            yield e.coeffs
+
+    diffs = _difference_table(U, shifts, table, counter,
+                              sum(len(e.coeffs) for row in U for e in row))
+    return table, m * w, _difference_steps(diffs, w, table, p, counter)
+
+
+def _sums_are_polynomial(table, rows):
+    """A difference table's precondition, for entries whose x^a
+    coefficients are the polynomials in k >= 0 with coefficient lists rows
+    (see Difference tables)."""
+    fix = table._fix
+    return fix is not None and (
+        all(part[2] is None for part in bl._fix_parts(fix))
+        or all(min(r) >= 0 or max(r) <= 0 for r in rows if r))
+
+
+def _difference_table(grid, values, table, counter, live):
+    """Per entry e of grid and per sum of its fused dot (bl.n_dot_sums),
+    [Delta^0, Delta^1, ...] at the first step, trailing zeros dropped, from
+    the coefficients values(e) yields at consecutive steps: d + 1 of them
+    for sums of degree d, and any w give back those w steps exactly."""
+    fix = table._fix
     diffs = []
-    for row in U:
+    for row in grid:
         drow = []
         for e in row:
-            # the sums at i = 0, 1, ... (or w - 1, w - 2, ...), one Taylor
-            # shift apart: only one shifted polynomial is live at a time
             vals = []
-            for i in range(max(1, min(len(e.coeffs), w))):
-                shift = step if i else start
-                if shift:
-                    e = taylor_shift_basecase(e, shift)
-                    counter.coeff += len(e.coeffs) ** 2
-                vals.append(bl.n_dot_sums(e.coeffs, fix))
-                counter.scalar += len(e.coeffs) - e.coeffs.count(0)
+            for c in values(e):
+                vals.append(bl.n_dot_sums(c, fix))
+                counter.scalar += len(c) - c.count(0)
             seqs = [list(s) for s in zip(*vals)]
             for s in seqs:
                 for k in range(1, len(s)):
@@ -613,27 +626,52 @@ def _difference_table(U, m, w, table, counter, reverse):
             drow.append(seqs)
         diffs.append(drow)
     size = sum(len(s) for row in diffs for seqs in row for s in seqs)
-    live = sum(len(e.coeffs) for row in U for e in row)
     counter.note_live_coeffs(size + live + table.D + 1)
     return diffs
 
 
 def _difference_steps(diffs, w, table, p, counter):
-    """The w giant steps S_i = U_i(z) from the difference table: one
-    rounding per part of each entry, then Delta^j <- Delta^j + Delta^(j+1)
-    for j = 0, 1, ... (exact integer additions, counted as scalar
-    operations) moves every sum on to the next step."""
+    """The w steps from the difference table: one rounding per part of
+    each entry, then Delta^j <- Delta^j + Delta^(j+1) for j = 0, 1, ...
+    (exact integer additions, counted as scalar operations) moves every
+    sum on to the next step."""
     fix = table._fix
+    sums = [s for row in diffs for seqs in row for s in seqs if len(s) > 1]
+    adds = sum(len(s) - 1 for s in sums)
     for i in range(w):
         yield [[bl.n_ball_from_sums([s[0] for s in seqs], fix, p)
                 for seqs in row] for row in diffs]
         if i + 1 < w:
-            for row in diffs:
-                for seqs in row:
-                    for s in seqs:
-                        for j in range(len(s) - 1):
-                            s[j] += s[j + 1]
-                        counter.scalar += len(s) - 1
+            for s in sums:
+                for j in range(len(s) - 1):
+                    s[j] += s[j + 1]
+            counter.scalar += adds
+
+
+def _bivariate_steps(E, first, step, count, table, p, counter):
+    """(by_table, steps): the count ball matrices [[e(z, k)]] for
+    k = first, first + step, ... (all k >= 0), e over a grid E of BiPoly
+    in (x, k).  When _sums_are_polynomial holds for the k-rows of E, the
+    sums at the first deg_k e + 1 indices make a difference table
+    (by_table); else each matrix is eval_k and the table's dot."""
+    if not count:
+        return False, ()
+    ks = range(first, first + count * step, step)
+    rows = [kr for row in E for e in row for kr in e.grid]
+    live = sum(map(len, rows))
+
+    def at(e, k):
+        counter.coeff += sum(map(len, e.grid))
+        return e.eval_k(k).coeffs
+
+    if _sums_are_polynomial(table, rows):
+        diffs = _difference_table(
+            E, lambda e: [at(e, k) for k in ks[:max(1, e.deg_k() + 1)]],
+            table, counter, live)
+        return True, _difference_steps(diffs, count, table, p, counter)
+    counter.note_live_coeffs(live + table.D + 1)
+    return False, ([[table.eval_int_poly(at(e, k), p, counter) for e in row]
+                    for row in E] for k in ks)
 
 
 def _rect_delta(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
@@ -657,14 +695,14 @@ def _delta_steps(M, m, w, table, p, counter):
         return
     S, = _subproduct_steps(M, m, (0,), table, table.D + 1, p, counter)
     yield S
-    delta = bivariate_delta(M, m, counter) if w > 1 else []
-    step_coeff = sum(len(kr) for row in delta for e in row for kr in e.grid)
-    counter.note_live_coeffs(step_coeff + table.D + 1)
-    for i in range(w - 1):
-        counter.coeff += step_coeff
-        S = [[bl.n_add(s, table.eval_int_poly(e.eval_k(m * i).coeffs, p,
-                                              counter), p)
-              for s, e in zip(srow, drow)] for srow, drow in zip(S, delta)]
+    if w < 2:
+        return
+    by_table, deltas = _bivariate_steps(bivariate_delta(M, m, counter), 0, m,
+                                        w - 1, table, p, counter)
+    counter.giant_step = "difference table" if by_table else "delta evaluation"
+    for D in deltas:
+        S = [[bl.n_add(s, d, p) for s, d in zip(srow, drow)]
+             for srow, drow in zip(S, D)]
         yield S
 
 

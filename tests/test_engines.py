@@ -281,6 +281,15 @@ class TestDifferenceTable:
                                         256, 7, update="exact product")
         assert rep.matrix[0][0].contains(rising_exact(zq - 3, 100))
 
+    @pytest.mark.parametrize("row", [None, 0])
+    def test_mixed_signs_at_exact_z_take_the_table(self, row):
+        # the powers of 1/4 are exact, so every radius sum is 0
+        M = RecMatrix([[bipoly_from_text("x + k - 3")]])
+        zq = Fraction(1, 4)
+        rep = self._same_as_exact_steps(M, Ball.from_fraction(zq, 256), 100,
+                                        256, 7, row=row)
+        assert rep.matrix[0][0].contains(rising_exact(zq - 3, 100))
+
     @pytest.mark.parametrize("n", [21, 23])
     def test_degree_at_least_w_uses_w_sums(self, n):
         # w = 3 giant steps of degree 7: the table holds the 3 sums that
@@ -333,6 +342,185 @@ class TestDifferenceTable:
         assert make_plan("rect-split", n, p, r=2).m == int(p ** 0.4)
         assert make_plan("rect-split", n, p).m == int(0.2 * p ** 0.4)
         assert make_plan("rect-delta", n, p, r=2).m == int(0.2 * p ** 0.4)
+
+
+def _horner_steps(E, ks, table, p):
+    """The reference for _bivariate_steps: [[e(z, k)]] for each k by eval_k
+    and the table's dot, one index at a time."""
+    return [[[_ball_key(table.eval_int_poly(e.eval_k(k).coeffs, p))
+              for e in row] for row in E] for k in ks]
+
+
+def _count_dots(monkeypatch):
+    """A list that counts the calls of PowerTable.eval_int_poly."""
+    calls = []
+    dot = PowerTable.eval_int_poly
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return dot(self, *args, **kwargs)
+
+    monkeypatch.setattr(PowerTable, "eval_int_poly", counted)
+    return calls
+
+
+class TestBivariateDifferences:
+    """rect-delta's Delta_m(z, i m) and the factors _run multiplies in one
+    at a time come from a difference table of their fused-dot sums, bit
+    for bit the balls of eval_k and the table's dot; where the sums need
+    not be polynomials (mixed signs at an inexact z), eval_k and the dot
+    make every one."""
+
+    # every x^a row of a_0 and a_1 of one sign, and so of Delta_m
+    ONE_SIGNED = companion(ScalarRecurrence([
+        bipoly_from_text("-x - k^2 - 1"), bipoly_from_text("1 + k")]))
+    # order 2, every x^a row of M of one sign, but not of Delta_m; the
+    # companion's entry (0, 0) is zero
+    ONE_SIGNED_2 = companion(ScalarRecurrence([
+        bipoly_from_text("x + k^2"), bipoly_from_text("-2 - x - 3*k"),
+        bipoly_from_text("1 + k")]))
+    # x^0 row of a_1 is 2 - k
+    MIXED = companion(ScalarRecurrence([
+        bipoly_from_text("x + k^2"), bipoly_from_text("x - k + 2"),
+        bipoly_from_text("1 + k")]))
+    # a zero off the diagonal and entries of different k-degrees
+    DIAGONAL = RecMatrix([[bipoly_from_text("x + k"), BiPoly.zero()],
+                          [BiPoly.zero(), bipoly_from_text("2*x + k^3 + 1")]])
+
+    ZS = {"inexact": Ball.from_fraction(Fraction(1, 3), 256),
+          "exact": Ball.from_fraction(Fraction(-7, 4), 256),
+          "complex inexact": ComplexBall(
+              Ball.from_fraction(Fraction(3, 2), 256),
+              Ball.from_fraction(Fraction(-5, 7), 256)),
+          "complex exact": ComplexBall(
+              Ball.from_fraction(Fraction(1, 4), 256),
+              Ball.from_fraction(Fraction(3, 8), 256))}
+
+    MATRICES = [RISING, ONE_SIGNED, ONE_SIGNED_2, MIXED, DIAGONAL]
+
+    @staticmethod
+    def _by_table(E, zname):
+        rows = [r for row in E for e in row for r in e.grid]
+        return "inexact" not in zname or all(min(r) >= 0 or max(r) <= 0
+                                              for r in rows)
+
+    @pytest.mark.parametrize("M", MATRICES)
+    @pytest.mark.parametrize("zname", list(ZS))
+    @pytest.mark.parametrize("m, count", [(5, 2), (5, 4), (5, 9)])
+    def test_delta_steps_match_eval_k(self, M, zname, m, count):
+        # count Delta steps below and above deg_k Delta + 1 (5 for RISING)
+        z, p = self.ZS[zname], 256
+        table = PowerTable(z, m * M.deg_x(), p)
+        delta = bivariate_delta(M, m)
+        by_table, steps = engines._bivariate_steps(
+            delta, 0, m, count, table, p, engines.OpCounter())
+        assert by_table == self._by_table(delta, zname)
+        assert [[[_ball_key(b) for b in row] for row in S] for S in steps] \
+            == _horner_steps(delta, range(0, count * m, m), table, p)
+
+    @pytest.mark.parametrize("M", MATRICES)
+    @pytest.mark.parametrize("zname", list(ZS))
+    @pytest.mark.parametrize("first, step, count", [
+        (10, 1, 1), (10, 1, 3), (7, 1, 12), (9, -1, 2), (20, -1, 9)])
+    def test_factors_match_eval_k(self, M, zname, first, step, count):
+        # leftover counts below and above deg_k + 1, in both orders
+        z, p = self.ZS[zname], 256
+        table = PowerTable(z, M.deg_x(), p)
+        by_table, steps = engines._bivariate_steps(
+            M.entries, first, step, count, table, p, engines.OpCounter())
+        assert by_table == self._by_table(M.entries, zname)
+        ks = range(first, first + count * step, step)
+        assert [[[_ball_key(b) for b in row] for row in S] for S in steps] \
+            == _horner_steps(M.entries, ks, table, p)
+
+    def _same_as_eval_k(self, monkeypatch, M, z, n, p, m, alg, row=None,
+                        update="difference table"):
+        rep = eval_dispatch(M, z, n, p, algorithm=alg, m=m, row=row)
+        if alg == "rect-delta":
+            assert rep.counter.giant_step == (update if n // m > 1 else None)
+        with monkeypatch.context() as mp:
+            # the reference: no difference table anywhere
+            mp.setattr(engines, "_sums_are_polynomial", lambda *_: False)
+            ref = eval_dispatch(M, z, n, p, algorithm=alg, m=m, row=row)
+        for mat, rmat in ((rep.numerator, ref.numerator),
+                          (rep.matrix, ref.matrix)):
+            assert [[_ball_key(e) for e in r] for r in mat] == \
+                [[_ball_key(e) for e in r] for r in rmat]
+        assert _ball_key(rep.denominator) == _ball_key(ref.denominator)
+        return rep
+
+    @pytest.mark.parametrize("zq", [Fraction(1, 3), Fraction(1, 4),
+                                    Fraction(-7, 2), Fraction(2, 7)])
+    @pytest.mark.parametrize("n, m", [(20, 7), (99, 7), (104, 7),
+                                      (1000, 13)])
+    @pytest.mark.parametrize("row", [None, 0])
+    def test_rising(self, monkeypatch, zq, n, m, row):
+        # w - 1 = 1 < m and 13 > m Delta steps; 1 < 2 and 6 > 2 leftover
+        p = 4 * n
+        for alg in ("rect-delta", "naive"):
+            rep = self._same_as_eval_k(monkeypatch, RISING,
+                                       Ball.from_fraction(zq, p), n, p, m,
+                                       alg, row)
+            assert rep.matrix[0][0].contains(rising_exact(zq, n))
+
+    @pytest.mark.parametrize("zname", list(ZS))
+    @pytest.mark.parametrize("row", [None, 0, 1])
+    def test_matrices(self, monkeypatch, zname, row):
+        z, m = self.ZS[zname], 5
+        for M in self.MATRICES[1:]:
+            if row is not None and row >= M.r:
+                continue
+            update = ("difference table"
+                      if self._by_table(bivariate_delta(M, m), zname)
+                      else "delta evaluation")
+            for alg in ("rect-delta", "rect-split", "naive"):
+                for n in (6, 23, 50):
+                    self._same_as_eval_k(monkeypatch, M, z, n, 256, m, alg,
+                                         row, update)
+
+    def test_mixed_signs_at_inexact_z_fall_back(self, monkeypatch):
+        M, n, m = self.MIXED, 23, 5
+        calls = _count_dots(monkeypatch)
+        for zname, by_table in (("inexact", False), ("exact", True)):
+            calls.clear()
+            rep = eval_dispatch(M, self.ZS[zname], n, 256, algorithm="naive")
+            # naive: every factor is a leftover one, r^2 = 4 dots each
+            assert len(calls) == (0 if by_table else 4 * n)
+            calls.clear()
+            rep = eval_dispatch(M, self.ZS[zname], n, 256,
+                                algorithm="rect-delta", m=m)
+            assert rep.counter.giant_step == ("difference table" if by_table
+                                              else "delta evaluation")
+            # C_0's 4 dots, then 4 per Delta step and per leftover factor
+            w = n // m
+            assert len(calls) == 4 + (0 if by_table
+                                      else 4 * (w - 1) + 4 * (n - m * w))
+
+    def test_tiny_z_falls_back(self):
+        # no fixed-point form of the powers of 2^-3000 at p = 64
+        z = Ball.from_man_exp(1, -3000)
+        rep = eval_dispatch(RISING, z, 40, 64, algorithm="rect-delta", m=8)
+        assert rep.counter.giant_step == "delta evaluation"
+
+    def test_one_giant_step_records_no_update(self):
+        z = Ball.from_fraction(Fraction(1, 3), 128)
+        rep = eval_dispatch(RISING, z, 10, 128, algorithm="rect-delta", m=7)
+        assert rep.counter.giant_step is None
+
+    @pytest.mark.parametrize("alg", ["rect-delta", "naive"])
+    def test_counts_on_the_rising_factorial(self, monkeypatch, alg):
+        # eval_k at deg_k + 1 indices only; a step adds about as many
+        # differences as the dot had coefficients (one for x + k at an
+        # exact z, where the radius sums are 0)
+        z, n, p = Ball.from_fraction(Fraction(1, 4), 4096), 1000, 4096
+        rep = eval_dispatch(RISING, z, n, p, algorithm=alg, m=13)
+        with monkeypatch.context() as mp:
+            mp.setattr(engines, "_sums_are_polynomial", lambda *_: False)
+            ref = eval_dispatch(RISING, z, n, p, algorithm=alg, m=13)
+        assert rep.counter.nonscalar == ref.counter.nonscalar
+        assert rep.counter.coeff < ref.counter.coeff / 4
+        assert rep.counter.scalar < (1.1 if alg == "rect-delta" else 0.6) \
+            * ref.counter.scalar
 
 
 def rand_bipoly(rng, maxdeg=2, bound=5):
