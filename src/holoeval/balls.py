@@ -818,6 +818,8 @@ def n_int_dot(coeffs, balls, fix, p):
     fix = n_fixed_point(balls, ...): one integer sum for the midpoint and
     one for the radius of each part, or term by term when fix is None.
     Both are exact rescalings of the balls, so containment is kept."""
+    if len(coeffs) > len(balls):
+        raise IndexError("more coefficients than values")
     if fix is None:
         acc = n_zero(balls[0])
         for c, b in zip(coeffs, balls):
@@ -842,6 +844,8 @@ def n_dot_sums(coeffs, fix):
     rad = sum |c_j| rads_j (0 for an exact part).  n_ball_from_sums makes
     the same ball from them, bit for bit, so a caller may get the sums by
     other exact means (the engines' difference table does)."""
+    if len(coeffs) > len(_fix_parts(fix)[0][0]):
+        raise IndexError("more coefficients than values")
     out = []
     for mids, _, rads, _ in _fix_parts(fix):
         out.append(sum(map(operator.mul, coeffs, mids)))

@@ -23,11 +23,17 @@ The engine loop
 ---------------
 Every engine runs in one driver, _run.  The engine builds its power table
 and hands over the number of factors its giant steps cover and the steps
-themselves, ball matrices S in order; the driver makes V <- S V for each
-(one matrix product, none for the first) and then multiplies in the
-factors left over one at a time through the table.  For one row r of the
-product the order turns round: the leftover factors from i = n - 1 down,
-then the steps last first, each R <- R S from R = row r of the first.
+themselves, ball matrices S in order; the factors left over follow one at
+a time through the table.  For a full-mantissa z the driver makes V <- S V
+for each (one matrix product, none for the first): a tree would save
+nothing there, and its dense merges cost more on sparse companion factors.
+For a short z (_short_z) a step has O(m log n) bits, and the driver
+multiplies steps and factors as a balanced tree, a stack merged like a
+binary counter: operands stay short up to the top levels, and on 1 x 1
+matrices it makes as many products as the chain.  For one row r of the
+product, whatever z, the order turns round: the leftover factors from
+i = n - 1 down, then the steps last first, each R <- R S from R = row r
+of the first.
 ball_mat_mul makes no product with an exact-zero factor, so on the 1F1
 matrix [[a, b], [0, N^m]] a step costs R0 a, R0 b and R1 N^m, two p x p
 products where S V makes three.  Giant steps that are exact subproducts
@@ -63,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 from . import balls as bl
 from .balls import ComplexBall
@@ -134,6 +140,12 @@ def mantissa_bits(z) -> int:
     return man.bit_length() - (man & -man).bit_length() + 1
 
 
+def _short_z(zbits: int, p: int) -> bool:
+    """z of mantissa size zbits (mantissa_bits) is short at precision p:
+    a giant step then has O(m log n) bits, not p."""
+    return 2 * zbits <= p
+
+
 def choose_m(algorithm: str, n: int, p: int, zbits: int = 0, r: int = 1):
     """Step-length heuristics; returns (m, subn).  zbits is the mantissa
     size of the evaluation point (see mantissa_bits); r is the order of the
@@ -149,11 +161,11 @@ def choose_m(algorithm: str, n: int, p: int, zbits: int = 0, r: int = 1):
         m = max(1, int(subn ** 0.5))
         return m, subn
     elif algorithm in ("rect-split", "rect-delta"):
-        # a giant step costs one nonscalar product of the accumulated
-        # p-bit value by the evaluated step; that step has O(m log n) bits
-        # for a short z, but p bits once z's mantissa fills the precision,
+        # a giant step has O(m log n) bits for a short z, and _run's tree
+        # makes p-bit products only at its top levels; once z's mantissa
+        # fills the precision every step is a p x p product of the chain,
         # and the dearer product pays for a longer step
-        c = 0.5 if 2 * zbits > p else 0.2
+        c = 0.2 if _short_z(zbits, p) else 0.5
         if algorithm == "rect-split" and r > 1:
             # with rect-split's difference table a giant step of a
             # shift-symmetric matrix costs at most r^3 nonscalar products
@@ -219,9 +231,6 @@ class PowerTable:
         """sum_j coeffs[j] * z^j using scalar operations only."""
         if p is None:
             p = self.p
-        if len(coeffs) > self.D + 1:
-            raise IndexError("degree %d exceeds the table's %d"
-                             % (len(coeffs) - 1, self.D))
         out = bl.n_int_dot(coeffs, self.powers, self._fix, p)
         if counter is not None:
             counter.scalar += len(coeffs) - coeffs.count(0)
@@ -337,8 +346,10 @@ def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     the number of factors its giant steps cover and the steps themselves
     (ball matrices, in order, or last first for a row); the factors left
     over go through the table one at a time.  Each factor S makes one
-    matrix product, V <- S V, or R <- R S for the row, from i = n - 1
-    down; the first factor is V (its row r is R)."""
+    matrix product, R <- R S for the row from i = n - 1 down (the first
+    gives R), or, on P, it goes on a stack of partial products that merges
+    its top two while the top covers at least as many factors as the one
+    below (a balanced tree, for a short z) or always (the chain V <- S V)."""
     if not n:
         one = ball_identity(M.r, z)
         return one if row is None else [one[row]]
@@ -348,11 +359,21 @@ def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     _, tail = _bivariate_steps(M.entries, covered if row is None else n - 1,
                                1 if row is None else -1, n - covered, table,
                                p, counter)
-    V = None
     if row is None:
-        for S in chain(steps, tail):
-            V = S if V is None else ball_mat_mul(S, V, p, counter)
+        tree = _short_z(mantissa_bits(z), p)
+        # (factors covered, product); binsplit-exact's one step covers all n
+        stack = []
+        for k, S in chain(zip(repeat(plan.subn or plan.m), steps),
+                          zip(repeat(1), tail)):
+            while stack and (not tree or stack[-1][0] <= k):
+                c, P = stack.pop()
+                S, k = ball_mat_mul(S, P, p, counter), k + c
+            stack.append((k, S))
+        V = stack.pop()[1]
+        while stack:  # later factors on the left
+            V = ball_mat_mul(V, stack.pop()[1], p, counter)
         return V
+    V = None
     for S in chain(tail, steps):
         V = [S[row]] if V is None else ball_mat_mul(V, S, p, counter)
     return V

@@ -179,6 +179,25 @@ class TestRounding:
         assert [int(v) for v in got] == list(_round_man_reference(man, exp, p))
 
 
+class TestIntDot:
+    """sum_j c_j b_j for integers c_j over the table 1, 3 (z = 3, powers up
+    to 1), real and complex, with and without a fixed-point form."""
+
+    @pytest.mark.parametrize("z", [Ball.from_int(3),
+                                   ComplexBall(Ball.from_int(3), Ball.zero())])
+    def test_coefficients_past_the_table_are_an_error(self, z):
+        balls = [bl.n_one(z), z]
+        fix = bl.n_fixed_point(balls, 64)
+        assert bl.n_dot_sums([1, 1], fix)[0] == 4
+        for f in (fix, None):
+            assert bl.n_int_dot([1, 1], balls, f, 64).contains(4)
+            # 1 + 3 + 9 needs z^2, which the table lacks: not 4
+            with pytest.raises(IndexError):
+                bl.n_int_dot([1, 1, 1], balls, f, 64)
+        with pytest.raises(IndexError):
+            bl.n_dot_sums([1, 1, 1], fix)
+
+
 class TestComplex:
     def test_mul_contains(self):
         z = ComplexBall(frac_ball(Fraction(1, 3)), frac_ball(Fraction(1, 7)))

@@ -751,6 +751,139 @@ class TestBallMatMul:
             V = engines.ball_mat_mul(S, V, p)
 
 
+def _dyadic_companions():
+    """Companions of order 1, 2 and 3 shaped like the benchmark's
+    recurrences (coefficients of degree 2 in x and in k, entries +-5), their
+    grids drawn in turn from random.Random(5)."""
+    rng = random.Random(5)
+    return {order: companion(ScalarRecurrence(
+        [BiPoly([[rng.choice((-5, 5)) for _ in range(3)] for _ in range(3)])
+         for _ in range(order + 1)])) for order in (1, 2, 3)}
+
+
+def _matrix_key(A):
+    return [[_ball_key(e) for e in r] for r in A]
+
+
+class TestShortZTree:
+    """For a short z (2 mantissa_bits(z) <= p), _run multiplies the giant
+    steps and the leftover factors as a balanced tree; for a full-mantissa
+    z, and in row mode, it keeps the left-to-right product."""
+
+    COMPANIONS = _dyadic_companions()
+    # accuracy_bits of the left-to-right product at z = 3/4, per engine in
+    # the order of ALGORITHMS (None: not run), for (order, p, n)
+    CHAIN_BITS = {
+        (2, 128, 64): (128, 119, 128, 128, 128, 128),
+        (2, 128, 257): (128, -1, -5, 128, 128, 128),
+        (2, 4096, 64): (4096,) * 6,
+        (2, 4096, 257): (4096, 3967, 4096, 4096, 4096, 4096),
+        (3, 128, 64): (128,) * 6,
+        (3, 128, 257): (64, 103, -13, 128, 64, 64),
+        (3, 4096, 64): (4096,) * 6,
+        (3, 4096, 257): (4096, 4071, 4096, 4096, 4096, 4096),
+        (3, 4096, 1024): (3815, None, None, 4096, 4055, 4055),
+    }
+
+    @staticmethod
+    def _ball(zq, p):
+        if isinstance(zq, _Gaussian):
+            return ComplexBall(Ball.from_fraction(zq.re, p),
+                               Ball.from_fraction(zq.im, p))
+        return Ball.from_fraction(zq, p)
+
+    @pytest.mark.parametrize("zq", [
+        Fraction(1, 2), Fraction(1, 16), Fraction(5, 4),
+        _Gaussian(Fraction(3, 8), Fraction(-5, 4))])
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_rising(self, alg, zq):
+        for n in (37, 300):
+            p = 4 * n
+            rep = eval_dispatch(RISING, self._ball(zq, p), n, p, algorithm=alg)
+            assert _contains(rep.matrix[0][0],
+                             unroll_rational(RISING, zq, n)[0][0]), (alg, n)
+            assert rep.accuracy_bits == p  # as the left-to-right product
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_BITS))
+    def test_dyadic_companion(self, case):
+        order, p, n = case
+        M, zq = self.COMPANIONS[order], Fraction(3, 4)
+        exact = unroll_rational(M, zq, n)
+        for alg, chain_bits in zip(ALGORITHMS, self.CHAIN_BITS[case]):
+            if chain_bits is None:
+                continue
+            rep = eval_dispatch(M, Ball.from_fraction(zq, p), n, p,
+                                algorithm=alg)
+            assert all(v.contains(e) for vrow, erow in zip(rep.matrix, exact)
+                       for v, e in zip(vrow, erow)), (alg, case)
+            assert rep.accuracy_bits >= chain_bits, (alg, case)
+            # the chain lost up to 281 bits here (naive, order 3, n = 1024)
+            if alg not in ("binsplit-exact", "multipoint"):
+                assert rep.accuracy_bits == p, (alg, case)
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        """The (A, B, p, A B) of every ball_mat_mul that _run makes."""
+        calls = []
+        mul = engines.ball_mat_mul
+
+        def recording(A, B, p, counter=None):
+            calls.append((A, B, p, mul(A, B, p, counter)))
+            return calls[-1][3]
+
+        monkeypatch.setattr(engines, "ball_mat_mul", recording)
+        return calls
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_full_mantissa_and_row_keep_the_chain(self, alg, monkeypatch):
+        # a pure-k denominator: every product recorded is the numerator's
+        M, n = TestRowMode.COMPANION_K, 50
+        mul = engines.ball_mat_mul
+        calls = self._recorded(monkeypatch)
+        for zq, row in ((Fraction(3, 7), None), (Fraction(3, 4), 1),
+                        (Fraction(3, 7), 2), (Fraction(3, 4), None)):
+            z = Ball.from_fraction(zq, 200)
+            calls.clear()
+            num = eval_dispatch(M, z, n, 200, algorithm=alg, m=4,
+                                row=row).numerator
+            if not calls:  # binsplit-exact: one step, no product
+                assert alg == "binsplit-exact"
+                continue
+            if zq == Fraction(3, 4) and row is None:
+                # the tree: some merge takes a partial product that is not
+                # the running one
+                assert any(B is not prev[3]
+                           for prev, (_, B, _, _) in zip(calls, calls[1:]))
+                continue
+            # the left-to-right product of the same steps, bit for bit
+            V = calls[0][1] if row is None else calls[0][0]
+            for A, B, p, _ in calls:
+                if row is None:
+                    assert _matrix_key(B) == _matrix_key(V)
+                    V = mul(A, V, p)
+                else:
+                    assert _matrix_key(A) == _matrix_key(V)
+                    V = mul(V, B, p)
+            assert _matrix_key(num) == _matrix_key(V), (alg, zq, row)
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_tree_makes_as_many_products_on_1x1(self, alg, monkeypatch):
+        # criterion 5's set-up: (1/2)_n, p = 4n, m = ceil(sqrt(n))
+        counts = []
+        for short in (engines._short_z, lambda zbits, p: False):
+            monkeypatch.setattr(engines, "_short_z", short)
+            counts.append([])
+            for k in range(4, 11):
+                n = 2 ** k
+                z = Ball.from_fraction(Fraction(1, 2), 4 * n)
+                rep = eval_dispatch(RISING, z, n, 4 * n, algorithm=alg,
+                                    m=math.isqrt(n - 1) + 1)
+                assert rep.matrix[0][0].contains(
+                    rising_exact(Fraction(1, 2), n))
+                counts[-1].append(rep.counter.nonscalar)
+        assert counts[0] == counts[1]
+
+
 class TestCrossAlgorithmAgreement:
     def test_containment_all_engines(self):
         rng = random.Random(2024)
