@@ -121,9 +121,9 @@ def cmd_rising(args) -> int:
     val, plan, counter, acc = special.rising_factorial_report(
         z, args.n, prec, algorithm=args.algorithm, m=args.m)
     print(bl.to_decimal(val))
-    print("accuracy: %d bits (algorithm %s, m=%d, nonscalar=%d, scalar=%d)"
-          % (acc, plan.algorithm, plan.m, counter.nonscalar, counter.scalar),
-          file=sys.stderr)
+    print("accuracy: %d bits (algorithm %s, m=%d, nonscalar=%d, scalar=%d, "
+          "adds=%d)" % (acc, plan.algorithm, plan.m, counter.nonscalar,
+                        counter.scalar, counter.adds), file=sys.stderr)
     return 0
 
 

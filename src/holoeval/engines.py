@@ -16,8 +16,8 @@ rect-delta      differences of successive giant-step products, expanded
 
 Cost classes are counted per evaluation: "nonscalar" multiplications are
 ball x ball products at working precision; "scalar" operations multiply a
-ball by an exact integer coefficient (or add the integer sums of such
-products); "coeff" operations stay in Z.
+ball by an exact integer coefficient; "adds" are the exact additions of a
+difference table and its set-up; "coeff" operations stay in Z.
 
 The engine loop
 ---------------
@@ -53,29 +53,31 @@ The precondition (_sums_are_polynomial): the table has a fixed-point form,
 and either its radii are all zero or every x^a coefficient, a polynomial in
 k >= 0, keeps one sign, so that |c_j| is a polynomial too.  Three users:
 - rect-split, for a shift-symmetric matrix (M(x, k+m) = M(x+m, k)):
-  U_i(x) = U_0(x + i m), and the first min(D + 1, w) sums come from Taylor
-  shifts of U_0 (last first, from U_0(x + (w-1) m) by shifts of -m);
-  otherwise each step is the exact product U_i;
+  U_i(x) = U_0(x + i m), and a sum at the shift s >= 0 is the polynomial
+  sum_k s^k (that sum of U_0's Taylor coefficient c_k): D + 1 dots on U_0's
+  own coefficients, then Horner at the first min(D + 1, w) shifts (last
+  first, from s = (w-1) m down); otherwise each step is the exact U_i;
 - rect-delta's Delta_m(z, i m), from eval_k at the first deg_k + 1 steps;
   otherwise each step is eval_k and a dot;
 - the factors _run multiplies in one at a time, in either order, from
   eval_k at the first deg_k + 1 indices; otherwise eval_k and a dot each.
 OpCounter.giant_step records the update of rect-split and rect-delta.  On a
 shift-symmetric matrix of order >= 2, choose_m takes the longer step
-m = p^0.4, whatever z.
+m = 1.5 p^0.4, whatever z.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, repeat
 
 from . import balls as bl
 from .balls import ComplexBall
-# taylor_shift_convolution is not called here (the basecase shift is faster
-# at every giant-step degree), but stays importable from this module, where
-# tracing tools look up the Taylor shifts
+# neither Taylor shift is called here (rect-split's difference table starts
+# from the Taylor sums of U_0), but both stay importable from this module,
+# where tracing tools look up the Taylor shifts
 from .poly import (UniPoly, product_tree, taylor_shift_basecase,  # noqa: F401
                    taylor_shift_convolution)
 from .recmat import (DenominatorZeroError, RecMatrix, eval_factor,
@@ -93,12 +95,15 @@ DEFAULT_THRESHOLDS = (32, 1000)
 class OpCounter:
     """Instrumentation for one evaluation.  nonscalar counts the ball x
     ball products made: ball_mat_mul makes none with an exact-zero factor.
-    scalar counts a dot's nonzero coefficients, or one per addition in a
-    difference table (about as many per step, no products); coeff counts
-    work in Z, and falls where a table evaluates deg_k + 1 indices only."""
+    scalar counts a dot's nonzero coefficients; adds counts the exact
+    integer additions of a difference table, its set-up included, and the
+    Horner steps of rect-split's first sums (no ball operations); coeff
+    counts work in Z, and falls where a table evaluates deg_k + 1 indices
+    only."""
 
     nonscalar: int = 0
     scalar: int = 0
+    adds: int = 0
     coeff: int = 0
     peak_coeffs: int = 0
     # how the giant steps of the numerator product were made: "difference
@@ -169,8 +174,9 @@ def choose_m(algorithm: str, n: int, p: int, zbits: int = 0, r: int = 1):
         if algorithm == "rect-split" and r > 1:
             # with rect-split's difference table a giant step of a
             # shift-symmetric matrix costs at most r^3 nonscalar products
-            # and O(r^2 m) additions, so the step grows to p^0.4 whatever z
-            c = 1.0
+            # and O(r^2 m) additions, so the step grows to 1.5 p^0.4
+            # whatever z (the scan in README, Step length)
+            c = 1.5
         m = int(min(c * p ** 0.4, n ** 0.5))
     else:
         m = 1
@@ -598,17 +604,21 @@ def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     counter.giant_step = "difference table"
     start, step = ((w - 1) * m, -m) if reverse else (0, m)
 
-    def shifts(e):
-        # U_0(x + i m) for i = 0, 1, ... (or w - 1, w - 2, ...), one Taylor
-        # shift apart: only one shifted polynomial is live at a time
-        for i in range(max(1, min(len(e.coeffs), w))):
-            shift = step if i else start
-            if shift:
-                e = taylor_shift_basecase(e, shift)
-                counter.coeff += len(e.coeffs) ** 2
-            yield e.coeffs
+    def sums(e):
+        # U_0(x + s) = sum_k s^k c_k(x) with c_k = [C(a + k, k) u_(a+k)]_a
+        # for u = e, so each sum of its dot is a polynomial in s >= 0
+        u = e.coeffs
+        counter.coeff += len(u) * (len(u) + 1) // 2
+        polys = [list(t) if any(t) else [0] for t in zip(*[_dot_sums(
+            [math.comb(a, k) * u[a] for a in range(k, len(u))], table, counter)
+            for k in range(max(1, len(u)))])]
+        count = max(1, min(len(u), w))
+        counter.adds += count * sum(len(P) - 1 for P in polys)
+        for s in range(start, start + count * step, step):
+            yield [reduce(lambda acc, c: acc * s + c, reversed(P))
+                   for P in polys]
 
-    diffs = _difference_table(U, shifts, table, counter,
+    diffs = _difference_table(U, sums, table, counter,
                               sum(len(e.coeffs) for row in U for e in row))
     return table, m * w, _difference_steps(diffs, w, table, p, counter)
 
@@ -623,25 +633,27 @@ def _sums_are_polynomial(table, rows):
         or all(min(r) >= 0 or max(r) <= 0 for r in rows if r))
 
 
-def _difference_table(grid, values, table, counter, live):
+def _dot_sums(coeffs, table, counter):
+    """bl.n_dot_sums of coeffs on the table's fixed-point form."""
+    counter.scalar += len(coeffs) - coeffs.count(0)
+    return bl.n_dot_sums(coeffs, table._fix)
+
+
+def _difference_table(grid, sums, table, counter, live):
     """Per entry e of grid and per sum of its fused dot (bl.n_dot_sums),
     [Delta^0, Delta^1, ...] at the first step, trailing zeros dropped, from
-    the coefficients values(e) yields at consecutive steps: d + 1 of them
-    for sums of degree d, and any w give back those w steps exactly."""
-    fix = table._fix
+    the sums that sums(e) yields at consecutive steps: d + 1 of them for
+    sums of degree d, and any w give back those w steps exactly."""
     diffs = []
     for row in grid:
         drow = []
         for e in row:
-            vals = []
-            for c in values(e):
-                vals.append(bl.n_dot_sums(c, fix))
-                counter.scalar += len(c) - c.count(0)
-            seqs = [list(s) for s in zip(*vals)]
+            seqs = [list(s) for s in zip(*sums(e))]
             for s in seqs:
                 for k in range(1, len(s)):
                     for j in range(len(s) - 1, k - 1, -1):
                         s[j] -= s[j - 1]
+                counter.adds += len(s) * (len(s) - 1) // 2
                 while len(s) > 1 and not s[-1]:
                     s.pop()
             drow.append(seqs)
@@ -654,8 +666,8 @@ def _difference_table(grid, values, table, counter, live):
 def _difference_steps(diffs, w, table, p, counter):
     """The w steps from the difference table: one rounding per part of
     each entry, then Delta^j <- Delta^j + Delta^(j+1) for j = 0, 1, ...
-    (exact integer additions, counted as scalar operations) moves every
-    sum on to the next step."""
+    (exact integer additions, counted in adds) moves every sum on to the
+    next step."""
     fix = table._fix
     sums = [s for row in diffs for seqs in row for s in seqs if len(s) > 1]
     adds = sum(len(s) - 1 for s in sums)
@@ -666,7 +678,7 @@ def _difference_steps(diffs, w, table, p, counter):
             for s in sums:
                 for j in range(len(s) - 1):
                     s[j] += s[j + 1]
-            counter.scalar += adds
+            counter.adds += adds
 
 
 def _bivariate_steps(E, first, step, count, table, p, counter):
@@ -687,7 +699,8 @@ def _bivariate_steps(E, first, step, count, table, p, counter):
 
     if _sums_are_polynomial(table, rows):
         diffs = _difference_table(
-            E, lambda e: [at(e, k) for k in ks[:max(1, e.deg_k() + 1)]],
+            E, lambda e: [_dot_sums(at(e, k), table, counter)
+                          for k in ks[:max(1, e.deg_k() + 1)]],
             table, counter, live)
         return True, _difference_steps(diffs, count, table, p, counter)
     counter.note_live_coeffs(live + table.D + 1)

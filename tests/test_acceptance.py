@@ -142,11 +142,12 @@ def test_criterion_5_operation_counts():
         rep = eval_dispatch(RISING, z, n, 4 * n, algorithm="rect-split", m=m)
         c = rep.counter
         ns_ok = c.nonscalar <= 4 * (m + n / m)  # r = 1
-        sc_ok = c.scalar <= 8 * n * 1           # deg_x = 1
+        sc_ok = c.scalar + c.adds <= 8 * n * 1  # deg_x = 1
         ok = ok and ns_ok and sc_ok
         if k in (4, 14):
-            details.append("n=2^%d: nonscalar %d <= %.0f, scalar %d <= %d"
-                           % (k, c.nonscalar, 4 * (m + n / m), c.scalar, 8 * n))
+            details.append("n=2^%d: nonscalar %d <= %.0f, scalar %d + adds %d"
+                           " <= %d" % (k, c.nonscalar, 4 * (m + n / m),
+                                       c.scalar, c.adds, 8 * n))
     report(5, ok, "; ".join(details))
 
 

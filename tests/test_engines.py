@@ -11,7 +11,7 @@ import pytest
 
 import holoeval.balls as bl
 from holoeval.balls import Ball, ComplexBall
-from holoeval.poly import BiPoly, bipoly_from_text
+from holoeval.poly import BiPoly, bipoly_from_text, taylor_shift_basecase
 from holoeval.recmat import (DenominatorZeroError, RecMatrix,
                              ScalarRecurrence, companion,
                              rising_factorial_matrix, unroll_rational)
@@ -326,22 +326,73 @@ class TestDifferenceTable:
         self._same_as_exact_steps(RISING, z, 300, p, 9, row=0)
 
     def test_shift_symmetric_order_two_gets_the_longer_step(self):
-        # a 2 x 2 shift-symmetric matrix steps by p^0.4; the rising
-        # factorial and matrices without the symmetry keep the scalar rule
+        # a 2 x 2 shift-symmetric matrix steps by 1.5 p^0.4 for a short and
+        # a full-mantissa z alike; the rising factorial and matrices
+        # without the symmetry keep the scalar rule
         p, n = 8192, 20000
         z = Ball.from_fraction(Fraction(5, 4), p)
-        rep = eval_dispatch(hyp1f1_gamma_matrix(10), z, 40, 64,
-                            algorithm="rect-split")
-        assert rep.plan.m == int(64 ** 0.4) == 5
+        for zq in (Fraction(5, 4), Fraction(4, 3)):
+            rep = eval_dispatch(hyp1f1_gamma_matrix(10),
+                                Ball.from_fraction(zq, 64), 100, 64,
+                                algorithm="rect-split")
+            assert rep.plan.m == int(1.5 * 64 ** 0.4) == 7
         fib_k = companion(ScalarRecurrence([bipoly_from_text("-1"),
                                             bipoly_from_text("-k"),
                                             bipoly_from_text("1")]))
         assert not fib_k.shift_symmetry_holds()
         rep = eval_dispatch(fib_k, z, 40, 64, algorithm="rect-split")
         assert rep.plan.m == 1
-        assert make_plan("rect-split", n, p, r=2).m == int(p ** 0.4)
+        for zbits in (0, 3, p):
+            assert make_plan("rect-split", n, p, zbits=zbits, r=2).m == 55
         assert make_plan("rect-split", n, p).m == int(0.2 * p ** 0.4)
         assert make_plan("rect-delta", n, p, r=2).m == int(0.2 * p ** 0.4)
+
+
+class TestTaylorSums:
+    """rect-split's first sums of each entry of U_0, made from the dot sums
+    of its Taylor coefficients and Horner in the shift, are the dot sums of
+    U_0 shifted by each step's start, in both orders."""
+
+    CPX = ComplexBall(Ball.from_fraction(Fraction(3, 2), 512),
+                      Ball.from_fraction(Fraction(-5, 7), 512))
+
+    @pytest.mark.parametrize("row", [None, 0])
+    @pytest.mark.parametrize("M, z, n, m", [
+        (RISING, Fraction(1, 3), 23, 7),     # w = 3 < D + 1 = 8
+        (RISING, Fraction(1, 3), 100, 7),    # w = 14 > D + 1
+        (RISING, Fraction(5, 4), 23, 7),
+        (RISING, CPX, 300, 9),
+        (hyp1f1_gamma_matrix(300), Fraction(4, 3), 400, 9),  # a zero entry
+        (hyp1f1_gamma_matrix(300), Fraction(5, 4), 30, 7),
+        (hyp1f1_gamma_matrix(300), CPX, 200, 11),
+        (RecMatrix([[bipoly_from_text("-x - k")]]), Fraction(2, 7), 100, 7),
+        (RecMatrix([[bipoly_from_text("-x - k")]]), Fraction(2, 7), 20, 9),
+        (RecMatrix([[bipoly_from_text("x + k - 3")]]), Fraction(1, 4), 100, 7),
+        (RecMatrix([[bipoly_from_text("x + k - 3")]]), Fraction(1, 4), 30, 7)])
+    def test_sums_are_those_of_the_shifted_entries(self, monkeypatch, M, z,
+                                                   n, m, row):
+        seen = []
+
+        def spy(grid, sums, table, counter, live):
+            seen.append((grid, sums, table))
+            return real(grid, sums, table, counter, live)
+
+        real = engines._difference_table
+        monkeypatch.setattr(engines, "_difference_table", spy)
+        p = 512 if isinstance(z, ComplexBall) else 256
+        zb = z if isinstance(z, ComplexBall) else Ball.from_fraction(z, p)
+        rep = eval_dispatch(M, zb, n, p, algorithm="rect-split", m=m, row=row)
+        assert rep.counter.giant_step == "difference table"
+        grid, sums, table = seen[0]  # rect-split's, before the leftovers
+        w = n // m
+        start, step = (0, m) if row is None else ((w - 1) * m, -m)
+        entries = [e for r in grid for e in r]
+        assert any(e.is_zero() for e in entries) == (M.r == 2)
+        for e in entries:
+            count = max(1, min(len(e.coeffs), w))
+            ref = [bl.n_dot_sums(taylor_shift_basecase(e, start + i * step)
+                                 .coeffs, table._fix) for i in range(count)]
+            assert list(sums(e)) == ref
 
 
 def _horner_steps(E, ks, table, p):
@@ -509,9 +560,9 @@ class TestBivariateDifferences:
 
     @pytest.mark.parametrize("alg", ["rect-delta", "naive"])
     def test_counts_on_the_rising_factorial(self, monkeypatch, alg):
-        # eval_k at deg_k + 1 indices only; a step adds about as many
-        # differences as the dot had coefficients (one for x + k at an
-        # exact z, where the radius sums are 0)
+        # eval_k and the dot at deg_k + 1 indices only; a step adds about
+        # as many differences as the dot had coefficients (one for x + k at
+        # an exact z, where the radius sums are 0)
         z, n, p = Ball.from_fraction(Fraction(1, 4), 4096), 1000, 4096
         rep = eval_dispatch(RISING, z, n, p, algorithm=alg, m=13)
         with monkeypatch.context() as mp:
@@ -519,7 +570,9 @@ class TestBivariateDifferences:
             ref = eval_dispatch(RISING, z, n, p, algorithm=alg, m=13)
         assert rep.counter.nonscalar == ref.counter.nonscalar
         assert rep.counter.coeff < ref.counter.coeff / 4
-        assert rep.counter.scalar < (1.1 if alg == "rect-delta" else 0.6) \
+        assert rep.counter.scalar < ref.counter.scalar / 4
+        assert ref.counter.adds == 0
+        assert rep.counter.adds < (1.1 if alg == "rect-delta" else 0.6) \
             * ref.counter.scalar
 
 
@@ -955,7 +1008,7 @@ class TestInstrumentation:
             rep = eval_dispatch(RISING, z, n, 4 * n, algorithm="rect-split", m=m)
             c = rep.counter
             assert c.nonscalar <= 4 * (m + n / m), n
-            assert c.scalar <= 8 * n, n
+            assert c.scalar + c.adds <= 8 * n, n
 
     def test_storage_linear_in_m(self):
         n = 2 ** 10

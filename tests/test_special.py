@@ -456,6 +456,30 @@ class TestGamma:
                 got = b.rel_accuracy_bits()
                 assert got >= p - 64 and abs(got - acc) <= 2, (x, p, got)
 
+    @pytest.mark.parametrize("p", [128, 256])
+    @pytest.mark.parametrize("x", [Fraction(5, 4), Fraction(7, 3)])
+    def test_1f1_at_low_precision(self, monkeypatch, x, p):
+        # a product of fewer than 1000 factors still takes rect-split, with
+        # the step of a shift-symmetric order-2 matrix
+        plans = []
+
+        def spy(*args, **kwargs):
+            rep = eval_dispatch(*args, **kwargs)
+            plans.append(rep.plan)
+            return rep
+
+        monkeypatch.setattr(special, "eval_dispatch", spy)
+        xb = Ball.from_fraction(x, p)
+        b = gamma_1f1(xb, p)
+        assert plans[0].algorithm == "rect-split" and plans[0].m > 1
+        mpmath.mp.prec = p + 64
+        ref = _mpf_fraction(mpmath.gamma(mpmath.mpf(x.numerator)
+                                         / x.denominator))
+        assert abs(b.mid_fraction() - ref) \
+            <= b.rad_fraction() + ref / 2 ** (p + 56)
+        assert b.overlaps(gamma_stirling(xb, p))
+        assert b.rel_accuracy_bits() >= p - 8
+
     def test_gamma2_is_one(self):
         assert gamma_1f1(Ball.from_int(2), 128).contains(1)
         assert gamma_stirling(Ball.from_int(2), 128).contains(1)
