@@ -5,8 +5,8 @@ Algorithms
 ----------
 naive           one factor at a time, O(n) full-precision multiplications
 binsplit-exact  exact product over Z[x], one polynomial evaluation at z
-multipoint      giant-step polynomial built over ball coefficients,
-                evaluated at 0, m, 2m, ... by a remainder tree
+multipoint      giant-step polynomial in fixed point (integer midpoints
+                and radii), evaluated at 0, m, 2m, ... by a remainder tree
 rect-ps         exact subproducts of length ~n~ evaluated entrywise by
                 Paterson-Stockmeyer baby-step giant-step
 rect-split      giant-step products kept at degree O(m) in x, evaluated
@@ -75,13 +75,12 @@ from itertools import chain, repeat
 
 from . import balls as bl
 from .balls import ComplexBall
-# neither Taylor shift is called here (rect-split's difference table starts
-# from the Taylor sums of U_0), but both stay importable from this module,
-# where tracing tools look up the Taylor shifts
+# the convolution shift is not called here, but stays importable from this
+# module, where tracing tools look up the Taylor shifts
 from .poly import (UniPoly, product_tree, taylor_shift_basecase,  # noqa: F401
                    taylor_shift_convolution)
 from .recmat import (DenominatorZeroError, RecMatrix, eval_factor,
-                     product_binsplit_exact)
+                     mat_mul_exact, product_binsplit_exact)
 
 ALGORITHMS = ("naive", "binsplit-exact", "multipoint", "rect-ps",
               "rect-split", "rect-delta")
@@ -449,12 +448,14 @@ def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     xtable = PowerTable(z, M.deg_x(), p, counter)
     if not w:
         return xtable, 0, ()
-    base = _substitute_x(M, xtable, p, counter)
-    # T_j = base(k + j), shifts over ball coefficients (scalar work)
-    tmats = [base] + [[[_bp_shift(e, j, p, counter) for e in row]
-                       for row in base] for j in range(1, m)]
-    U = _bpmat_binsplit(tmats, 0, m, p, counter)
-    steps = _bpmat_multipoint(U, [i * m for i in range(w)], p, counter, z)
+    # bits kept under the top coefficient beyond p (8 guard bits): U has
+    # degree m deg_k, and its coefficient of k^t is multiplied by up to n^t
+    spread = m * M.deg_k() * n.bit_length() + 8
+    base = _fix_form(_substitute_x(M, xtable, p, counter), p + spread, z)
+    tmats = [base] + [_fix_shift(base, j, M.r, counter) for j in range(1, m)]
+    U = product_binsplit_exact(
+        tmats, lambda A, B: _fix_mat_mul(A, B, p, spread, M.r, counter))
+    steps = _fix_multipoint(U, [i * m for i in range(w)], p, M.r, counter, z)
     return xtable, m * w, steps[::-1] if reverse else steps
 
 
@@ -472,102 +473,140 @@ def _ball_is_exact_zero(b) -> bool:
     return b.man == 0 and b.rm == 0
 
 
-def _bp_shift(coeffs, c: int, p, counter: OpCounter):
-    """Ball-coefficient Taylor shift by the integer c (Horner scheme)."""
-    if not coeffs or not c:
-        return list(coeffs)
-    out = [coeffs[-1]]
-    for a in reversed(coeffs[:-1]):
-        nxt = [bl.n_add(a, bl.n_mul_int(out[0], c, p), p)]
-        for j in range(1, len(out)):
-            nxt.append(bl.n_add(out[j - 1], bl.n_mul_int(out[j], c, p), p))
-        nxt.append(out[-1])
-        counter.scalar += len(out)
-        out = nxt
-    return out
+def _fix_form(grid, prec, like):
+    """The fixed-point form (grid, e) of a grid of ball-coefficient lists,
+    in which multipoint works: entry (i, j) is a pair of coefficient lists
+    (mids, rads), and the coefficient of k^t lies in (mids[t] +- rads[t])
+    2^e.  It is exact if it can be, else it keeps prec bits of the top
+    coefficient and floors the lower bits into the radius.  A complex
+    matrix re + i im is the real one [[re, -im], [im, re]], whose products
+    are those of the complex matrices; op counts read its top left block,
+    the r0 x r0 of the complex matrix.  Every list keeps the length of the
+    ball polynomial it stands for, so the counts are those of balls."""
+    if isinstance(like, ComplexBall):
+        re, im, neg = ([[[f(b) for b in es] for es in row] for row in grid]
+                       for f in (bl.n_real, lambda b: b.im, lambda b: -b.im))
+        grid = ([a + b for a, b in zip(re, neg)]
+                + [a + b for a, b in zip(im, re)])
+    balls = [b for row in grid for es in row for b in es]
+    top = max((b.exp + b.man.bit_length() for b in balls if b.man), default=0)
+    e = max(top - prec, min([b.exp for b in balls if b.man]
+                            + [b.re for b in balls if b.rm], default=0))
+
+    def at(b):  # (mid, rad) of the ball b at 2^e
+        d = b.exp - e
+        mid = b.man << d if d >= 0 else b.man >> -d
+        rad = b.rm << (b.re - e) if b.re >= e else -(-b.rm >> (e - b.re))
+        return mid, rad + (d < 0 and mid << -d != b.man)
+
+    return [[tuple(map(list, zip(*map(at, es)))) if es else ([], [])
+             for es in row] for row in grid], e
 
 
-def _bp_mul(a, b, p, counter: OpCounter):
-    """Schoolbook product of ball-coefficient polynomials (nonscalar)."""
-    if not a or not b:
-        return []
-    out = [None] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            t = bl.n_mul(ai, bj, p)
-            out[i + j] = t if out[i + j] is None else bl.n_add(out[i + j], t, p)
-    counter.nonscalar += len(a) * len(b)
-    return out
+def _fix_shift(F, c: int, r0: int, counter: OpCounter):
+    """F(k + c) for an integer c > 0 by Taylor shifts of the midpoints and,
+    since c > 0, of the radii (exact)."""
+    grid, e = F
+    counter.scalar += sum(len(mids) * (len(mids) - 1) // 2
+                          for row in grid[:r0] for mids, _ in row[:r0])
+    return [[tuple(_pad(taylor_shift_basecase(UniPoly(cs), c).coeffs, len(cs))
+                   for cs in es) for es in row] for row in grid], e
 
 
-def _bp_add(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = bl.n_add(out[i], c, p)
-    return out
+def _pad(cs, length):
+    return cs + [0] * (length - len(cs))
 
 
-def _bpmat_mul(A, B, p, counter):
-    r = len(A)
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            acc = _bp_mul(A[i][0], B[0][j], p, counter)
-            for t in range(1, r):
-                acc = _bp_add(acc, _bp_mul(A[i][t], B[t][j], p, counter), p)
-            row.append(acc)
-        out.append(row)
-    return out
+def _fix_mat_mul(A, B, p, spread, r0: int, counter: OpCounter):
+    """A B in fixed point: the midpoints exactly by mat_mul_exact (Kronecker
+    products), the radius |a| r_b + r_a |b| + r_a r_b by two products with
+    upper bounds of |a| + r_a and |b| + r_b to spread + 32 bits (a shorter
+    bound would widen the coefficients spread bits below the top); then the
+    midpoint bits more than p + spread below the top coefficient are floored
+    into the radius.  nonscalar counts the coefficient products of the
+    schoolbook product."""
+    (ga, ea), (gb, eb) = A, B
+    (am, ar), (bm, br) = ([[[es[k] for es in row] for row in g]
+                           for k in (0, 1)] for g in (ga, gb))
+    counter.nonscalar += sum(len(am[i][t]) * len(bm[t][j]) for i in range(r0)
+                             for j in range(r0) for t in range(r0))
+    (ua, sa), (ub, sb) = (_fix_upper(g, spread + 32) for g in (ga, gb))
+    mids, rb, ra = (_poly_mat_mul(X, Y)
+                    for X, Y in ((am, bm), (ua, br), (ar, ub)))
+    top = max((abs(c).bit_length() for row in mids for cs in row for c in cs),
+              default=0)
+    s = max(0, top - p - spread)
+    low = (1 << s) - 1
+    grid = [[([c >> s for c in cs],
+              [-(-((x << sa) + (y << sb) + (c & low)) >> s)
+               for c, x, y in zip(cs, xs, ys)])
+             for cs, xs, ys in zip(*rows)] for rows in zip(mids, rb, ra)]
+    return grid, ea + eb + s
 
 
-def _bpmat_binsplit(mats, a, b, p, counter):
-    if b - a == 1:
-        return mats[a]
-    mid = (a + b) // 2
-    lo = _bpmat_binsplit(mats, a, mid, p, counter)
-    hi = _bpmat_binsplit(mats, mid, b, p, counter)
-    return _bpmat_mul(hi, lo, p, counter)
+def _fix_upper(grid, bits):
+    """(u, s) with u * 2^s >= |mid| + rad, coefficient by coefficient, and
+    the largest u of about bits bits."""
+    vals = [[[abs(c) + r for c, r in zip(*es)] for es in row] for row in grid]
+    top = max((v.bit_length() for row in vals for vs in row for v in vs),
+              default=0)
+    s = max(0, top - bits)
+    return [[[-(-v >> s) for v in vs] for vs in row] for row in vals], s
 
 
-def _bp_rem_monic(coeffs, node: UniPoly, p, counter: OpCounter):
-    """Remainder of a ball-coefficient polynomial by a monic integer
-    polynomial (synthetic division, scalar operations only)."""
-    d = node.degree()
-    if len(coeffs) - 1 < d:
-        return list(coeffs)
-    rem = list(coeffs)
+def _poly_mat_mul(A, B):
+    """A B for matrices of integer coefficient lists, each entry as long as
+    the schoolbook product makes it."""
+    C = mat_mul_exact(*([[UniPoly(cs) for cs in row] for row in X]
+                        for X in (A, B)))
+    return [[_pad(c.coeffs, max([len(a) + len(b) - 1 for a, b in
+                                 zip(arow, bcol) if a and b], default=0))
+             for c, bcol in zip(crow, zip(*B))] for crow, arow in zip(C, A)]
+
+
+def _fix_rem(mids, rads, node: UniPoly, counter):
+    """The remainder by a monic integer polynomial, by synthetic division:
+    exact on the midpoints, and the radii take the same steps with |c|."""
     nc = node.coeffs
-    for i in range(len(rem) - 1 - d, -1, -1):
-        lead = rem[i + d]
-        if _ball_is_exact_zero(lead):
+    d = len(nc) - 1
+    if len(mids) - 1 < d:
+        return mids, rads
+    mids, rads = list(mids), list(rads)
+    for i in range(len(mids) - 1 - d, -1, -1):
+        lead, lr = mids[i + d], rads[i + d]
+        if not (lead or lr):
             continue
         for j in range(d):
-            c = nc[j]
-            if c:
-                rem[i + j] = bl.n_sub(rem[i + j], bl.n_mul_int(lead, c, p), p)
+            mids[i + j] -= lead * nc[j]
+        if lr:
+            for j in range(d):
+                rads[i + j] += lr * abs(nc[j])
         counter.scalar += d
-    return rem[:d]
+    return mids[:d], rads[:d]
 
 
-def _bpmat_multipoint(U, points, p, counter, like):
-    """Values of a ball-poly matrix at integer points via a remainder tree
-    over the exact integer product tree."""
-    zero = bl.n_zero(like)
+def _fix_multipoint(F, points, p, r0: int, counter: OpCounter, like):
+    """The ball matrices F(x) at the integer points x, by a remainder tree
+    over the exact product tree."""
+    grid, e = F
     out = []
 
-    def descend(node, mat):
-        mat = [[_bp_rem_monic(e, node.poly, p, counter) for e in row]
-               for row in mat]
-        if node.left is None:
-            out.append([[e[0] if e else zero for e in row] for row in mat])
-        else:
-            descend(node.left, mat)
-            descend(node.right, mat)
+    def descend(node, grid):
+        grid = [[_fix_rem(*es, node.poly,
+                          counter if max(i, j) < r0 else OpCounter())
+                 for j, es in enumerate(row)] for i, row in enumerate(grid)]
+        if node.left is not None:
+            descend(node.left, grid)
+            descend(node.right, grid)
+            return
+        vals = [[bl._make(mids[0], e, *bl._u_from_abs(rads[0], e), p)
+                 if mids else bl.Ball.zero() for mids, rads in row]
+                for row in grid]
+        out.append(vals if len(vals) == r0 else [
+            [ComplexBall(a, b) for a, b in zip(vals[i], vals[i + r0])][:r0]
+            for i in range(r0)])
 
-    descend(product_tree(points), U)
+    descend(product_tree(points), grid)
     return out
 
 

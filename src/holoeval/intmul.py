@@ -15,10 +15,13 @@ every transform length and matrix size that they accept (bound below), and
 every result is checked modulo 2^61 - 1 before it is returned.  A failed
 check recomputes the entry with `*`.  A product of two integers too long
 for one transform is split into pieces that fit (Karatsuba), each of them
-an FFT product with its own check.
+an FFT product with its own check; a larger matrix product above the caps
+makes its entry products one at a time in the same way.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .balls import _Z
 
@@ -63,7 +66,7 @@ FFT_MIN_BITS = 1 << 16
 # N = 2^10.
 _FFT_MAX_LEN = 1 << 22  # products of up to 2^25 bits in one transform
 # The transforms of mat_mul, 2 r^2 spectra of N float64 words, are all kept;
-# above this many words it multiplies entry by entry with `*`.
+# above this many words it multiplies entry by entry.
 _FFT_MAX_WORDS = 1 << 25
 _CHECK_MOD = (1 << 61) - 1
 
@@ -74,17 +77,20 @@ def mat_mul(A, B):
     size = _fft_size(A, B)
     if size:
         return _fft_mat_mul(A, B, size)
-    if len(A) == 1 and _over_the_cap(A[0][0], B[0][0]):
-        return [[_split_mul(A[0][0], B[0][0])]]
     r = len(A)
-    return [[sum(A[i][t] * B[t][j] for t in range(r)) for j in range(r)]
+    mul = operator.mul
+    if _fft_size(A, B, cap=False):
+        # over the caps: split a 1 x 1 product, and make each entry product
+        # of a larger one by _mul, which splits it if need be
+        mul = _split_mul if r == 1 else _mul
+    return [[sum(mul(A[i][t], B[t][j]) for t in range(r)) for j in range(r)]
             for i in range(r)]
 
 
-def _fft_size(A, B):
+def _fft_size(A, B, cap=True):
     """Transform length for A B on the FFT path, or 0 when that path is off,
-    when either factor is below the crossover, or when the product exceeds
-    the length cap or the memory limit under which the bound is proven."""
+    when either factor is below the crossover, or, if cap, when the product
+    exceeds the length cap or the memory limit that the bound is proven for."""
     if not FFT_ACTIVE:
         return 0
     bits_a = max(x.bit_length() for row in A for x in row)
@@ -93,15 +99,8 @@ def _fft_size(A, B):
         return 0
     size = 1 << (((bits_a + 7) >> 3) + ((bits_b + 7) >> 3) - 2).bit_length()
     if size > _FFT_MAX_LEN or 2 * len(A) ** 2 * size > _FFT_MAX_WORDS:
-        return 0
+        return 0 if cap else size
     return size
-
-
-def _over_the_cap(x, y):
-    """True when x y would take the FFT path but for the length cap."""
-    bx, by = x.bit_length(), y.bit_length()
-    return (FFT_ACTIVE and min(bx, by) >= FFT_MIN_BITS
-            and ((bx + 7) >> 3) + ((by + 7) >> 3) - 1 > _FFT_MAX_LEN)
 
 
 def _split_mul(x, y):

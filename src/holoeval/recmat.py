@@ -144,9 +144,10 @@ def mat_mul_exact(A, B):
     return out
 
 
-def product_binsplit_exact(factors):
+def product_binsplit_exact(factors, mul=None):
     """Product of a nonempty factor list in right-to-left order
-    (factors[-1] ... factors[1] factors[0]) by balanced recursion."""
+    (factors[-1] ... factors[1] factors[0]) by balanced recursion, with the
+    product mul(hi, lo) (mat_mul_exact by default)."""
     if not factors:
         raise ValueError("empty factor list")
 
@@ -156,8 +157,9 @@ def product_binsplit_exact(factors):
         m = (a + b) // 2
         lo = rec(a, m)
         hi = rec(m, b)
-        return mat_mul_exact(hi, lo)
+        return mul(hi, lo)
 
+    mul = mul or mat_mul_exact  # looked up per call, as tracing tools wrap it
     return rec(0, len(factors))
 
 

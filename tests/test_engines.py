@@ -101,6 +101,20 @@ class TestSmallExamples:
         rep = eval_dispatch(RISING, z, 100, 256, algorithm="multipoint")
         assert rep.matrix[0][0].contains(rising_exact(Fraction(1, 2), 100))
 
+    @pytest.mark.parametrize("zq, n, lost", [(Fraction(1, 3), 256, 49),
+                                             (Fraction(1, 3), 1024, 160),
+                                             (Fraction(1, 8), 4096, 0)])
+    def test_multipoint_bits_lost(self, zq, n, lost):
+        # the remainder tree widens the radii by its node coefficients: at
+        # p = 4n, multipoint on ball coefficients lost 47 and 158 bits of
+        # (1/3)_n, and the bound is that loss plus 2 bits; a dyadic z makes
+        # every product of the fixed-point form exact, and loses nothing
+        p = 4 * n
+        rep = eval_dispatch(RISING, Ball.from_fraction(zq, p), n, p,
+                            algorithm="multipoint")
+        assert rep.matrix[0][0].contains(rising_exact(zq, n))
+        assert rep.accuracy_bits >= p - lost
+
     def test_rect_ps_rising_8(self):
         # n = 8: one subproduct of length int(2 sqrt 8) = 5 and a leftover
         # of 3; n = 4: one subproduct of length n, rows of m = 3

@@ -205,6 +205,21 @@ class TestAboveTheLengthCap:
             assert mul(-x, y) == -(x * y)
         assert max(small_cap) <= 512
 
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_matrix_products(self, small_cap, monkeypatch, r):
+        # above the length cap, or with the word cap lowered to one 1 x 1
+        # product at the length cap, every entry product is split to fit
+        rng = random.Random(29 + r)
+        for bits, words in ((20000, None), (1500, 2 * 512)):
+            if words:
+                monkeypatch.setattr(im, "_FFT_MAX_WORDS", words)
+            small_cap.clear()
+            A, B = ([[rng.getrandbits(bits) * rng.choice((-1, 1))
+                      for _ in range(r)] for _ in range(r)] for _ in range(2))
+            A[0][r - 1] = 0
+            assert im.mat_mul(A, B) == mat_schoolbook(A, B)
+            assert len(small_cap) >= r ** 3 - r and max(small_cap) <= 512
+
     def test_residue_check_guards_every_piece(self, small_cap, monkeypatch):
         real = im._from_limb_sums
         monkeypatch.setattr(im, "_from_limb_sums", lambda v: real(v) + 1)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import holoeval.balls as bl
 import holoeval.poly as pm
 from holoeval.balls import Ball
-from holoeval.engines import OpCounter, PowerTable, _bpmat_multipoint
+from holoeval.engines import (OpCounter, PowerTable, _fix_form,
+                              _fix_mat_mul, _fix_multipoint)
 from holoeval.poly import (BiPoly, UniPoly, bipoly_from_text, bipoly_to_text,
                            product_tree, taylor_shift_basecase,
                            taylor_shift_convolution)
@@ -133,12 +134,87 @@ class TestProductTreeMultipoint:
         polys[1][0] = UniPoly.zero()
         U = [[[Ball.from_int(c) for c in e.coeffs] for e in row] for row in polys]
         pts = [i * m for i in range(w)]
-        values = _bpmat_multipoint(U, pts, 4096, OpCounter(), Ball.zero())
+        values = _fix_multipoint(_fix_form(U, 4096, Ball.zero()), pts, 4096,
+                                 2, OpCounter(), Ball.zero())
         assert len(values) == w
         for x0, mat in zip(pts, values):
             for erow, vrow in zip(polys, mat):
                 for e, v in zip(erow, vrow):
                     assert v.is_exact() and v.mid_fraction() == e.eval_at(x0)
+
+    @pytest.mark.parametrize("w", [5, 8])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_product_and_remainder_tree_contain_horner(self, w, kind):
+        # p-bit balls of random rationals, real and complex: the fixed-point
+        # product A B, whose low bits go into the radius, and the remainder
+        # tree give balls that contain the exact A(x) B(x)
+        rng = random.Random(31 + w)
+        m, p, spread = 5, 96, 8
+        parts = 1 if kind == "real" else 2
+
+        def rand_entry():  # coefficient lists of the real and imaginary part
+            length = rng.randint(1, 2 * w)
+            return [[Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                              rng.randint(1, 999)) for _ in range(length)]
+                    for _ in range(parts)]
+
+        def to_balls(X):
+            bs = [[[[Ball.from_fraction(q, p) for q in cs] for cs in e]
+                   for e in row] for row in X]
+            if kind == "real":
+                return [[e[0] for e in row] for row in bs]
+            return [[[bl.ComplexBall(*c) for c in zip(*e)] for e in row]
+                    for row in bs]
+
+        A, B = ([[rand_entry() for _ in range(2)] for _ in range(2)]
+                for _ in range(2))
+        A[1][0] = [[]] * parts
+        like = Ball.zero() if kind == "real" else bl.ComplexBall.zero()
+        F = _fix_mat_mul(*(_fix_form(to_balls(X), p + spread, like)
+                           for X in (A, B)), p, spread, 2, OpCounter())
+        pts = [i * m for i in range(w)]
+        values = _fix_multipoint(F, pts, p, 2, OpCounter(), like)
+        def cmul(x, y):  # (re, im) pairs
+            return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+        for x0, mat in zip(pts, values):
+            a, b = ([[[UniPoly(cs).eval_at(x0) for cs in e] + [0]
+                      for e in row] for row in X] for X in (A, B))
+            for i in range(2):
+                for j in range(2):
+                    exact = [sum(col) for col in zip(*(
+                        cmul(a[i][t], b[t][j]) for t in range(2)))]
+                    assert mat[i][j].contains(*exact[:parts]), (x0, i, j)
+
+    @pytest.mark.parametrize("spread, rad", [(0, 1 << 30), (0, 0), (2, 0)])
+    def test_product_radius_covers_the_corner(self, spread, rad):
+        # positive coefficients whose exact values are the upper ends of
+        # their balls: then A(0) B(0) is the largest value that the balls
+        # allow, and the remainder tree adds no radius at the point 0.  With
+        # exact balls the radius is what the product floors (p-bit
+        # exponents) or the fixed-point form floors (exponents spread over
+        # 2p bits), and the values keep 2p bits so that no rounding hides it
+        rng = random.Random(41)
+        p = 96
+
+        def rand_entry():
+            return [Ball(rng.getrandbits(p - 1) | 1 << (p - 1),
+                         -p - rng.randint(0, spread * p),
+                         rng.randint(1, rad) if rad else 0, -p - 10)
+                    for _ in range(rng.randint(1, 9))]
+
+        A, B = ([[rand_entry() for _ in range(2)] for _ in range(2)]
+                for _ in range(2))
+        F = _fix_mat_mul(*(_fix_form(X, p + 8, Ball.zero()) for X in (A, B)),
+                         p, 8, 2, OpCounter())
+        (mat,) = _fix_multipoint(F, [0], 2 * p, 2, OpCounter(), Ball.zero())
+        for i in range(2):
+            for j in range(2):
+                corner = sum((a.mid_fraction() + a.rad_fraction())
+                             * (b.mid_fraction() + b.rad_fraction())
+                             for a, b in ((A[i][t][0], B[t][j][0])
+                                          for t in range(2)))
+                assert mat[i][j].contains(corner), (i, j)
 
 
 def rand_bipoly(rng, maxd=3, bound=9):
