@@ -22,8 +22,7 @@ from .recmat import (DenominatorZeroError, RecMatrix, ScalarRecurrence,
                      product_binsplit_exact, rising_factorial_matrix,
                      unroll_rational)
 from .engines import (ALGORITHMS, EvalPlan, EvalReport, OpCounter, PowerTable,
-                      bivariate_delta, choose_m, default_algorithm,
-                      eval_dispatch, make_plan)
+                      bivariate_delta, eval_dispatch, make_plan)
 from .special import (BernoulliCache, RisingDeltaCoeffs, StirlingParams,
                       bernoulli_even, gamma_1f1, gamma_stirling,
                       hyp1f1_gamma_matrix, rising_delta_coeffs,
@@ -45,7 +44,7 @@ __all__ = [
     "bipoly_from_text", "bipoly_to_text",
     "companion", "eval_factor", "product_binsplit_exact",
     "apply_to_vector", "unroll_rational", "rising_factorial_matrix",
-    "choose_m", "default_algorithm", "make_plan", "eval_dispatch",
+    "make_plan", "eval_dispatch",
     "bivariate_delta",
     "rising_factorial", "rising_factorial_report", "rising_delta_coeffs",
     "bernoulli_even", "stirling_params", "gamma_stirling",

@@ -163,6 +163,10 @@ def _number(text):
     return text
 
 
+ALGORITHM_HELP = ("engine (default: from the recurrence: naive for n < 32, "
+                  "rect-split if M(x, k+1) = M(x+1, k), else rect-delta)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="holoeval",
@@ -182,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_int_at_least(0))
     p.add_argument("--z", type=_number, default=None,
                    help="parameter value (decimal or rational)")
-    p.add_argument("--algorithm", choices=ALGORITHMS, default=None)
+    p.add_argument("--algorithm", choices=ALGORITHMS, default=None,
+                   help=ALGORITHM_HELP)
     p.add_argument("--m", type=_int_at_least(1), help="step length override")
     add_prec(p)
     p.set_defaults(func=cmd_eval)
@@ -190,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rising", help="rising factorial z (z+1) ... (z+n-1)")
     p.add_argument("z", type=_number)
     p.add_argument("n", type=_int_at_least(0))
-    p.add_argument("--algorithm", choices=ALGORITHMS, default=None)
+    p.add_argument("--algorithm", choices=ALGORITHMS, default=None,
+                   help=ALGORITHM_HELP)
     p.add_argument("--m", type=_int_at_least(1))
     add_prec(p)
     p.set_defaults(func=cmd_rising)

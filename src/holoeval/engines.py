@@ -4,7 +4,8 @@ prod_{i=0}^{n-1} M(z, i) over ball arithmetic, plus tuning heuristics.
 Algorithms
 ----------
 naive           one factor at a time, O(n) full-precision multiplications
-binsplit-exact  exact product over Z[x], one polynomial evaluation at z
+binsplit-exact  rect-ps with one subproduct: the exact product of all n
+                factors over Z[x], evaluated once at z
 multipoint      giant-step polynomial in fixed point (integer midpoints
                 and radii), evaluated at 0, m, 2m, ... by a remainder tree
 rect-ps         exact subproducts of length ~n~ evaluated entrywise by
@@ -61,15 +62,23 @@ k >= 0, keeps one sign, so that |c_j| is a polynomial too.  Three users:
   otherwise each step is eval_k and a dot;
 - the factors _run multiplies in one at a time, in either order, from
   eval_k at the first deg_k + 1 indices; otherwise eval_k and a dot each.
-OpCounter.giant_step records the update of rect-split and rect-delta.  On a
-shift-symmetric matrix of order >= 2, choose_m takes the longer step
-m = 1.5 p^0.4, whatever z.
+OpCounter.giant_step records the update of rect-split and rect-delta.
+
+The plan
+--------
+make_plan reads the structure of one evaluation once: the shift symmetry
+of M, its order, whether z is short at the working precision, and n deg_x.
+The default engine follows the symmetry: naive for n < 32, rect-split on a
+shift-symmetric matrix (its difference table), rect-delta otherwise.  The
+plan keeps both flags, so the engines and the loop read them and do not
+test again; on a shift-symmetric matrix of order >= 2, rect-split takes the
+longer step m = 1.5 p^0.4, whatever z.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import chain, repeat
 
@@ -84,10 +93,6 @@ from .recmat import (DenominatorZeroError, RecMatrix, eval_factor,
 
 ALGORITHMS = ("naive", "binsplit-exact", "multipoint", "rect-ps",
               "rect-split", "rect-delta")
-
-# default selection thresholds: naive below the first bound, rect-delta up
-# to the second, rect-split beyond
-DEFAULT_THRESHOLDS = (32, 1000)
 
 
 @dataclass
@@ -122,7 +127,9 @@ class EvalPlan:
     m: int
     prec: int
     guard: int
-    subn: int | None = None  # rect-ps subproduct length
+    subn: int | None = None  # subproduct length (rect-ps, binsplit-exact)
+    short_z: bool = False  # _short_z at the working precision
+    symmetric: bool = False  # M(x, k+1) = M(x+1, k)
 
     @property
     def work_prec(self) -> int:
@@ -150,59 +157,51 @@ def _short_z(zbits: int, p: int) -> bool:
     return 2 * zbits <= p
 
 
-def choose_m(algorithm: str, n: int, p: int, zbits: int = 0, r: int = 1):
-    """Step-length heuristics; returns (m, subn).  zbits is the mantissa
-    size of the evaluation point (see mantissa_bits); r is the order of the
-    matrix if it is shift-symmetric (M(x, k+m) = M(x+m, k)), and 1 for every
-    other matrix, which keeps the rule of a scalar recurrence."""
+def make_plan(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
+              m: int | None = None) -> EvalPlan:
+    """The plan of prod_{i<n} M(z, i) at precision p: the engine (unless
+    algorithm is given), the step length m (unless given) and, for the
+    engines of exact subproducts, their length subn."""
+    if algorithm is not None and algorithm not in ALGORITHMS:
+        raise ValueError("unknown algorithm %r (choose from %s)"
+                         % (algorithm, ", ".join(ALGORITHMS)))
+    symmetric = M.shift_symmetry_holds()
+    guard = guard_bits(n)
+    short = _short_z(mantissa_bits(z), p + guard)
+    if algorithm is None:
+        algorithm = ("naive" if n < 32
+                     else "rect-split" if symmetric else "rect-delta")
+    subn = None
     if n < 1:
-        return 1, None
-    if algorithm == "multipoint":
-        m = int(n ** 0.5)
+        step = 1
+    elif algorithm == "multipoint":
+        step = int(n ** 0.5)
     elif algorithm == "rect-ps":
-        subn = int(min(2 * n ** 0.5, 10 * p ** 0.25))
-        subn = max(1, min(subn, n))
-        m = max(1, int(subn ** 0.5))
-        return m, subn
+        subn = max(1, min(int(min(2 * n ** 0.5, 10 * p ** 0.25)), n))
+        step = int(subn ** 0.5)
+    elif algorithm == "binsplit-exact":
+        # one subproduct of all n factors, of degree at most n deg_x, in
+        # Paterson-Stockmeyer rows of about its square root
+        subn, step = n, math.isqrt(n * M.deg_x()) + 1
     elif algorithm in ("rect-split", "rect-delta"):
         # a giant step has O(m log n) bits for a short z, and _run's tree
         # makes p-bit products only at its top levels; once z's mantissa
         # fills the precision every step is a p x p product of the chain,
         # and the dearer product pays for a longer step
-        c = 0.2 if _short_z(zbits, p) else 0.5
-        if algorithm == "rect-split" and r > 1:
+        c = 0.2 if short else 0.5
+        if algorithm == "rect-split" and symmetric and M.r > 1:
             # with rect-split's difference table a giant step of a
             # shift-symmetric matrix costs at most r^3 nonscalar products
             # and O(r^2 m) additions, so the step grows to 1.5 p^0.4
             # whatever z (the scan in README, Step length)
             c = 1.5
-        m = int(min(c * p ** 0.4, n ** 0.5))
+        step = int(min(c * p ** 0.4, n ** 0.5))
     else:
-        m = 1
-    return max(1, min(m, n)), None
-
-
-def default_algorithm(n: int) -> str:
-    lo, hi = DEFAULT_THRESHOLDS
-    if n < lo:
-        return "naive"
-    if n < hi:
-        return "rect-delta"
-    return "rect-split"
-
-
-def make_plan(algorithm: str, n: int, p: int, m: int | None = None,
-              zbits: int = 0, r: int = 1) -> EvalPlan:
-    if algorithm not in ALGORITHMS:
-        raise ValueError("unknown algorithm %r (choose from %s)"
-                         % (algorithm, ", ".join(ALGORITHMS)))
-    auto_m, subn = choose_m(algorithm, n, p, zbits, r)
-    if m is None:
-        m = auto_m
-    m = max(1, min(m, max(n, 1)))
+        step = 1
+    m = max(1, min(step if m is None else m, max(n, 1)))
     if subn is not None:
         subn = max(m, subn)
-    return EvalPlan(algorithm, m, p, guard_bits(n), subn)
+    return EvalPlan(algorithm, m, p, guard, subn, short, symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +309,12 @@ def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     # goes through the stable scalar-only engine: the multipoint remainder
     # tree can lose O(n) bits, and the full exact product evaluates a
     # degree-n polynomial whose coefficients dwarf a tiny value
-    m_den = choose_m("rect-split", n, plan.prec, mantissa_bits(z))[0]
+    den_plan = make_plan(sub, z, n, plan.prec, "rect-split")
     # sign-changing denominators can cost O(m) extra bits in expanded form;
     # escalate the guard until the product separates from zero
-    boost = 64 + m_den * (den.deg_k() * max(n, 2).bit_length() + 8)
+    boost = 64 + den_plan.m * (den.deg_k() * max(n, 2).bit_length() + 8)
     for attempt in range(3):
-        eff = EvalPlan("rect-split", m_den, plan.prec,
-                       plan.guard + attempt * boost)
+        eff = replace(den_plan, guard=den_plan.guard + attempt * boost)
         step = counter.giant_step
         mat = _run(sub, z, n, eff, counter)
         counter.giant_step = step
@@ -365,12 +363,11 @@ def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
                                1 if row is None else -1, n - covered, table,
                                p, counter)
     if row is None:
-        tree = _short_z(mantissa_bits(z), p)
-        # (factors covered, product); binsplit-exact's one step covers all n
+        # (factors covered, product)
         stack = []
         for k, S in chain(zip(repeat(plan.subn or plan.m), steps),
                           zip(repeat(1), tail)):
-            while stack and (not tree or stack[-1][0] <= k):
+            while stack and (not plan.short_z or stack[-1][0] <= k):
                 c, P = stack.pop()
                 S, k = ball_mat_mul(S, P, p, counter), k + c
             stack.append((k, S))
@@ -427,17 +424,6 @@ def _ps_eval(coeffs, table: PowerTable, m: int, p: int, counter: OpCounter):
 def _naive(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
            reverse: bool):
     return PowerTable(z, M.deg_x(), plan.work_prec, counter), 0, ()
-
-
-def _binsplit_exact(M: RecMatrix, z, n: int, plan: EvalPlan,
-                    counter: OpCounter, reverse: bool):
-    U = _exact_product(M, 0, n, counter)
-    counter.coeff += sum(len(e.coeffs) for row in U for e in row)
-    deg = max(e.degree() for row in U for e in row)
-    m = max(1, math.isqrt(max(deg, 0)) + 1)
-    table = PowerTable(z, m, plan.work_prec, counter)
-    return table, n, _subproduct_steps(M, n, (0,), table, m, plan.work_prec,
-                                       counter, U)
 
 
 def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
@@ -635,7 +621,7 @@ def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
         return table, 0, ()
     U = _exact_product(M, 0, m, counter)
     # the rows of U_0(x + k) keep one sign exactly when U_0's coefficients do
-    if not (M.shift_symmetry_holds() and _sums_are_polynomial(
+    if not (plan.symmetric and _sums_are_polynomial(
             table, [e.coeffs for row in U for e in row])):
         counter.giant_step = "exact product"
         return table, m * w, _subproduct_steps(M, m, _order(w, reverse), table,
@@ -795,7 +781,7 @@ def bivariate_delta(M: RecMatrix, m: int, counter: OpCounter | None = None):
     return [[hi[i][j] - lo[i][j] for j in range(r)] for i in range(r)]
 
 
-_ENGINES = {"naive": _naive, "binsplit-exact": _binsplit_exact,
+_ENGINES = {"naive": _naive, "binsplit-exact": _rect_ps,
             "multipoint": _multipoint, "rect-ps": _rect_ps,
             "rect-split": _rect_split, "rect-delta": _rect_delta}
 
@@ -832,12 +818,10 @@ def eval_dispatch(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
         raise ValueError("n must be >= 0")
     if p < 2:
         raise ValueError("p must be >= 2")
-    if algorithm is None:
-        algorithm = default_algorithm(n)
-    # rect-split steps further on a shift-symmetric matrix of order >= 2
-    r = M.r if (algorithm == "rect-split" and M.r > 1
-                and M.shift_symmetry_holds()) else 1
-    plan = make_plan(algorithm, n, p, m=m, zbits=mantissa_bits(z), r=r)
+    if row is not None and (isinstance(row, bool) or not isinstance(row, int)
+                            or not 0 <= row < M.r):
+        raise ValueError("row must be None or an int in [0, %d)" % M.r)
+    plan = make_plan(M, z, n, p, algorithm, m)
     counter = OpCounter()
     num = _run(M, z, n, plan, counter, row)
     den = _den_product(M, z, n, plan, counter)

@@ -610,8 +610,7 @@ def gamma_1f1(x, p: int):
         raise BallDomainError("argument too wide to shift into [1, 2]")
     M = hyp1f1_gamma_matrix(nbig)
     # row 0 of the product is enough: its lower-right entry is N^(nsum+1)
-    q00, s_num = eval_dispatch(M, z, nsum + 1, wp, algorithm="rect-split",
-                               row=0).matrix[0]
+    q00, s_num = eval_dispatch(M, z, nsum + 1, wp, row=0).matrix[0]
     zq = bl.n_mul(z, q00, wp)
     s_n = bl.n_div(s_num, zq, wp)
     nterm = bl.pow_int(Ball.from_int(nbig), nsum + 1, wp)

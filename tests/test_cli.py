@@ -140,6 +140,22 @@ class TestCommands:
         val = bl.parse_decimal(mid, 600)
         assert abs(val.mid_fraction() - math.factorial(100)) < Fraction(1, 10)
 
+    def test_engine_and_step_on_stderr(self, tmp_path, capsys):
+        # the default engine follows the recurrence: (z)_n is shift
+        # symmetric, c(k+1) = (k+1) c(k) is not; binsplit-exact reports
+        # the row length of its one subproduct, isqrt(n deg_x) + 1
+        assert main(["rising", "1/3", "100"]) == 0
+        assert "algorithm rect-split" in capsys.readouterr().err
+        spec = tmp_path / "factorial.spec"
+        spec.write_text("order 1\nentry 0 0 1+k\ninit 0 1\n")
+        assert main(["eval", str(spec), "40", "--prec-bits", "200"]) == 0
+        out, err = capsys.readouterr()
+        assert "algorithm rect-delta" in err
+        assert str(math.factorial(40)) in out
+        assert main(["rising", "1/3", "100", "--algorithm",
+                     "binsplit-exact"]) == 0
+        assert "algorithm binsplit-exact, m=11," in capsys.readouterr().err
+
     def test_rising_n0(self, capsys):
         assert main(["rising", "2.5", "0"]) == 0
         assert capsys.readouterr().out.strip() == "1"

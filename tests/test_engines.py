@@ -18,8 +18,7 @@ from holoeval.recmat import (DenominatorZeroError, RecMatrix,
 import holoeval
 import holoeval.engines as engines
 from holoeval.engines import (ALGORITHMS, PowerTable, bivariate_delta,
-                              choose_m, default_algorithm, eval_dispatch,
-                              make_plan, mantissa_bits)
+                              eval_dispatch, make_plan, mantissa_bits)
 from holoeval.special import hyp1f1_gamma_matrix
 
 RISING = rising_factorial_matrix()
@@ -32,33 +31,48 @@ def rising_exact(z, n):
     return acc
 
 
+HALF = Ball.from_fraction(Fraction(1, 2), 64)
+
+
 class TestChooseM:
+    """The engine and the step length that make_plan chooses."""
+
     def test_rect_split_formula(self):
-        m, _ = choose_m("rect-split", 10 ** 4, 4 * 10 ** 4)
-        assert m == 13
-        m, _ = choose_m("rect-delta", 10 ** 4, 4 * 10 ** 4)
-        assert m == 13
+        for alg in ("rect-split", "rect-delta"):
+            assert make_plan(RISING, HALF, 10 ** 4, 4 * 10 ** 4, alg).m == 13
 
     def test_multipoint_formula(self):
-        assert choose_m("multipoint", 10 ** 4, 1000)[0] == 100
+        assert make_plan(RISING, HALF, 10 ** 4, 1000, "multipoint").m == 100
 
     def test_clamp(self):
         for alg in ALGORITHMS:
-            assert choose_m(alg, 1, 64)[0] == 1
+            assert make_plan(RISING, HALF, 1, 64, alg).m == 1
 
     def test_rect_ps_subn(self):
-        m, subn = choose_m("rect-ps", 10 ** 4, 10 ** 4)
-        assert subn == min(int(2 * 100), int(10 * (10 ** 4) ** 0.25))
-        assert m == int(subn ** 0.5)
+        plan = make_plan(RISING, HALF, 10 ** 4, 10 ** 4, "rect-ps")
+        assert plan.subn == min(int(2 * 100), int(10 * (10 ** 4) ** 0.25))
+        assert plan.m == int(plan.subn ** 0.5)
+
+    def test_binsplit_exact_is_one_subproduct(self):
+        # rows of isqrt(n deg_x) + 1 coefficients of the one subproduct
+        fib_k = companion(ScalarRecurrence([bipoly_from_text("-1"),
+                                            bipoly_from_text("-x^2 k"),
+                                            bipoly_from_text("1")]))
+        for M, n, m in ((RISING, 100, 11), (RISING, 257, 17), (fib_k, 64, 12)):
+            plan = make_plan(M, HALF, n, 128, "binsplit-exact")
+            assert (plan.subn, plan.m) == (n, m)
 
     def test_full_mantissa_formula(self):
-        # a z whose mantissa fills more than half of p makes every
-        # nonscalar product p x p bits, and the step grows to 0.5 p^0.4
+        # a z whose mantissa fills more than half of the working precision
+        # makes every nonscalar product p x p bits, and the step grows to
+        # 0.5 p^0.4
         p = 4 * 10 ** 4
+        full, half = (Ball.from_fraction(Fraction(1, 3), q) for q in (p, p // 2))
+        assert mantissa_bits(half) <= p // 2
         for alg in ("rect-split", "rect-delta"):
-            assert choose_m(alg, 10 ** 4, p, zbits=p)[0] == 34
-            assert choose_m(alg, 10 ** 4, p, zbits=p // 2)[0] == 13
-            assert choose_m(alg, 100, p, zbits=p)[0] == 10  # sqrt(n) cap
+            assert make_plan(RISING, full, 10 ** 4, p, alg).m == 34
+            assert make_plan(RISING, half, 10 ** 4, p, alg).m == 13
+            assert make_plan(RISING, full, 100, p, alg).m == 10  # sqrt(n) cap
         assert mantissa_bits(Ball.from_fraction(Fraction(1, 3), p)) > p // 2
         assert mantissa_bits(Ball.from_fraction(Fraction(3, 64), p)) == 2
         assert mantissa_bits(Ball.zero()) == 0
@@ -74,14 +88,32 @@ class TestChooseM:
             for k in range(1, 5):
                 z = Ball.from_fraction(Fraction(1, 2 ** k), 4 * n)
                 for alg in ("rect-split", "rect-delta"):
-                    plan = make_plan(alg, n, 4 * n, zbits=mantissa_bits(z))
+                    plan = make_plan(RISING, z, n, 4 * n, alg)
                     assert plan.m == m, (n, k, alg)
 
-    def test_default_policy(self):
-        assert default_algorithm(31) == "naive"
-        assert default_algorithm(32) == "rect-delta"
-        assert default_algorithm(999) == "rect-delta"
-        assert default_algorithm(1000) == "rect-split"
+    def test_default_engine_follows_the_symmetry(self):
+        # rect-split where the matrix is shift-symmetric, rect-delta where
+        # it is not, naive below 32 factors, at any n
+        fib_k = companion(ScalarRecurrence([bipoly_from_text("-1"),
+                                            bipoly_from_text("-k"),
+                                            bipoly_from_text("1")]))
+        z = Ball.from_fraction(Fraction(1, 3), 128)
+        for M in (RISING, hyp1f1_gamma_matrix(10)):
+            for n in (32, 999, 1000):
+                assert make_plan(M, z, n, 128).algorithm == "rect-split"
+        for n in (32, 1000):
+            assert make_plan(fib_k, z, n, 128).algorithm == "rect-delta"
+        for M in (RISING, fib_k):
+            assert make_plan(M, z, 31, 128).algorithm == "naive"
+        # algorithm= and m= override the plan
+        plan = make_plan(fib_k, z, 1000, 128, "rect-split", m=9)
+        assert (plan.algorithm, plan.m) == ("rect-split", 9)
+        assert not plan.symmetric
+        rep = eval_dispatch(RISING, z, 40, 128, algorithm="rect-delta", m=3)
+        assert (rep.plan.algorithm, rep.plan.m) == ("rect-delta", 3)
+        assert make_plan(RISING, z, 1000, 128, m=4).m == 4
+        with pytest.raises(ValueError):
+            make_plan(RISING, z, 40, 128, "rect-fast")
 
 
 class TestSmallExamples:
@@ -356,10 +388,12 @@ class TestDifferenceTable:
         assert not fib_k.shift_symmetry_holds()
         rep = eval_dispatch(fib_k, z, 40, 64, algorithm="rect-split")
         assert rep.plan.m == 1
-        for zbits in (0, 3, p):
-            assert make_plan("rect-split", n, p, zbits=zbits, r=2).m == 55
-        assert make_plan("rect-split", n, p).m == int(0.2 * p ** 0.4)
-        assert make_plan("rect-delta", n, p, r=2).m == int(0.2 * p ** 0.4)
+        M = hyp1f1_gamma_matrix(10)
+        for zq in (Fraction(0), Fraction(5, 4), Fraction(1, 3)):
+            zb = Ball.from_fraction(zq, p)
+            assert make_plan(M, zb, n, p, "rect-split").m == 55
+        assert make_plan(fib_k, z, n, p, "rect-split").m == int(0.2 * p ** 0.4)
+        assert make_plan(M, z, n, p, "rect-delta").m == int(0.2 * p ** 0.4)
 
 
 class TestTaylorSums:
@@ -745,6 +779,13 @@ class TestRowMode:
         zq = Fraction(3, 2)
         self._check(M, zq, Ball.from_fraction(zq, 128), 3)
 
+    @pytest.mark.parametrize("row", [2, -1, True, 1.0, "0"])
+    def test_row_out_of_range(self, row):
+        M = hyp1f1_gamma_matrix(30)
+        with pytest.raises(ValueError, match="row"):
+            eval_dispatch(M, Ball.one(), 10, 64, row=row)
+        assert len(eval_dispatch(M, Ball.one(), 10, 64, row=1).matrix) == 1
+
     @pytest.mark.parametrize("M", [COMPANION_X, TestDriverBoundaries.COMPANION,
                                    RISING])
     def test_complex_z(self, M):
@@ -933,6 +974,41 @@ class TestShortZTree:
                     V = mul(V, B, p)
             assert _matrix_key(num) == _matrix_key(V), (alg, zq, row)
 
+    def test_step_and_tree_take_one_short_z(self, monkeypatch):
+        # p < 2 mantissa_bits(z) <= p + guard: z is short at the working
+        # precision and not at p; the step and the loop must both read the
+        # plan's one decision, the short-z step and the tree
+        p = n = 1024
+        d = 2 ** 520
+        a = d // 3 | 1
+        z = Ball.from_fraction(Fraction(a, d), p)
+        assert p < 2 * mantissa_bits(z) <= p + engines.guard_bits(n)
+        exact = Fraction(math.prod(a + i * d for i in range(n)), d ** n)
+        tests = []
+        short_z = engines._short_z
+        monkeypatch.setattr(engines, "_short_z",
+                            lambda *args: tests.append(args) or short_z(*args))
+
+        class Counted(RecMatrix):
+            def shift_symmetry_holds(self):
+                tests.append(None)
+                return super().shift_symmetry_holds()
+
+        M = Counted(RISING.entries, RISING.den)
+        calls = self._recorded(monkeypatch)
+        for alg in ("rect-split", "rect-delta"):
+            tests.clear()
+            calls.clear()
+            rep = eval_dispatch(M, z, n, p, algorithm=alg)
+            # one symmetry test and one short-z test per evaluation
+            assert len(tests) == 2 and rep.plan.short_z
+            assert rep.plan.m == int(min(0.2 * p ** 0.4, n ** 0.5)) == 3
+            # the tree: some merge takes a partial product that is not the
+            # running one
+            assert any(B is not prev[3]
+                       for prev, (_, B, _, _) in zip(calls, calls[1:]))
+            assert rep.matrix[0][0].contains(exact)
+
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_tree_makes_as_many_products_on_1x1(self, alg, monkeypatch):
         # criterion 5's set-up: (1/2)_n, p = 4n, m = ceil(sqrt(n))
@@ -1079,8 +1155,8 @@ class TestFullMantissa:
         p = 4 * n
         z = Ball.from_fraction(Fraction(1, 3), p)
         rep = eval_dispatch(RISING, z, n, p, algorithm=alg)
-        assert rep.plan.m == choose_m(alg, n, p, zbits=p)[0]
-        assert rep.plan.m > choose_m(alg, n, p)[0]
+        assert rep.plan.m == int(min(0.5 * p ** 0.4, n ** 0.5))
+        assert rep.plan.m > make_plan(RISING, HALF, n, p, alg).m
         re, _ = _rising_exact_gaussian(1, 0, 3, n)
         assert rep.matrix[0][0].contains(re)
         assert p - rep.accuracy_bits <= 4 * math.log2(n) + 16
@@ -1092,7 +1168,7 @@ class TestFullMantissa:
         z = ComplexBall(Ball.from_fraction(Fraction(1, 3), p),
                         Ball.from_fraction(Fraction(2, 7), p))
         rep = eval_dispatch(RISING, z, n, p, algorithm=alg)
-        assert rep.plan.m == choose_m(alg, n, p, zbits=p)[0]
+        assert rep.plan.m == int(min(0.5 * p ** 0.4, n ** 0.5))
         re, im = _rising_exact_gaussian(7, 6, 21, n)
         assert rep.matrix[0][0].contains(re, im)
         assert p - rep.accuracy_bits <= 4 * math.log2(n) + 16
@@ -1148,13 +1224,18 @@ class TestDeltaGeneric:
         d = bivariate_delta(RISING, 4)[0][0]
         assert d.eval_k(0).coeffs == [840, 632, 168, 16]
 
-    def test_dispatch_policy_example(self):
-        rep = eval_dispatch(RISING, Ball.from_fraction(Fraction(1, 2), 64),
-                            999, 64)
-        assert rep.plan.algorithm == "rect-delta"
-        rep = eval_dispatch(RISING, Ball.from_fraction(Fraction(1, 2), 64),
-                            1000, 64)
+    def test_dispatch_default_follows_the_symmetry(self):
+        # the rising factorial takes rect-split below 1000 factors too; a
+        # matrix without the symmetry takes rect-delta above it
+        z = Ball.from_fraction(Fraction(1, 2), 64)
+        rep = eval_dispatch(RISING, z, 999, 64)
         assert rep.plan.algorithm == "rect-split"
+        assert rep.counter.giant_step == "difference table"
+        assert rep.matrix[0][0].contains(rising_exact(Fraction(1, 2), 999))
+        M = RecMatrix([[bipoly_from_text("1 + k")]])
+        rep = eval_dispatch(M, Ball.one(), 1000, 64)
+        assert rep.plan.algorithm == "rect-delta"
+        assert rep.matrix[0][0].contains(math.factorial(1000))
 
 
 def test_public_names_resolve():
