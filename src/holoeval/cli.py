@@ -110,9 +110,14 @@ def cmd_eval(args) -> int:
     out = apply_to_vector(rep.matrix, vec, prec + 16)
     for i, v in enumerate(out):
         print("c_%d(%d) = %s" % (i, args.n, bl.to_decimal(bl.reduce(v, prec))))
-    print("accuracy: %d bits (algorithm %s, m=%d)"
-          % (rep.accuracy_bits, rep.plan.algorithm, rep.plan.m), file=sys.stderr)
+    _print_counts(rep.accuracy_bits, rep.plan, rep.counter)
     return 0
+
+
+def _print_counts(acc, plan, c):
+    print("accuracy: %d bits (algorithm %s, m=%d, nonscalar=%d, scalar=%d, "
+          "adds=%d, exact_merges=%d)" % (acc, plan.algorithm, plan.m,
+          c.nonscalar, c.scalar, c.adds, c.exact_merges), file=sys.stderr)
 
 
 def cmd_rising(args) -> int:
@@ -121,9 +126,7 @@ def cmd_rising(args) -> int:
     val, plan, counter, acc = special.rising_factorial_report(
         z, args.n, prec, algorithm=args.algorithm, m=args.m)
     print(bl.to_decimal(val))
-    print("accuracy: %d bits (algorithm %s, m=%d, nonscalar=%d, scalar=%d, "
-          "adds=%d)" % (acc, plan.algorithm, plan.m, counter.nonscalar,
-                        counter.scalar, counter.adds), file=sys.stderr)
+    _print_counts(acc, plan, counter)
     return 0
 
 

@@ -31,10 +31,12 @@ nothing there, and its dense merges cost more on sparse companion factors.
 For a short z (_short_z) a step has O(m log n) bits, and the driver
 multiplies steps and factors as a balanced tree, a stack merged like a
 binary counter: operands stay short up to the top levels, and on 1 x 1
-matrices it makes as many products as the chain.  For one row r of the
-product, whatever z, the order turns round: the leftover factors from
-i = n - 1 down, then the steps last first, each R <- R S from R = row r
-of the first.
+matrices it makes as many products as the chain.  Its nodes stay exact
+integer matrices (tree_mat_mul) until an entry passes the working
+precision, then rounded as n_mul rounds; an inexact operand or a complex z
+keeps balls.  For one row r of the product, whatever z, the order turns
+round: the leftover factors from i = n - 1 down, then the steps last
+first, each R <- R S from R = row r of the first.
 ball_mat_mul makes no product with an exact-zero factor, so on the 1F1
 matrix [[a, b], [0, N^m]] a step costs R0 a, R0 b and R1 N^m, two p x p
 products where S V makes three.  Giant steps that are exact subproducts
@@ -83,6 +85,7 @@ from functools import reduce
 from itertools import chain, repeat
 
 from . import balls as bl
+from . import intmul
 from .balls import ComplexBall
 # the convolution shift is not called here, but stays importable from this
 # module, where tracing tools look up the Taylor shifts
@@ -97,18 +100,19 @@ ALGORITHMS = ("naive", "binsplit-exact", "multipoint", "rect-ps",
 
 @dataclass
 class OpCounter:
-    """Instrumentation for one evaluation.  nonscalar counts the ball x
-    ball products made: ball_mat_mul makes none with an exact-zero factor.
-    scalar counts a dot's nonzero coefficients; adds counts the exact
-    integer additions of a difference table, its set-up included, and the
-    Horner steps of rect-split's first sums (no ball operations); coeff
-    counts work in Z, and falls where a table evaluates deg_k + 1 indices
-    only."""
+    """Instrumentation for one evaluation.  nonscalar counts the ball x ball
+    products made: ball_mat_mul makes none with an exact-zero factor, and
+    exact_merges counts those that the short-z tree made over Z.  scalar counts
+    a dot's nonzero coefficients; adds counts the exact integer additions of a
+    difference table, its set-up included, and the Horner steps of rect-split's
+    first sums (no ball operations); coeff counts work in Z, and falls where a
+    table evaluates deg_k + 1 indices only."""
 
     nonscalar: int = 0
     scalar: int = 0
     adds: int = 0
     coeff: int = 0
+    exact_merges: int = 0
     peak_coeffs: int = 0
     # how the giant steps of the numerator product were made: "difference
     # table", else "exact product" (rect-split) or "delta evaluation"
@@ -245,12 +249,6 @@ class PowerTable:
 # ball matrices
 # ---------------------------------------------------------------------------
 
-def ball_identity(r: int, like):
-    one = bl.n_one(like)
-    zero = bl.n_zero(like)
-    return [[one if i == j else zero for j in range(r)] for i in range(r)]
-
-
 def ball_mat_mul(A, B, p, counter: OpCounter | None = None):
     """A B for an r x r ball matrix B and A an r x r matrix or a 1 x r row.
     A product with an exact-zero factor is not made: the exact zero that
@@ -278,6 +276,53 @@ def ball_mat_mul(A, B, p, counter: OpCounter | None = None):
     if counter is not None:
         counter.nonscalar += made
     return out
+
+
+def tree_mat_mul(A, B, p, counter: OpCounter):
+    """A B for two nodes of _run's short-z tree: over Z for exact ones
+    (counted as ball_mat_mul counts, and in exact_merges), rounded as n_mul
+    rounds past p bits; else, or if an operand had passed them, as balls."""
+    X, Y = _exact_node(A, p), _exact_node(B, p)
+    if X is not None and Y is not None:
+        (am, ea), (bm, eb) = X, Y
+        if len(am) == 1:  # one product, made unless it is 0
+            v = am[0][0] * bm[0][0]
+            out, made, top = [[v]], bool(v), v.bit_length()
+        else:
+            out = intmul.mat_mul(am, bm)
+            made = sum(sum(map(bool, acol)) * sum(map(bool, brow))
+                       for acol, brow in zip(zip(*am), bm))
+            top = _bits(out)
+        if top <= p or _bits(am + bm) <= p:
+            counter.nonscalar += made
+            counter.exact_merges += made
+            node = out, ea + eb
+            return node if top <= p else _ball_node(node, p)
+    return ball_mat_mul(_ball_node(A, p), _ball_node(B, p), p, counter)
+
+
+def _exact_node(X, p):
+    """X, or its exact real balls within p bits, as (mids, e), or None."""
+    if isinstance(X, tuple):
+        return X
+    if any(isinstance(b, ComplexBall) or b.rm for row in X for b in row):
+        return None
+    e = min([b.exp for row in X for b in row if b.man], default=0)
+    if max([b.exp + b.man.bit_length() for r in X for b in r if b.man],
+           default=e) - e > p:
+        return None
+    return [[b.man << (b.exp - e) if b.man else 0 for b in row]
+            for row in X], e
+
+
+def _bits(rows):
+    return max(map(abs, chain.from_iterable(rows))).bit_length()
+
+
+def _ball_node(X, p):
+    """The ball matrix of a node, an exact one rounded to p bits."""
+    return ([[bl._make(v, X[1], 0, 0, p) for v in row] for row in X[0]]
+            if isinstance(X, tuple) else X)
 
 
 # ---------------------------------------------------------------------------
@@ -354,27 +399,30 @@ def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     its top two while the top covers at least as many factors as the one
     below (a balanced tree, for a short z) or always (the chain V <- S V)."""
     if not n:
-        one = ball_identity(M.r, z)
+        one = [[bl.n_one(z) if i == j else bl.n_zero(z) for j in range(M.r)]
+               for i in range(M.r)]
         return one if row is None else [one[row]]
     p = plan.work_prec
+    tree = row is None and plan.short_z  # tree_mat_mul takes raw steps
     table, covered, steps = _ENGINES[plan.algorithm](M, z, n, plan, counter,
-                                                    row is not None)
+                                                    row is not None, tree)
     _, tail = _bivariate_steps(M.entries, covered if row is None else n - 1,
                                1 if row is None else -1, n - covered, table,
-                               p, counter)
+                               p, counter, tree)
     if row is None:
         # (factors covered, product)
+        merge = tree_mat_mul if tree else ball_mat_mul
         stack = []
         for k, S in chain(zip(repeat(plan.subn or plan.m), steps),
                           zip(repeat(1), tail)):
-            while stack and (not plan.short_z or stack[-1][0] <= k):
+            while stack and (not tree or stack[-1][0] <= k):
                 c, P = stack.pop()
-                S, k = ball_mat_mul(S, P, p, counter), k + c
+                S, k = merge(S, P, p, counter), k + c
             stack.append((k, S))
         V = stack.pop()[1]
         while stack:  # later factors on the left
-            V = ball_mat_mul(V, stack.pop()[1], p, counter)
-        return V
+            V = merge(V, stack.pop()[1], p, counter)
+        return _ball_node(V, p)
     V = None
     for S in chain(tail, steps):
         V = [S[row]] if V is None else ball_mat_mul(V, S, p, counter)
@@ -422,12 +470,12 @@ def _ps_eval(coeffs, table: PowerTable, m: int, p: int, counter: OpCounter):
 
 
 def _naive(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
-           reverse: bool):
+           reverse: bool, raw: bool):
     return PowerTable(z, M.deg_x(), plan.work_prec, counter), 0, ()
 
 
 def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
-                reverse: bool):
+                reverse: bool, raw: bool):
     p = plan.work_prec
     m = plan.m
     w = n // m
@@ -596,22 +644,18 @@ def _fix_multipoint(F, points, p, r0: int, counter: OpCounter, like):
     return out
 
 
-def _order(w: int, reverse: bool):
-    return range(w - 1, -1, -1) if reverse else range(w)
-
-
 def _rect_ps(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
-             reverse: bool):
+             reverse: bool, raw: bool):
     subn = plan.subn or n
     w = n // subn
     table = PowerTable(z, max(plan.m, M.deg_x()), plan.work_prec, counter)
-    return table, subn * w, _subproduct_steps(M, subn, _order(w, reverse),
-                                              table, plan.m, plan.work_prec,
-                                              counter)
+    return table, subn * w, _subproduct_steps(
+        M, subn, range(w)[::-1 if reverse else 1], table, plan.m,
+        plan.work_prec, counter)
 
 
 def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
-                reverse: bool):
+                reverse: bool, raw: bool):
     p = plan.work_prec
     m = plan.m
     w = n // m
@@ -624,8 +668,9 @@ def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     if not (plan.symmetric and _sums_are_polynomial(
             table, [e.coeffs for row in U for e in row])):
         counter.giant_step = "exact product"
-        return table, m * w, _subproduct_steps(M, m, _order(w, reverse), table,
-                                               table.D + 1, p, counter, U)
+        return table, m * w, _subproduct_steps(
+            M, m, range(w)[::-1 if reverse else 1], table, table.D + 1, p,
+            counter, U)
     counter.giant_step = "difference table"
     start, step = ((w - 1) * m, -m) if reverse else (0, m)
 
@@ -645,7 +690,7 @@ def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
 
     diffs = _difference_table(U, sums, table, counter,
                               sum(len(e.coeffs) for row in U for e in row))
-    return table, m * w, _difference_steps(diffs, w, table, p, counter)
+    return table, m * w, _difference_steps(diffs, w, table, p, counter, raw)
 
 
 def _sums_are_polynomial(table, rows):
@@ -688,17 +733,19 @@ def _difference_table(grid, sums, table, counter, live):
     return diffs
 
 
-def _difference_steps(diffs, w, table, p, counter):
+def _difference_steps(diffs, w, table, p, counter, raw=False):
     """The w steps from the difference table: one rounding per part of
-    each entry, then Delta^j <- Delta^j + Delta^(j+1) for j = 0, 1, ...
-    (exact integer additions, counted in adds) moves every sum on to the
-    next step."""
+    each entry, or raw, on a real exact table, the exact node of the sums;
+    then Delta^j <- Delta^j + Delta^(j+1) for j = 0, 1, ... (exact integer
+    additions, counted in adds) moves every sum on to the next step."""
     fix = table._fix
+    raw = raw and len(fix) == 4 and fix[2] is None
     sums = [s for row in diffs for seqs in row for s in seqs if len(s) > 1]
     adds = sum(len(s) - 1 for s in sums)
     for i in range(w):
-        yield [[bl.n_ball_from_sums([s[0] for s in seqs], fix, p)
-                for seqs in row] for row in diffs]
+        yield (([[seqs[0][0] for seqs in row] for row in diffs], fix[1]) if raw
+               else [[bl.n_ball_from_sums([s[0] for s in seqs], fix, p)
+                      for seqs in row] for row in diffs])
         if i + 1 < w:
             for s in sums:
                 for j in range(len(s) - 1):
@@ -706,12 +753,12 @@ def _difference_steps(diffs, w, table, p, counter):
             counter.adds += adds
 
 
-def _bivariate_steps(E, first, step, count, table, p, counter):
+def _bivariate_steps(E, first, step, count, table, p, counter, raw=False):
     """(by_table, steps): the count ball matrices [[e(z, k)]] for
     k = first, first + step, ... (all k >= 0), e over a grid E of BiPoly
     in (x, k).  When _sums_are_polynomial holds for the k-rows of E, the
     sums at the first deg_k e + 1 indices make a difference table
-    (by_table); else each matrix is eval_k and the table's dot."""
+    (by_table, raw as in _difference_steps); else each is eval_k and a dot."""
     if not count:
         return False, ()
     ks = range(first, first + count * step, step)
@@ -727,25 +774,25 @@ def _bivariate_steps(E, first, step, count, table, p, counter):
             E, lambda e: [_dot_sums(at(e, k), table, counter)
                           for k in ks[:max(1, e.deg_k() + 1)]],
             table, counter, live)
-        return True, _difference_steps(diffs, count, table, p, counter)
+        return True, _difference_steps(diffs, count, table, p, counter, raw)
     counter.note_live_coeffs(live + table.D + 1)
     return False, ([[table.eval_int_poly(at(e, k), p, counter) for e in row]
                     for row in E] for k in ks)
 
 
 def _rect_delta(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
-                reverse: bool):
+                reverse: bool, raw: bool):
     m = plan.m
     dx = M.deg_x()
     table = PowerTable(z, max(m * dx, dx), plan.work_prec, counter)
-    steps = _delta_steps(M, m, n // m, table, plan.work_prec, counter)
+    steps = _delta_steps(M, m, n // m, table, plan.work_prec, counter, raw)
     # last first, the steps are still made in order and then held: the
     # backward update S_i - Delta_m would subtract from the largest step
     # and lose the bits of its ratio to the smallest
     return table, n // m * m, list(steps)[::-1] if reverse else steps
 
 
-def _delta_steps(M, m, w, table, p, counter):
+def _delta_steps(M, m, w, table, p, counter, raw=False):
     """rect-delta's giant steps S_i = prod_{t<m} M(z, i m + t), i < w:
     S_0 = C_0 is one exact product over Z[x] evaluated by scalar operations
     (products of table powers would carry the table's exponent into every
@@ -757,12 +804,22 @@ def _delta_steps(M, m, w, table, p, counter):
     if w < 2:
         return
     by_table, deltas = _bivariate_steps(bivariate_delta(M, m, counter), 0, m,
-                                        w - 1, table, p, counter)
+                                        w - 1, table, p, counter, raw)
     counter.giant_step = "difference table" if by_table else "delta evaluation"
     for D in deltas:
-        S = [[bl.n_add(s, d, p) for s, d in zip(srow, drow)]
-             for srow, drow in zip(S, D)]
-        yield S
+        yield (S := _node_add(S, D, p))
+
+
+def _node_add(S, D, p):
+    """S + D: over Z for a raw D and S exact at its exponent within p bits."""
+    if isinstance(D, tuple):
+        X = _exact_node(S, p)
+        if X is not None and X[1] == D[1]:
+            out = [[a + b for a, b in zip(*rows)] for rows in zip(X[0], D[0])]
+            if _bits(X[0] + D[0] + out) <= p:
+                return out, D[1]
+        S, D = _ball_node(S, p), _ball_node(D, p)
+    return [[bl.n_add(s, d, p) for s, d in zip(*rows)] for rows in zip(S, D)]
 
 
 def bivariate_delta(M: RecMatrix, m: int, counter: OpCounter | None = None):

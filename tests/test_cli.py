@@ -156,6 +156,23 @@ class TestCommands:
                      "binsplit-exact"]) == 0
         assert "algorithm binsplit-exact, m=11," in capsys.readouterr().err
 
+    def test_counts_on_stderr(self, tmp_path, capsys):
+        # rising and eval print the same count line; at the short z = 1/4
+        # the naive tree makes its 99 products as exact integer merges
+        # (the product has fewer than 1024 bits), at z = 1/3 none
+        spec = tmp_path / "rising.spec"
+        spec.write_text(RISING_SPEC)
+        lines = []
+        for argv in (["rising", "1/4", "100"], ["rising", "1/3", "100"],
+                     ["eval", str(spec), "100", "--z", "1/4"]):
+            assert main(argv + ["--algorithm", "naive",
+                                "--prec-bits", "1024"]) == 0
+            lines.append(capsys.readouterr().err.strip())
+        assert lines[0].endswith("nonscalar=99, scalar=3, adds=101, "
+                                 "exact_merges=99)")
+        assert lines[1].endswith(", exact_merges=0)")
+        assert lines[2] == lines[0]
+
     def test_rising_n0(self, capsys):
         assert main(["rising", "2.5", "0"]) == 0
         assert capsys.readouterr().out.strip() == "1"

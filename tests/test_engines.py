@@ -931,15 +931,27 @@ class TestShortZTree:
 
     @staticmethod
     def _recorded(monkeypatch):
-        """The (A, B, p, A B) of every ball_mat_mul that _run makes."""
+        """The (A, B, p, A B) of every matrix product that _run makes: by
+        ball_mat_mul, or in the short-z tree by tree_mat_mul, whose own
+        calls of ball_mat_mul are not recorded again."""
         calls = []
-        mul = engines.ball_mat_mul
+        depth = [0]
 
-        def recording(A, B, p, counter=None):
-            calls.append((A, B, p, mul(A, B, p, counter)))
-            return calls[-1][3]
+        def recorder(mul):
+            def recording(A, B, p, counter=None):
+                depth[0] += 1
+                try:
+                    out = mul(A, B, p, counter)
+                finally:
+                    depth[0] -= 1
+                if not depth[0]:
+                    calls.append((A, B, p, out))
+                return out
+            return recording
 
-        monkeypatch.setattr(engines, "ball_mat_mul", recording)
+        for name in ("ball_mat_mul", "tree_mat_mul"):
+            monkeypatch.setattr(engines, name,
+                                recorder(getattr(engines, name)))
         return calls
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
@@ -1008,6 +1020,69 @@ class TestShortZTree:
             assert any(B is not prev[3]
                        for prev, (_, B, _, _) in zip(calls, calls[1:]))
             assert rep.matrix[0][0].contains(exact)
+
+    @staticmethod
+    def _ball_tree(mp):
+        """Make _run's tree of ball steps and ball_mat_mul merges alone."""
+        steps, mul = engines._difference_steps, engines.ball_mat_mul
+        mp.setattr(engines, "_difference_steps",
+                   lambda *args, raw=False: steps(*args[:5]))
+        mp.setattr(engines, "tree_mat_mul", lambda A, B, p, counter: mul(
+            engines._ball_node(A, p), engines._ball_node(B, p), p, counter))
+
+    # 2^600 + i has more than p bits, so has a step of 8 factors at p = 16:
+    # they are rounded first; at z = 0 every product with z is skipped
+    @pytest.mark.parametrize("zq", [Fraction(1, 2), Fraction(1, 16),
+                                    Fraction(5, 4), Fraction(2 ** 600),
+                                    Fraction(0)])
+    @pytest.mark.parametrize("alg", ["naive", "rect-split", "rect-delta"])
+    def test_exact_tree_is_the_ball_tree(self, alg, zq, monkeypatch):
+        # r = 1: an exact merge rounds where n_mul would, so the product is
+        # the ball tree's, bit for bit, and so are the counts
+        for n, p, m in ((37, 148, None), (300, 1200, None),
+                        (1024, 4096, None), (300, 16, 8)):
+            z = Ball.from_fraction(zq, p)
+            rep = eval_dispatch(RISING, z, n, p, algorithm=alg, m=m)
+            with monkeypatch.context() as mp:
+                self._ball_tree(mp)
+                ref = eval_dispatch(RISING, z, n, p, algorithm=alg, m=m)
+            assert _matrix_key(rep.matrix) == _matrix_key(ref.matrix)
+            assert rep.matrix[0][0].contains(rising_exact(zq, n))
+            c, d = rep.counter, ref.counter
+            assert (c.nonscalar, c.scalar, c.adds, c.coeff) == \
+                (d.nonscalar, d.scalar, d.adds, d.coeff), (alg, n)
+            assert d.exact_merges == 0 < c.exact_merges or zq > 2 or p < 20
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_inexact_short_z_keeps_its_radius(self, alg):
+        # a short midpoint with a radius: the steps are inexact balls, and
+        # a merge that took them for exact ones would lose 2^-80
+        z = Ball(5, -2, 1, -80)
+        for n in (64, 300):
+            p = 4 * n
+            rep = eval_dispatch(RISING, z, n, p, algorithm=alg)
+            assert rep.plan.short_z
+            v = rep.matrix[0][0]
+            for zq in (Fraction(5, 4) - Fraction(1, 2 ** 80),
+                       Fraction(5, 4) + Fraction(1, 2 ** 80)):
+                assert v.contains(rising_exact(zq, n)), (alg, n, zq)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_exact_merges_on_companions(self, order, monkeypatch):
+        # the exact tree of r x r nodes is contained and no less accurate
+        # than the ball tree
+        M, zq, n, p = self.COMPANIONS[order], Fraction(3, 4), 257, 128
+        exact = unroll_rational(M, zq, n)
+        z = Ball.from_fraction(zq, p)
+        for alg in ("naive", "rect-split", "rect-delta"):
+            rep = eval_dispatch(M, z, n, p, algorithm=alg)
+            with monkeypatch.context() as mp:
+                self._ball_tree(mp)
+                ref = eval_dispatch(M, z, n, p, algorithm=alg)
+            assert rep.counter.exact_merges > 0, alg
+            assert rep.accuracy_bits >= ref.accuracy_bits, alg
+            assert all(v.contains(e) for vrow, erow in zip(rep.matrix, exact)
+                       for v, e in zip(vrow, erow)), alg
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_tree_makes_as_many_products_on_1x1(self, alg, monkeypatch):
