@@ -249,6 +249,12 @@ class PowerTable:
 # ball matrices
 # ---------------------------------------------------------------------------
 
+def ball_identity(r: int, like):
+    one = bl.n_one(like)
+    zero = bl.n_zero(like)
+    return [[one if i == j else zero for j in range(r)] for i in range(r)]
+
+
 def ball_mat_mul(A, B, p, counter: OpCounter | None = None):
     """A B for an r x r ball matrix B and A an r x r matrix or a 1 x r row.
     A product with an exact-zero factor is not made: the exact zero that
@@ -285,7 +291,10 @@ def tree_mat_mul(A, B, p, counter: OpCounter):
     X, Y = _exact_node(A, p), _exact_node(B, p)
     if X is not None and Y is not None:
         (am, ea), (bm, eb) = X, Y
-        if len(am) == 1:  # one product, made unless it is 0
+        if len(am) == 1 and min(am[0][0].bit_length(),
+                                bm[0][0].bit_length()) < intmul.FFT_MIN_BITS:
+            # below the FFT crossover one `*`: mat_mul's size checks and
+            # the general counts below made naive three times slower
             v = am[0][0] * bm[0][0]
             out, made, top = [[v]], bool(v), v.bit_length()
         else:
@@ -399,13 +408,12 @@ def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     its top two while the top covers at least as many factors as the one
     below (a balanced tree, for a short z) or always (the chain V <- S V)."""
     if not n:
-        one = [[bl.n_one(z) if i == j else bl.n_zero(z) for j in range(M.r)]
-               for i in range(M.r)]
+        one = ball_identity(M.r, z)
         return one if row is None else [one[row]]
     p = plan.work_prec
     tree = row is None and plan.short_z  # tree_mat_mul takes raw steps
     table, covered, steps = _ENGINES[plan.algorithm](M, z, n, plan, counter,
-                                                    row is not None, tree)
+                                                    row is not None)
     _, tail = _bivariate_steps(M.entries, covered if row is None else n - 1,
                                1 if row is None else -1, n - covered, table,
                                p, counter, tree)
@@ -470,12 +478,12 @@ def _ps_eval(coeffs, table: PowerTable, m: int, p: int, counter: OpCounter):
 
 
 def _naive(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
-           reverse: bool, raw: bool):
+           reverse: bool):
     return PowerTable(z, M.deg_x(), plan.work_prec, counter), 0, ()
 
 
 def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
-                reverse: bool, raw: bool):
+                reverse: bool):
     p = plan.work_prec
     m = plan.m
     w = n // m
@@ -644,18 +652,22 @@ def _fix_multipoint(F, points, p, r0: int, counter: OpCounter, like):
     return out
 
 
+def _order(w: int, reverse: bool):
+    return range(w - 1, -1, -1) if reverse else range(w)
+
+
 def _rect_ps(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
-             reverse: bool, raw: bool):
+             reverse: bool):
     subn = plan.subn or n
     w = n // subn
     table = PowerTable(z, max(plan.m, M.deg_x()), plan.work_prec, counter)
-    return table, subn * w, _subproduct_steps(
-        M, subn, range(w)[::-1 if reverse else 1], table, plan.m,
-        plan.work_prec, counter)
+    return table, subn * w, _subproduct_steps(M, subn, _order(w, reverse),
+                                              table, plan.m, plan.work_prec,
+                                              counter)
 
 
 def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
-                reverse: bool, raw: bool):
+                reverse: bool):
     p = plan.work_prec
     m = plan.m
     w = n // m
@@ -668,9 +680,8 @@ def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     if not (plan.symmetric and _sums_are_polynomial(
             table, [e.coeffs for row in U for e in row])):
         counter.giant_step = "exact product"
-        return table, m * w, _subproduct_steps(
-            M, m, range(w)[::-1 if reverse else 1], table, table.D + 1, p,
-            counter, U)
+        return table, m * w, _subproduct_steps(M, m, _order(w, reverse), table,
+                                               table.D + 1, p, counter, U)
     counter.giant_step = "difference table"
     start, step = ((w - 1) * m, -m) if reverse else (0, m)
 
@@ -690,7 +701,9 @@ def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
 
     diffs = _difference_table(U, sums, table, counter,
                               sum(len(e.coeffs) for row in U for e in row))
-    return table, m * w, _difference_steps(diffs, w, table, p, counter, raw)
+    # raw steps for _run's short-z tree, which multiplies them over Z
+    return table, m * w, _difference_steps(diffs, w, table, p, counter,
+                                           plan.short_z and not reverse)
 
 
 def _sums_are_polynomial(table, rows):
@@ -781,11 +794,12 @@ def _bivariate_steps(E, first, step, count, table, p, counter, raw=False):
 
 
 def _rect_delta(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
-                reverse: bool, raw: bool):
+                reverse: bool):
     m = plan.m
     dx = M.deg_x()
     table = PowerTable(z, max(m * dx, dx), plan.work_prec, counter)
-    steps = _delta_steps(M, m, n // m, table, plan.work_prec, counter, raw)
+    steps = _delta_steps(M, m, n // m, table, plan.work_prec, counter,
+                         plan.short_z and not reverse)
     # last first, the steps are still made in order and then held: the
     # backward update S_i - Delta_m would subtract from the largest step
     # and lose the bits of its ratio to the smallest

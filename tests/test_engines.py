@@ -17,6 +17,7 @@ from holoeval.recmat import (DenominatorZeroError, RecMatrix,
                              rising_factorial_matrix, unroll_rational)
 import holoeval
 import holoeval.engines as engines
+import holoeval.intmul as intmul
 from holoeval.engines import (ALGORITHMS, PowerTable, bivariate_delta,
                               eval_dispatch, make_plan, mantissa_bits)
 from holoeval.special import hyp1f1_gamma_matrix
@@ -1052,6 +1053,26 @@ class TestShortZTree:
             assert (c.nonscalar, c.scalar, c.adds, c.coeff) == \
                 (d.nonscalar, d.scalar, d.adds, d.coeff), (alg, n)
             assert d.exact_merges == 0 < c.exact_merges or zq > 2 or p < 20
+
+    def test_exact_tree_past_the_fft_crossover(self, monkeypatch):
+        # (5/4)_16384 has about 239k bits: the top merges multiply factors
+        # of more than FFT_MIN_BITS, which go through intmul.mat_mul, and
+        # stay exact below p = 2^18
+        n, p, zq = 16384, 1 << 18, Fraction(5, 4)
+        z = Ball.from_fraction(zq, p)
+        big, mat_mul = [], intmul.mat_mul
+        with monkeypatch.context() as mp:
+            mp.setattr(intmul, "mat_mul", lambda A, B: big.append(
+                min(A[0][0].bit_length(), B[0][0].bit_length()))
+                or mat_mul(A, B))
+            rep = eval_dispatch(RISING, z, n, p, algorithm="naive")
+        assert big and min(big) >= intmul.FFT_MIN_BITS
+        with monkeypatch.context() as mp:
+            self._ball_tree(mp)
+            ref = eval_dispatch(RISING, z, n, p, algorithm="naive")
+        assert _matrix_key(rep.matrix) == _matrix_key(ref.matrix)
+        assert rep.matrix[0][0].contains(rising_exact(zq, n))
+        assert rep.counter.nonscalar == ref.counter.nonscalar
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_inexact_short_z_keeps_its_radius(self, alg):
