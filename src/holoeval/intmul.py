@@ -6,8 +6,11 @@ integers for 1 x 1 matrices.  With gmpy2 installed the mantissa type is
 With plain Python ints and numpy importable, factors of at least
 `FFT_MIN_BITS` bits are multiplied instead by floating-point FFT convolution
 of their 8-bit limbs, which beats CPython's Karatsuba from about 10^5 bits
-on.  `mat_mul` then transforms every entry once and sums the products of
-each output entry in the frequency domain, before one inverse transform per
+on.  The transform length is the smallest 2^a 3^b at least the limb count of
+the product, not the next power of two: numpy's pocketfft runs such lengths
+at about the same cost per point, and they are on average far fuller.
+`mat_mul` then transforms every entry once and sums the products of each
+output entry in the frequency domain, before one inverse transform per
 entry.
 
 The FFT products are exact: their rounding error is proven below 1/2 for
@@ -32,12 +35,15 @@ except ImportError:  # pragma: no cover - numpy is an optional extra
 
 FFT_ACTIVE = _Z is int and _np is not None
 
-# Crossover measured with Python 3.11 and numpy 2.4 on an Intel Xeon (2 CPUs):
-# at 2^15 bits per factor a single FFT product ties with `*`, at 2^16 bits it
-# takes 0.6x the time, at 2^20 bits 0.25x.  mat_mul needs 3 r^2 transforms
-# for r^3 products, so for r x r matrices the crossover is taken as
-# FFT_MIN_BITS / r (a 3 x 3 product ties with the entrywise `*` at 2^13 bits
-# and takes 0.7x at 2^14).
+# Crossover measured with Python 3.11 and numpy 2.4 on an Intel Xeon (2 CPUs),
+# FFT product against the entrywise `*`, best of 7 interleaved runs: a single
+# product takes 1.6x the time of `*` at 2^14 bits per factor, ties at 2^15,
+# and takes 0.55-0.65x at 2^16, 0.7-0.9x at 70000 and 10^5 bits (lengths
+# 2^11 3^2 and 2^2 3^8, where a power of two would be 1.8x and 1.25x longer),
+# 0.7x at 2^17 and 0.27x at 2^20.  mat_mul needs 3 r^2 transforms for r^3
+# products, so for r x r matrices the crossover is taken as FFT_MIN_BITS / r:
+# a 3 x 3 product ties with `*` at 2^13 bits and takes 0.55x at 2^14, 0.3x at
+# 2^16 and 70000 bits and 0.23x at 2^17.
 FFT_MIN_BITS = 1 << 16
 
 # Rounding-error bound (C. Percival, "Rapid multiplication modulo the sum and
@@ -49,21 +55,30 @@ FFT_MIN_BITS = 1 << 16
 #   |z' - z|_inf
 #       < |x|_2 |y|_2 ((1+eps)^(3n) (1+eps sqrt5)^(3n+1) (1+beta)^(3n) - 1).
 #
+# Each of the three transforms contributes n levels of radix-2 butterflies.
+# numpy's pocketfft (since numpy 1.17) runs a real transform of length
+# N = 2^a 3^b by radix-4, radix-2 and radix-3 passes.  A radix-3 pass makes
+# each output from three inputs by two complex additions and products by
+# twiddle factors, and its gain sqrt3 is below the gain 2 of two radix-2
+# levels; it is charged as two levels, so the bound holds with n = a + 2b.
+# For N not a power of two the inverse transform's final scaling by 1/N is
+# not exact: 1/N rounded and the product rounded add two factors (1+eps).
+#
 # Summing r products in the frequency domain before the inverse transform
 # adds at most r - 1 roundings to each spectral value, so the error of the
-# sum is below  sum_t |x_t|_2 |y_t|_2 ((1+eps)^(3n+r-1) (...)(...) - 1).
+# sum is below  sum_t |x_t|_2 |y_t|_2 ((1+eps)^(3n+r+1) (...)(...) - 1).
 #
 # With 8-bit limbs, x has n_x limbs and y has n_y limbs, all at most 255, and
-# n_x + n_y - 1 <= N, so |x|_2 |y|_2 <= sqrt(n_x n_y) 255^2 <= (N/2) 255^2.
+# n_x + n_y - 1 <= N, so |x|_2 |y|_2 <= sqrt(n_x n_y) 255^2 <= ((N+1)/2) 255^2.
 # Take eps = 2^-53 (float64) and beta = 32 eps, a wide allowance for the
-# twiddle factors of numpy's pocketfft, which evaluates power-of-two real
-# transforms by radix-4 and radix-2 passes.  The FFT path takes N <= 2^22
-# and 2 r^2 N <= _FFT_MAX_WORDS = 2^25.  Over all r (r <= 2^12, since N >= 2)
-# the bound  r (N/2) 255^2 ((1+eps)^(3n+r-1) (...)(...) - 1)  is then largest
-# at r = 2, N = 2^22, where it is 0.071 < 1/2 (for r = 1 it is 0.035), so
-# rounding every output to the nearest integer is exact.  The bound holds
-# only for 8-bit limbs: with 16-bit limbs one product could not exceed
-# N = 2^10.
+# twiddle factors.  The FFT path takes N <= 2^22 and 2 r^2 N <= _FFT_MAX_WORDS
+# = 2^25.  Over all such N = 2^a 3^b and r (r <= 2^12, since N >= 1) the
+# bound  r ((N+1)/2) 255^2 ((1+eps)^(3n+r+1) (...)(...) - 1)  is then largest
+# at r = 2, N = 2^6 3^10 = 3779136 (n = 26), where it is 0.0751 < 1/2 (for
+# r = 1 it is 0.0375; at N = 2^22 it is 0.0706 and 0.0353), so rounding
+# every output to the nearest integer is exact; tests/test_intmul.py
+# evaluates the bound for every admitted (N, r).  It holds only for 8-bit
+# limbs: with 16-bit limbs one product could not exceed N = 2^10.
 _FFT_MAX_LEN = 1 << 22  # products of up to 2^25 bits in one transform
 # The transforms of mat_mul, 2 r^2 spectra of N float64 words, are all kept;
 # above this many words it multiplies entry by entry.
@@ -74,12 +89,12 @@ _CHECK_MOD = (1 << 61) - 1
 def mat_mul(A, B):
     """Exact product A B of square integer matrices; a 1 x 1 product is one
     multiplication."""
-    size = _fft_size(A, B)
-    if size:
-        return _fft_mat_mul(A, B, size)
     r = len(A)
+    size = _fft_size(A, B, cap=False)
+    if size and _admitted(size, r):
+        return _fft_mat_mul(A, B, size)
     mul = operator.mul
-    if _fft_size(A, B, cap=False):
+    if size:
         # over the caps: split a 1 x 1 product, and make each entry product
         # of a larger one by _mul, which splits it if need be
         mul = _split_mul if r == 1 else _mul
@@ -88,8 +103,9 @@ def mat_mul(A, B):
 
 
 def _fft_size(A, B, cap=True):
-    """Transform length for A B on the FFT path, or 0 when that path is off,
-    when either factor is below the crossover, or, if cap, when the product
+    """Transform length for A B on the FFT path: the smallest 2^a 3^b at
+    least the limb count of the product.  0 when that path is off, when
+    either factor is below the crossover, or, if cap, when the product
     exceeds the length cap or the memory limit that the bound is proven for."""
     if not FFT_ACTIVE:
         return 0
@@ -97,10 +113,17 @@ def _fft_size(A, B, cap=True):
     bits_b = max(x.bit_length() for row in B for x in row)
     if min(bits_a, bits_b) * len(A) < FFT_MIN_BITS:
         return 0
-    size = 1 << (((bits_a + 7) >> 3) + ((bits_b + 7) >> 3) - 2).bit_length()
-    if size > _FFT_MAX_LEN or 2 * len(A) ** 2 * size > _FFT_MAX_WORDS:
-        return 0 if cap else size
-    return size
+    need = ((bits_a + 7) >> 3) + ((bits_b + 7) >> 3) - 1
+    size, t = 2 * need, 1
+    while t < size:  # t = 3^b times the least power of two reaching need
+        size = min(size, t << (-(-need // t) - 1).bit_length())
+        t *= 3
+    return 0 if cap and not _admitted(size, len(A)) else size
+
+
+def _admitted(size, r):
+    """Whether the bound above covers r x r products at this length."""
+    return size <= _FFT_MAX_LEN and 2 * r * r * size <= _FFT_MAX_WORDS
 
 
 def _split_mul(x, y):

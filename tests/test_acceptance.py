@@ -165,30 +165,31 @@ def test_criterion_6_stability():
     report(6, ok, "; ".join(details))
 
 
-def _best_time(alg, n, repeats=3):
+def _best_times(n, algs, repeats=3):
+    """Best of `repeats` timings of (1/2)_n at p = 4n for each engine.  The
+    engines run in turn within each repeat, so that a slow phase of the
+    machine falls on all of them rather than on one."""
     p = 4 * n
     z = Ball.from_fraction(Fraction(1, 2), p)
-    rising_factorial_report(z, n, p, algorithm=alg)  # warmup
-    best = None
+    for alg in algs:
+        rising_factorial_report(z, n, p, algorithm=alg)  # warmup
+    best = dict.fromkeys(algs, math.inf)
     for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        rising_factorial_report(z, n, p, algorithm=alg)
-        dt = time.perf_counter_ns() - t0
-        best = dt if best is None else min(best, dt)
+        for alg in algs:
+            t0 = time.perf_counter_ns()
+            rising_factorial_report(z, n, p, algorithm=alg)
+            best[alg] = min(best[alg], time.perf_counter_ns() - t0)
     return best
 
 
 def test_criterion_7_figure1_ordinals():
-    t_naive_10 = _best_time("naive", 2 ** 10)
-    t_delta_10 = _best_time("rect-delta", 2 ** 10)
-    t_naive_13 = _best_time("naive", 2 ** 13)
-    t_delta_13 = _best_time("rect-delta", 2 ** 13)
-    t_multi_13 = _best_time("multipoint", 2 ** 13, repeats=2)
-    t_split_13 = _best_time("rect-split", 2 ** 13)
-    r10 = t_delta_10 / t_naive_10
-    r13 = t_delta_13 / t_naive_13
-    rm = t_multi_13 / t_naive_13
-    rs = t_split_13 / t_naive_13
+    t10 = _best_times(2 ** 10, ("naive", "rect-delta"))
+    t13 = _best_times(2 ** 13, ("naive", "rect-delta", "rect-split",
+                                "multipoint"))
+    r10 = t10["rect-delta"] / t10["naive"]
+    r13 = t13["rect-delta"] / t13["naive"]
+    rm = t13["multipoint"] / t13["naive"]
+    rs = t13["rect-split"] / t13["naive"]
     ok = r10 < 1.0 and r13 < 0.5 and rm > rs
     report(7, ok, "rect-delta/naive: %.3f at 2^10 (<1), %.3f at 2^13 (<0.5); "
                   "multipoint %.3f > rect-split %.3f at 2^13"

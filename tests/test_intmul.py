@@ -4,6 +4,7 @@ schoolbook.  Every assertion runs twice: on the numpy FFT path, with the
 crossover lowered so that small operands reach it, and with that path
 turned off, which is the gmpy2 / no-numpy code path."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -143,9 +144,11 @@ class TestMul:
         assert im._fft_size([r[:2] for r in A[:2]], [r[:2] for r in A[:2]]) \
             == im._FFT_MAX_LEN
 
-    def test_transform_is_exact_before_the_check(self):
+    @pytest.mark.parametrize("size", [648, 729, 1024])
+    def test_transform_is_exact_before_the_check(self, size):
         # the residue check would hide a wrong transform product behind the
-        # `*` fallback, so check the rounded convolution itself
+        # `*` fallback, so check the rounded convolution itself; 375 + 250
+        # limbs fit lengths with factors of 3 as well as 2^10
         if not im.FFT_ACTIVE:
             pytest.skip("FFT path needs plain-int mantissas and numpy")
         np = im._np
@@ -153,8 +156,30 @@ class TestMul:
         for _ in range(20):
             x = rng.getrandbits(3000) * rng.choice((-1, 1))
             y = rng.getrandbits(2000) * rng.choice((-1, 1))
-            fx, fy = im._spectrum(x, 1024), im._spectrum(y, 1024)
-            assert im._from_limb_sums(np.fft.irfft(fx * fy, 1024)) == x * y
+            fx, fy = im._spectrum(x, size), im._spectrum(y, size)
+            assert im._from_limb_sums(np.fft.irfft(fx * fy, size)) == x * y
+
+    @pytest.mark.parametrize("size", [3 << 20, 9 << 18, 2 * 3 ** 13,
+                                      2 ** 6 * 3 ** 10, 3 ** 13])
+    def test_all_ones_at_the_largest_lengths(self, size):
+        # all-ones limbs filling a transform of each shape 2^a 3^b near the
+        # cap, checked on the transform itself against the closed form
+        # (2^s - 1)(2^t - 1); 2^6 3^10 is where the written bound is largest,
+        # for r = 2 as well
+        if not im.FFT_ACTIVE:
+            pytest.skip("FFT path needs plain-int mantissas and numpy")
+        np = im._np
+        nx = size // 2
+        s, t = 8 * nx, 8 * (size + 1 - nx)
+        x, y = (1 << s) - 1, (1 << t) - 1
+        assert im._fft_size([[x]], [[y]]) == size
+        exact = (1 << s + t) - (1 << s) - (1 << t) + 1
+        fxy = im._spectrum(x, size) * im._spectrum(y, size)
+        assert im._from_limb_sums(np.fft.irfft(fxy, size)) == exact
+        if size == 2 ** 6 * 3 ** 10:
+            assert im._admitted(size, 2)
+            assert im._from_limb_sums(np.fft.irfft(fxy + fxy, size)) \
+                == 2 * exact
 
     def test_residue_check_catches_a_wrong_product(self, monkeypatch):
         if not im.FFT_ACTIVE:
@@ -167,6 +192,62 @@ class TestMul:
         assert mul(x, y) == x * y
         A = [[rng.getrandbits(900) for _ in range(2)] for _ in range(2)]
         assert im.mat_mul(A, A) == mat_schoolbook(A, A)
+
+
+def smooth_lengths(top):
+    """Every 2^a 3^b <= top, with its exponents (a, b)."""
+    return sorted((2 ** a * 3 ** b, a, b) for a in range(top.bit_length())
+                  for b in range(top.bit_length()) if 2 ** a * 3 ** b <= top)
+
+
+class TestTransformLength:
+    def test_smallest_length_of_the_form(self, monkeypatch):
+        if not im.FFT_ACTIVE:
+            pytest.skip("FFT path needs plain-int mantissas and numpy")
+        monkeypatch.setattr(im, "FFT_MIN_BITS", 8)
+        sizes = [n for n, _, _ in smooth_lengths(1 << 16)]
+        for la in list(range(1, 80)) + [1000, 4097, 12345]:
+            for lb in (1, 2, 3, 5, 40, 41, la, 7000):
+                x, y = (1 << 8 * la) - 1, 1 << 8 * lb - 1
+                need = la + lb - 1
+                assert im._fft_size([[x]], [[y]]) == \
+                    min(n for n in sizes if n >= need)
+
+    def test_zero_above_the_caps(self):
+        if not im.FFT_ACTIVE:
+            pytest.skip("FFT path needs plain-int mantissas and numpy")
+        # for 3 x 3 products the memory cap admits lengths below the length
+        # cap; at the largest admitted one the size is returned, one limb
+        # more gives 0 (on both caps for 1 x 1, see test_at_the_length_cap)
+        top = max(n for n, _, _ in smooth_lengths(im._FFT_MAX_LEN)
+                  if im._admitted(n, 3))
+        assert top < im._FFT_MAX_LEN
+        for need, want in ((top, top), (top + 1, 0)):
+            x = (1 << 8 * (need // 2)) - 1
+            y = (1 << 8 * (need + 1 - need // 2)) - 1
+            A, B = [[x] * 3] * 3, [[y] * 3] * 3
+            assert im._fft_size(A, B) == want
+            assert im._fft_size(A, B, cap=False) >= need
+
+    def test_written_bound_below_one_half(self):
+        # the bound written above intmul._FFT_MAX_LEN, for every (N, r) that
+        # the caps admit: N = 2^a 3^b with a radix-3 pass charged as two
+        # radix-2 levels, n = a + 2b
+        eps, beta = 2.0 ** -53, 32 * 2.0 ** -53
+        worst = (0.0, 0, 0)
+        for size, a, b in smooth_lengths(2 * im._FFT_MAX_LEN):
+            n, r = a + 2 * b, 1
+            while im._admitted(size, r):
+                grow = ((3 * n + r + 1) * math.log1p(eps)
+                        + (3 * n + 1) * math.log1p(eps * math.sqrt(5))
+                        + 3 * n * math.log1p(beta))
+                bound = r * (size + 1) / 2 * 255 ** 2 * math.expm1(grow)
+                worst = max(worst, (bound, size, r))
+                r += 1
+        assert worst[0] < 0.5
+        # the largest value, as the comment in intmul states it
+        assert worst[1:] == (2 ** 6 * 3 ** 10, 2)
+        assert round(worst[0], 4) == 0.0751
 
 
 class TestAboveTheLengthCap:
