@@ -765,41 +765,20 @@ def _mid(a):
 # fused integer dot products sum_j c_j b_j over fixed balls b_j
 # ---------------------------------------------------------------------------
 
-def _align(pairs, p):
-    """(ints, e) with ints[j] * 2**e == man_j * 2**exp_j for the pairs
-    (man_j, exp_j); None when the nonzero values span more than 8p + 1024
-    bits, which makes one fixed-point sum wasteful."""
-    live = [(man, exp) for man, exp in pairs if man]
-    if not live:
-        return [0] * len(pairs), 0
-    e = min(exp for _, exp in live)
-    if max(exp + man.bit_length() for man, exp in live) - e > 8 * p + 1024:
-        return None
-    return [man << (exp - e) if man else 0 for man, exp in pairs], e
-
-
 def _fixed_point(balls, p):
-    """(mids, e, rads, re): the real balls' midpoints are mids[j] * 2**e and
-    their radii rads[j] * 2**re, exactly; rads is None when every ball is
-    exact.  None when either spread is too wide."""
-    mids = _align([(b.man, b.exp) for b in balls], p)
-    rads = _align([(b.rm, b.re) for b in balls], p)
-    if mids is None or rads is None:
+    """(mids, rads, e): the real balls' midpoints are mids[j] * 2**e and
+    their radii rads[j] * 2**e, exactly, on one exponent; rads is None when
+    every ball is exact.  None when the nonzero values span more than
+    8p + 1024 bits, which makes one fixed-point sum wasteful."""
+    pairs = [(b.man, b.exp) for b in balls] + [(b.rm, b.re) for b in balls]
+    live = [(man, exp) for man, exp in pairs if man]
+    e = min((exp for _, exp in live), default=0)
+    if live and max(exp + man.bit_length()
+                    for man, exp in live) - e > 8 * p + 1024:
         return None
-    if not any(rads[0]):
-        rads = None, 0
-    return mids + rads
-
-
-def _fused_dot(coeffs, table, p) -> Ball:
-    """sum_j coeffs[j] * b_j for the integers coeffs and a table of
-    _fixed_point: one integer sum for the midpoint, one for the radius."""
-    mids, e, rads, re = table
-    man = sum(map(operator.mul, coeffs, mids))
-    if rads is None:
-        return _make(man, e, 0, 0, p)
-    rad = sum(map(operator.mul, map(abs, coeffs), rads))
-    return _make(man, e, *_u_from_abs(rad, re), p)
+    ints = [man << (exp - e) if man else 0 for man, exp in pairs]
+    n = len(balls)
+    return ints[:n], ints[n:] if any(ints[n:]) else None, e
 
 
 def n_fixed_point(balls, p):
@@ -815,26 +794,22 @@ def n_fixed_point(balls, p):
 
 def n_int_dot(coeffs, balls, fix, p):
     """sum_j coeffs[j] * balls[j] for exact integers coeffs, with
-    fix = n_fixed_point(balls, ...): one integer sum for the midpoint and
-    one for the radius of each part, or term by term when fix is None.
-    Both are exact rescalings of the balls, so containment is kept."""
+    fix = n_fixed_point(balls, ...): the sums of n_dot_sums, or term by term
+    when fix is None; both are exact rescalings, so containment is kept."""
+    if fix is not None:
+        return n_ball_from_sums(n_dot_sums(coeffs, fix), fix, p)
     if len(coeffs) > len(balls):
         raise IndexError("more coefficients than values")
-    if fix is None:
-        acc = n_zero(balls[0])
-        for c, b in zip(coeffs, balls):
-            if c:
-                acc = n_add(acc, n_mul_int(b, c, p), p)
-        return acc
-    if isinstance(balls[0], ComplexBall):
-        return ComplexBall(_fused_dot(coeffs, fix[0], p),
-                           _fused_dot(coeffs, fix[1], p))
-    return _fused_dot(coeffs, fix, p)
+    acc = n_zero(balls[0])
+    for c, b in zip(coeffs, balls):
+        if c:
+            acc = n_add(acc, n_mul_int(b, c, p), p)
+    return acc
 
 
 def _fix_parts(fix):
     """The part tables of n_fixed_point's result: a complex one is a pair,
-    a real one a single table (a 4-tuple)."""
+    a real one a single table (a 3-tuple)."""
     return fix if len(fix) == 2 else (fix,)
 
 
@@ -842,12 +817,12 @@ def n_dot_sums(coeffs, fix):
     """The integer sums behind n_int_dot(coeffs, balls, fix, p) for a fix
     that is not None: [mid, rad] per part, with mid = sum c_j mids_j and
     rad = sum |c_j| rads_j (0 for an exact part).  n_ball_from_sums makes
-    the same ball from them, bit for bit, so a caller may get the sums by
-    other exact means (the engines' difference table does)."""
+    the same ball from them, so a caller may get the sums by other exact
+    means (the engines' difference table does)."""
     if len(coeffs) > len(_fix_parts(fix)[0][0]):
         raise IndexError("more coefficients than values")
     out = []
-    for mids, _, rads, _ in _fix_parts(fix):
+    for mids, rads, _ in _fix_parts(fix):
         out.append(sum(map(operator.mul, coeffs, mids)))
         out.append(0 if rads is None
                    else sum(map(operator.mul, map(abs, coeffs), rads)))
@@ -855,10 +830,9 @@ def n_dot_sums(coeffs, fix):
 
 
 def n_ball_from_sums(sums, fix, p):
-    """The ball of n_int_dot from its sums (see n_dot_sums): the rounding
-    of _fused_dot, part by part."""
-    parts = [_make(sums[2 * k], e, *_u_from_abs(sums[2 * k + 1], re), p)
-             for k, (_, e, _, re) in enumerate(_fix_parts(fix))]
+    """The ball of n_int_dot from its sums (see n_dot_sums), part by part."""
+    parts = [_make(sums[2 * k], e, *_u_from_abs(sums[2 * k + 1], e), p)
+             for k, (_, _, e) in enumerate(_fix_parts(fix))]
     return ComplexBall(*parts) if len(parts) == 2 else parts[0]
 
 

@@ -45,10 +45,8 @@ def parse_spec_file(text: str, prec: int = 64):
         # comment
 
     Returns (RecMatrix, initial vector of Balls)."""
-    order = None
-    den = None
-    entries = {}
-    inits = {}
+    order = den = None
+    given = {}  # (directive, index): (value, line number)
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -65,25 +63,29 @@ def parse_spec_file(text: str, prec: int = 64):
                 den = bipoly_from_text(rest)
             elif key == "entry":
                 i_s, j_s, poly_s = rest.split(None, 2)
-                entries[(int(i_s), int(j_s))] = bipoly_from_text(poly_s)
+                index, value = (int(i_s), int(j_s)), bipoly_from_text(poly_s)
             elif key == "init":
                 i_s, val_s = rest.split(None, 1)
-                inits[int(i_s)] = bl.parse_decimal(val_s, prec)
+                index, value = (int(i_s),), bl.parse_decimal(val_s, prec)
             else:
                 raise ValueError("unknown directive %r" % key)
-        except SpecFileError:
-            raise
+            if key in ("entry", "init"):
+                if (key, index) in given:
+                    raise ValueError("%s %s repeats line %d" % (
+                        key, " ".join(map(str, index)), given[key, index][1]))
+                given[key, index] = value, line_no
         except (ValueError, ArithmeticError) as exc:
             raise SpecFileError(str(exc), line_no) from exc
     if order is None:
         raise SpecFileError("missing 'order' directive")
-    for (i, j) in entries:
-        if not (0 <= i < order and 0 <= j < order):
-            raise SpecFileError("entry (%d, %d) outside order-%d matrix" % (i, j, order))
-    grid = [[entries.get((i, j), BiPoly.zero()) for j in range(order)]
-            for i in range(order)]
+    for (key, index), (_, line_no) in given.items():
+        if not all(0 <= i < order for i in index):
+            raise SpecFileError("%s %s outside the order-%d matrix" % (
+                key, " ".join(map(str, index)), order), line_no)
+    grid = [[given.get(("entry", (i, j)), (BiPoly.zero(),))[0]
+             for j in range(order)] for i in range(order)]
     mat = RecMatrix(grid, den)
-    vec = [inits.get(i, Ball.zero()) for i in range(order)]
+    vec = [given.get(("init", (i,)), (Ball.zero(),))[0] for i in range(order)]
     return mat, vec
 
 

@@ -16,65 +16,82 @@ rect-delta      differences of successive giant-step products, expanded
                 once as a bivariate polynomial
 
 Cost classes are counted per evaluation: "nonscalar" multiplications are
-ball x ball products at working precision; "scalar" operations multiply a
+matrix-entry products at working precision; "scalar" operations multiply a
 ball by an exact integer coefficient; "adds" are the exact additions of a
 difference table and its set-up; "coeff" operations stay in Z.
+
+Fixed point
+-----------
+A node (mids, rads, e) is a matrix whose entry (i, j) lies in
+(mids[i][j] +- rads[i][j]) 2^e, with integer midpoints and radii on one
+exponent; rads is None for an exact node.  Multipoint's form is the same
+with polynomials in k for entries (_fix_form).  One argument keeps every
+value inside.  A product takes the midpoints exactly, and for a in
+a_m +- a_r, b in b_m +- b_r, |a b - a_m b_m| <= (|a_m| + a_r) b_r + a_r |b_m|
+<= u_a 2^s_a b_r + a_r u_b 2^s_b with upper bounds u_a 2^s_a >= |a_m| + a_r
+and u_b 2^s_b >= |b_m| (_fix_upper); sums add these terms.  Rounding
+(_fix_floor) writes c = (c >> s) 2^s + d with 0 <= d < 2^s, keeps c >> s
+and adds d to the radius, rounded up to the unit 2^(e + s); a ball is put
+at 2^e alike (_fix_form).  Addition on one exponent is exact.  A node keeps
+p bits of its smallest nonzero entry, no fewer than p-bit balls would, and
+becomes a ball matrix past the spread cap, entries that span more than p
+bits (_node_round).
 
 The engine loop
 ---------------
 Every engine runs in one driver, _run.  The engine builds its power table
-and hands over the number of factors its giant steps cover and the steps
-themselves, ball matrices S in order; the factors left over follow one at
-a time through the table.  For a full-mantissa z the driver makes V <- S V
-for each (one matrix product, none for the first): a tree would save
-nothing there, and its dense merges cost more on sparse companion factors.
-For a short z (_short_z) a step has O(m log n) bits, and the driver
-multiplies steps and factors as a balanced tree, a stack merged like a
-binary counter: operands stay short up to the top levels, and on 1 x 1
-matrices it makes as many products as the chain.  Its nodes stay exact
-integer matrices (tree_mat_mul) until an entry passes the working
-precision, then rounded as n_mul rounds; an inexact operand or a complex z
-keeps balls.  For one row r of the product, whatever z, the order turns
-round: the leftover factors from i = n - 1 down, then the steps last
-first, each R <- R S from R = row r of the first.
-ball_mat_mul makes no product with an exact-zero factor, so on the 1F1
-matrix [[a, b], [0, N^m]] a step costs R0 a, R0 b and R1 N^m, two p x p
-products where S V makes three.  Giant steps that are exact subproducts
-over Z[x] all come from _subproduct_steps, which evaluates each entry by
-Paterson-Stockmeyer (_ps_eval); rows as long as the table make that one
-fused dot.  The denominator product of an x-dependent denominator is the
-same loop on the 1 x 1 matrix [q].
+and hands over its giant steps, in order, and the number of factors they
+cover; the factors left over follow one at a time through the table.  A
+step of a real z is a node: the integer sums of a difference table or of
+an exact subproduct's one fused dot (_dot_step), a remainder-tree leaf,
+or ball steps converted once (_node).  Every merge of the whole product is
+one node product (_node_mul): the midpoints exactly, by one `*` on 1 x 1
+below intmul.FFT_MIN_BITS (through mat_mul, naive took three times as long
+on a short z) and intmul.mat_mul otherwise.  A complex z, and a node past
+the cap, merge by ball_mat_mul.  _run chooses only the order: for a
+full-mantissa z the chain V <- S V, since a tree saves nothing there and
+its dense merges cost more on sparse companion factors; for a short z
+(_short_z), whose steps have O(m log n) bits, a balanced tree, a stack
+merged like a binary counter, whose operands stay short, and exact, up to
+the top levels (on 1 x 1 it makes as many products as the chain).  For one
+row r of the product the order turns round: the leftover factors from
+i = n - 1 down, then the steps last first, R <- R S on balls from R = row r
+of the first.  ball_mat_mul makes no product with an exact-zero factor, so
+on the 1F1 matrix [[a, b], [0, N^m]] a step costs two p x p products where
+S V makes three, and the row's entries span up to p + 39 bits (1F1 at
+p = 2048 and 8192).  Exact subproducts over Z[x] are evaluated by
+Paterson-Stockmeyer (_subproduct_steps); rows as long as the table make
+one fused dot.  An x-dependent denominator is the same loop on [q].
 
 Difference tables
 -----------------
-The fused dot of the power table rounds two integer sums per part of z,
+The fused dot of the power table makes two integer sums per part of z,
 the midpoint sum_j c_j mid_j and the radius sum_j |c_j| rad_j.  When each
 c_j is a polynomial in the step index, so are the sums, and their exact
 forward differences (_difference_table) give each later step by deg
-additions per sum and no dot, bit-identical to the dot (_difference_steps).
-The precondition (_sums_are_polynomial): the table has a fixed-point form,
-and either its radii are all zero or every x^a coefficient, a polynomial in
-k >= 0, keeps one sign, so that |c_j| is a polynomial too.  Three users:
+additions per sum and no dot (_difference_steps).  The precondition
+(_sums_are_polynomial): the table has a fixed-point form, and either its
+radii are all zero or every x^a coefficient, a polynomial in k >= 0, keeps
+one sign, so that |c_j| is a polynomial too.  Three users:
 - rect-split, for a shift-symmetric matrix (M(x, k+m) = M(x+m, k)):
   U_i(x) = U_0(x + i m), and a sum at the shift s >= 0 is the polynomial
   sum_k s^k (that sum of U_0's Taylor coefficient c_k): D + 1 dots on U_0's
   own coefficients, then Horner at the first min(D + 1, w) shifts (last
   first, from s = (w-1) m down); otherwise each step is the exact U_i;
 - rect-delta's Delta_m(z, i m), from eval_k at the first deg_k + 1 steps;
-  otherwise each step is eval_k and a dot;
 - the factors _run multiplies in one at a time, in either order, from
-  eval_k at the first deg_k + 1 indices; otherwise eval_k and a dot each.
-OpCounter.giant_step records the update of rect-split and rect-delta.
+  eval_k at the first deg_k + 1 indices.
+Otherwise each is eval_k and a dot.  OpCounter.giant_step records the
+update of rect-split and rect-delta.
 
 The plan
 --------
 make_plan reads the structure of one evaluation once: the shift symmetry
 of M, its order, whether z is short at the working precision, and n deg_x.
 The default engine follows the symmetry: naive for n < 32, rect-split on a
-shift-symmetric matrix (its difference table), rect-delta otherwise.  The
-plan keeps both flags, so the engines and the loop read them and do not
-test again; on a shift-symmetric matrix of order >= 2, rect-split takes the
-longer step m = 1.5 p^0.4, whatever z.
+shift-symmetric matrix (its difference table), rect-delta otherwise; on a
+shift-symmetric matrix of order >= 2, rect-split takes the longer step
+m = 1.5 p^0.4, whatever z.
 """
 
 from __future__ import annotations
@@ -100,13 +117,12 @@ ALGORITHMS = ("naive", "binsplit-exact", "multipoint", "rect-ps",
 
 @dataclass
 class OpCounter:
-    """Instrumentation for one evaluation.  nonscalar counts the ball x ball
-    products made: ball_mat_mul makes none with an exact-zero factor, and
-    exact_merges counts those that the short-z tree made over Z.  scalar counts
-    a dot's nonzero coefficients; adds counts the exact integer additions of a
-    difference table, its set-up included, and the Horner steps of rect-split's
-    first sums (no ball operations); coeff counts work in Z, and falls where a
-    table evaluates deg_k + 1 indices only."""
+    """Instrumentation for one evaluation.  nonscalar counts the entry
+    products made (none with an exact-zero factor), exact_merges those made
+    by merges of two exact nodes; scalar counts a dot's nonzero coefficients;
+    adds counts the exact integer additions of a difference table, its set-up
+    included, and the Horner steps of rect-split's first sums; coeff counts
+    work in Z, and falls where a table evaluates deg_k + 1 indices only."""
 
     nonscalar: int = 0
     scalar: int = 0
@@ -119,8 +135,7 @@ class OpCounter:
     giant_step: str | None = None
 
     def note_live_coeffs(self, count: int):
-        if count > self.peak_coeffs:
-            self.peak_coeffs = count
+        self.peak_coeffs = max(self.peak_coeffs, count)
 
 
 @dataclass(frozen=True)
@@ -150,9 +165,7 @@ def mantissa_bits(z) -> int:
     if isinstance(z, ComplexBall):
         return max(mantissa_bits(z.re), mantissa_bits(z.im))
     man = z.man
-    if not man:
-        return 0
-    return man.bit_length() - (man & -man).bit_length() + 1
+    return man.bit_length() - (man & -man).bit_length() + 1 if man else 0
 
 
 def _short_z(zbits: int, p: int) -> bool:
@@ -169,6 +182,9 @@ def make_plan(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
     if algorithm is not None and algorithm not in ALGORITHMS:
         raise ValueError("unknown algorithm %r (choose from %s)"
                          % (algorithm, ", ".join(ALGORITHMS)))
+    if m is not None and (isinstance(m, bool) or not isinstance(m, int)
+                          or m < 1):
+        raise ValueError("m must be None or an int >= 1")
     symmetric = M.shift_symmetry_holds()
     guard = guard_bits(n)
     short = _short_z(mantissa_bits(z), p + guard)
@@ -213,20 +229,15 @@ def make_plan(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
 # ---------------------------------------------------------------------------
 
 class PowerTable:
-    """Powers z^0 .. z^D of the evaluation point.
-
-    Besides the ball powers, the table keeps their fixed-point form
-    (balls.n_fixed_point), so that sum c_j z^j collapses into one integer
-    dot product for the midpoint and one for the radius (all scalar
-    operations)."""
+    """Powers z^0 .. z^D of the evaluation point and their fixed-point form
+    (balls.n_fixed_point): sum c_j z^j is one integer dot product for the
+    midpoint and one for the radius (scalar operations)."""
 
     def __init__(self, z, max_exp: int, p: int, counter: OpCounter | None = None):
         self.z = z
         self.p = p
         self.D = max_exp
-        powers = [bl.n_one(z)]
-        if max_exp >= 1:
-            powers.append(z)
+        powers = [bl.n_one(z)] + [z] * (max_exp >= 1)
         for j in range(2, max_exp + 1):
             powers.append(bl.n_mul(powers[j // 2], powers[(j + 1) // 2], p))
             if counter is not None:
@@ -237,9 +248,7 @@ class PowerTable:
     def eval_int_poly(self, coeffs, p: int | None = None,
                       counter: OpCounter | None = None):
         """sum_j coeffs[j] * z^j using scalar operations only."""
-        if p is None:
-            p = self.p
-        out = bl.n_int_dot(coeffs, self.powers, self._fix, p)
+        out = bl.n_int_dot(coeffs, self.powers, self._fix, p or self.p)
         if counter is not None:
             counter.scalar += len(coeffs) - coeffs.count(0)
         return out
@@ -249,89 +258,156 @@ class PowerTable:
 # ball matrices
 # ---------------------------------------------------------------------------
 
-def ball_identity(r: int, like):
-    one = bl.n_one(like)
-    zero = bl.n_zero(like)
-    return [[one if i == j else zero for j in range(r)] for i in range(r)]
-
-
 def ball_mat_mul(A, B, p, counter: OpCounter | None = None):
     """A B for an r x r ball matrix B and A an r x r matrix or a 1 x r row.
     A product with an exact-zero factor is not made: the exact zero that
     n_mul would give takes its place in the sum, so the result is the dense
     product's, bit for bit."""
     zero = bl.n_zero(B[0][0])
-    r = len(B)
-    bnz = [[not _ball_is_exact_zero(b) for b in brow] for brow in B]
-    made = 0
-    out = []
-    for arow in A:
-        anz = [not _ball_is_exact_zero(a) for a in arow]
-        row = []
-        for j in range(r):
-            acc = None
-            for t in range(r):
-                if anz[t] and bnz[t][j]:
-                    x = bl.n_mul(arow[t], B[t][j], p)
-                    made += 1
-                else:
-                    x = zero
-                acc = x if acc is None else bl.n_add(acc, x, p)
-            row.append(acc)
-        out.append(row)
+    terms = [[[zero if _ball_is_exact_zero(a) or _ball_is_exact_zero(b)
+               else bl.n_mul(a, b, p) for a, b in zip(arow, col)]
+              for col in zip(*B)] for arow in A]
     if counter is not None:
-        counter.nonscalar += made
-    return out
+        counter.nonscalar += sum(t is not zero for row in terms for ts in row
+                                 for t in ts)
+    return [[reduce(lambda x, y: bl.n_add(x, y, p), ts) for ts in row]
+            for row in terms]
 
 
-def tree_mat_mul(A, B, p, counter: OpCounter):
-    """A B for two nodes of _run's short-z tree: over Z for exact ones
-    (counted as ball_mat_mul counts, and in exact_merges), rounded as n_mul
-    rounds past p bits; else, or if an operand had passed them, as balls."""
-    X, Y = _exact_node(A, p), _exact_node(B, p)
-    if X is not None and Y is not None:
-        (am, ea), (bm, eb) = X, Y
-        if len(am) == 1 and min(am[0][0].bit_length(),
-                                bm[0][0].bit_length()) < intmul.FFT_MIN_BITS:
-            # below the FFT crossover one `*`: mat_mul's size checks and
-            # the general counts below made naive three times slower
-            v = am[0][0] * bm[0][0]
-            out, made, top = [[v]], bool(v), v.bit_length()
-        else:
-            out = intmul.mat_mul(am, bm)
-            made = sum(sum(map(bool, acol)) * sum(map(bool, brow))
-                       for acol, brow in zip(zip(*am), bm))
-            top = _bits(out)
-        if top <= p or _bits(am + bm) <= p:
-            counter.nonscalar += made
-            counter.exact_merges += made
-            node = out, ea + eb
-            return node if top <= p else _ball_node(node, p)
-    return ball_mat_mul(_ball_node(A, p), _ball_node(B, p), p, counter)
+# ---------------------------------------------------------------------------
+# fixed-point matrices (nodes, see Fixed point)
+# ---------------------------------------------------------------------------
+
+def _fix_upper(mids, rads, bits):
+    """(u, s) with u 2^s >= |m| + r for the integer lists m of the grid mids
+    and r of rads (0 if rads is None), entry by entry, and the largest u of
+    about bits bits."""
+    rads = rads or [[repeat(0)] * len(row) for row in mids]
+    vals = [[[abs(c) + r for c, r in zip(*es)] for es in zip(*rows)]
+            for rows in zip(mids, rads)]
+    top = max((v.bit_length() for row in vals for vs in row for v in vs),
+              default=0)
+    s = max(0, top - bits)
+    return [[[-(-v >> s) for v in vs] for vs in row] for row in vals], s
 
 
-def _exact_node(X, p):
-    """X, or its exact real balls within p bits, as (mids, e), or None."""
-    if isinstance(X, tuple):
+def _fix_floor(mids, rads, s):
+    """The grids mids, rads of integer lists at 2^e taken to 2^(e + s): each
+    midpoint floored, its dropped bits added to its radius, rounded up."""
+    low = (1 << s) - 1
+    return ([[[c >> s for c in cs] for cs in row] for row in mids],
+            [[[-(-(r + (c & low)) >> s) for c, r in zip(*es)]
+              for es in zip(*rows)] for rows in zip(mids, rads)])
+
+
+def _node(X, p):
+    """The node of a real ball matrix, _fix_form of its entries rounded by
+    _node_round; X itself if complex or past the spread cap."""
+    if isinstance(X[0][0], ComplexBall):
         return X
-    if any(isinstance(b, ComplexBall) or b.rm for row in X for b in row):
-        return None
-    e = min([b.exp for row in X for b in row if b.man], default=0)
-    if max([b.exp + b.man.bit_length() for r in X for b in r if b.man],
-           default=e) - e > p:
-        return None
-    return [[b.man << (b.exp - e) if b.man else 0 for b in row]
-            for row in X], e
+    tops = [bl._top(b, 0) for row in X for b in row if b.man or b.rm]
+    spread = max(tops, default=0) - min(tops, default=0)
+    if spread > p:
+        return X
+    mids, rads, e = _fix_form([[[b] for b in row] for row in X], p + spread,
+                              X[0][0])
+    return _node_round(*([[cs[0] for cs in row] for row in g]
+                         for g in (mids, rads)), e, p)
 
 
-def _bits(rows):
-    return max(map(abs, chain.from_iterable(rows))).bit_length()
+def _rads(X):
+    """The radii of a node; None stands for the zeros of an exact one."""
+    return X[1] or [[0] * len(cs) for cs in X[0]]
 
 
 def _ball_node(X, p):
-    """The ball matrix of a node, an exact one rounded to p bits."""
-    return ([[bl._make(v, X[1], 0, 0, p) for v in row] for row in X[0]]
-            if isinstance(X, tuple) else X)
+    """The ball matrix of a node, rounded to p bits; a ball matrix as it is."""
+    if not isinstance(X, tuple):
+        return X
+    return [[bl._make(c, X[2], *bl._u_from_abs(r, X[2]), p)
+             for c, r in zip(*rows)] for rows in zip(X[0], _rads(X))]
+
+
+def _dot_step(coeffs, table, p, counter):
+    """The step [[sum_j c_j z^j]] for a grid of coefficient lists by one
+    fused dot per entry: the node of the dot sums on a real table (one
+    exponent), their balls on a complex one, else balls term by term."""
+    fix = table._fix
+    if fix is None:
+        return [[table.eval_int_poly(cs, p, counter) for cs in row]
+                for row in coeffs]
+    sums = [[_dot_sums(cs, table, counter) for cs in row] for row in coeffs]
+    if len(fix) == 2:
+        return [[bl.n_ball_from_sums(s, fix, p) for s in row] for row in sums]
+    return ([[s[0] for s in row] for row in sums],
+            fix[1] and [[s[1] for s in row] for row in sums], fix[2])
+
+
+def _node_round(mids, rads, e, p):
+    """The node floored so that its smallest nonzero entry keeps p bits (rads
+    None if all 0), or its ball matrix past the spread cap."""
+    node = mids, rads if rads and any(map(any, rads)) else None, e
+    tops = [max(c.bit_length(), r.bit_length()) for rows in
+            zip(mids, _rads(node)) for c, r in zip(*rows) if c or r]
+    low = min(tops, default=0)
+    if tops and max(tops) - low > p:
+        return _ball_node(node, p)
+    if low <= p:
+        return node
+    (mids,), (rads,) = _fix_floor([mids], [_rads(node)], low - p)
+    return mids, rads, e + low - p
+
+
+def _int_mat_mul(A, B):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def _node_mul(A, B, p, counter: OpCounter):
+    """A B for two steps or partial products of _run, by ball_mat_mul unless
+    both are nodes; counted as ball_mat_mul counts, and in exact_merges too
+    for two exact nodes."""
+    if not (isinstance(A, tuple) and isinstance(B, tuple)):
+        return ball_mat_mul(_ball_node(A, p), _ball_node(B, p), p, counter)
+    (am, ar, ea), (bm, br, eb) = A, B
+    if len(am) == 1:
+        (a,), (b,) = am[0], bm[0]
+        # below the FFT crossover one `*`: mat_mul's size checks and the
+        # general steps below made naive up to three times slower
+        v = (a * b if min(a.bit_length(), b.bit_length()) < intmul.FFT_MIN_BITS
+             else intmul.mat_mul(am, bm)[0][0])
+        ra, rb = ar[0][0] if ar else 0, br[0][0] if br else 0
+        made = bool(a or ra) and bool(b or rb)
+        counter.nonscalar += made
+        if not (ra or rb):
+            counter.exact_merges += made
+            if v.bit_length() <= p:
+                return [[v]], None, ea + eb
+        # on 1 x 1 the radius |a| r_b + r_a |b| + r_a r_b is taken exactly
+        return _node_round([[v]], [[abs(a) * rb + ra * abs(b) + ra * rb]],
+                           ea + eb, p)
+    ar, br = _rads(A), _rads(B)
+    made = sum(sum(1 for c, r in zip(*acol) if c or r)
+               * sum(1 for c, r in zip(*brow) if c or r)
+               for acol, brow in zip(zip(zip(*am), zip(*ar)), zip(bm, br)))
+    counter.nonscalar += made
+    counter.exact_merges += made * (not any(map(any, ar + br)))
+    # bounds to p + 32 bits: 32 bits below the smallest entry within the cap
+    ([ua], sa), ([ub], sb) = (_fix_upper([am], [ar], p + 32),
+                              _fix_upper([bm], None, p + 32))
+    rads = [[(x << sa) + (y << sb) for x, y in zip(*rows)]
+            for rows in zip(_int_mat_mul(ua, br), _int_mat_mul(ar, ub))]
+    return _node_round(intmul.mat_mul(am, bm), rads, ea + eb, p)
+
+
+def _node_add(S, D, p):
+    """S + D for two nodes on one exponent (steps of one power table),
+    exactly, or for two ball matrices."""
+    if not isinstance(S, tuple):
+        return [[bl.n_add(s, d, p) for s, d in zip(*rows)]
+                for rows in zip(S, D)]
+    return (*([[a + b for a, b in zip(*rows)] for rows in zip(X, Y)]
+              if X else None for X, Y in zip(S[:2], D[:2])), S[2])
 
 
 # ---------------------------------------------------------------------------
@@ -339,25 +415,21 @@ def _ball_node(X, p):
 # ---------------------------------------------------------------------------
 
 def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
-    """Product of the denominator values q(z, i), i < n.
-
-    Pure-k denominators are multiplied exactly over Z (coefficient work
-    only); x-dependent denominators are evaluated as a 1x1 parametric
-    product."""
+    """Product of the denominator values q(z, i), i < n: exactly over Z for
+    a pure-k denominator, else as the 1 x 1 product of [q]."""
     if M.has_trivial_den() or n == 0:
         return bl.n_one(z)
     den = M.den
     if den.deg_x() <= 0:
-        kpoly = UniPoly(den.grid[0] if den.grid else [])
-        vals = []
-        for i in range(n):
-            v = kpoly.eval_at(i)
-            if v == 0:
-                raise DenominatorZeroError(
-                    "denominator vanishes at index %d" % i, index=i)
-            vals.append([[v]])
+        vals = list(map(UniPoly(den.grid[0] if den.grid else []).eval_at,
+                        range(n)))
+        if 0 in vals:
+            i = vals.index(0)
+            raise DenominatorZeroError(
+                "denominator vanishes at index %d" % i, index=i)
         counter.coeff += n
-        return bl.n_from_int(product_binsplit_exact(vals)[0][0], z)
+        return bl.n_from_int(
+            product_binsplit_exact([[[v]] for v in vals])[0][0], z)
     sub = RecMatrix([[den]])
     # the 1x1 denominator product must be provably nonzero, so it always
     # goes through the stable scalar-only engine: the multipoint remainder
@@ -367,29 +439,20 @@ def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     # sign-changing denominators can cost O(m) extra bits in expanded form;
     # escalate the guard until the product separates from zero
     boost = 64 + den_plan.m * (den.deg_k() * max(n, 2).bit_length() + 8)
+    step = counter.giant_step
     for attempt in range(3):
         eff = replace(den_plan, guard=den_plan.guard + attempt * boost)
-        step = counter.giant_step
-        mat = _run(sub, z, n, eff, counter)
+        val = _run(sub, z, n, eff, counter)[0][0]
         counter.giant_step = step
-        val = mat[0][0]
         if not val.contains_zero():
             return val
-    idx = _find_zero_index(sub, z, n, plan.work_prec)
+    # the first index whose factor contains zero at 128 bits
+    table = PowerTable(z, den.deg_x(), min(plan.work_prec, 128))
+    idx = next((i for i in range(n) if table.eval_int_poly(
+        eval_factor(sub, i)[0][0][0].coeffs).contains_zero()), None)
     raise DenominatorZeroError(
         "denominator product contains zero (first suspect index %s)" % idx,
         index=idx)
-
-
-def _find_zero_index(M: RecMatrix, z, n: int, p: int):
-    dx = M.deg_x()
-    table = PowerTable(z, dx, min(p, 128))
-    for i in range(n):
-        grid, _ = eval_factor(M, i)
-        v = table.eval_int_poly(grid[0][0].coeffs, min(p, 128))
-        if v.contains_zero():
-            return i
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -398,43 +461,38 @@ def _find_zero_index(M: RecMatrix, z, n: int, p: int):
 
 def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
          row: int | None = None):
-    """P = prod_{i<n} M(z, i), the loop of every engine, or with row = r
-    only its row r as a 1 x r matrix.  The engine gives its power table,
-    the number of factors its giant steps cover and the steps themselves
-    (ball matrices, in order, or last first for a row); the factors left
-    over go through the table one at a time.  Each factor S makes one
-    matrix product, R <- R S for the row from i = n - 1 down (the first
-    gives R), or, on P, it goes on a stack of partial products that merges
-    its top two while the top covers at least as many factors as the one
-    below (a balanced tree, for a short z) or always (the chain V <- S V)."""
+    """P = prod_{i<n} M(z, i), or with row = r its row r as a 1 x r matrix
+    (see The engine loop): each step and leftover factor S makes R <- R S on
+    balls, or goes as a node on a stack of partial products that merges its
+    top two while the top covers at least as many factors as the one below
+    (the tree) or always (the chain)."""
     if not n:
-        one = ball_identity(M.r, z)
+        one = [[bl.n_one(z) if i == j else bl.n_zero(z) for j in range(M.r)]
+               for i in range(M.r)]
         return one if row is None else [one[row]]
     p = plan.work_prec
-    tree = row is None and plan.short_z  # tree_mat_mul takes raw steps
     table, covered, steps = _ENGINES[plan.algorithm](M, z, n, plan, counter,
                                                     row is not None)
     _, tail = _bivariate_steps(M.entries, covered if row is None else n - 1,
                                1 if row is None else -1, n - covered, table,
-                               p, counter, tree)
-    if row is None:
-        # (factors covered, product)
-        merge = tree_mat_mul if tree else ball_mat_mul
-        stack = []
-        for k, S in chain(zip(repeat(plan.subn or plan.m), steps),
-                          zip(repeat(1), tail)):
-            while stack and (not tree or stack[-1][0] <= k):
-                c, P = stack.pop()
-                S, k = merge(S, P, p, counter), k + c
-            stack.append((k, S))
-        V = stack.pop()[1]
-        while stack:  # later factors on the left
-            V = merge(V, stack.pop()[1], p, counter)
-        return _ball_node(V, p)
-    V = None
-    for S in chain(tail, steps):
-        V = [S[row]] if V is None else ball_mat_mul(V, S, p, counter)
-    return V
+                               p, counter)
+    if row is not None:
+        V = None
+        for S in map(_ball_node, chain(tail, steps), repeat(p)):
+            V = [S[row]] if V is None else ball_mat_mul(V, S, p, counter)
+        return V
+    stack = []  # (factors covered, product)
+    for k, S in chain(zip(repeat(plan.subn or plan.m), steps),
+                      zip(repeat(1), tail)):
+        S = S if isinstance(S, tuple) else _node(S, p)
+        while stack and (not plan.short_z or stack[-1][0] <= k):
+            c, P = stack.pop()
+            S, k = _node_mul(S, P, p, counter), k + c
+        stack.append((k, S))
+    V = stack.pop()[1]
+    while stack:  # later factors on the left
+        V = _node_mul(V, stack.pop()[1], p, counter)
+    return _ball_node(V, p)
 
 
 def _factor(M: RecMatrix, i: int, counter: OpCounter):
@@ -454,14 +512,16 @@ def _subproduct_steps(M, length, order, table, row, p, counter, U=None):
     """The giant steps U_i(z) for i in order, with U_i the exact product of
     the length factors from i * length on (U_0 = U when given), each entry
     evaluated by _ps_eval in rows of row coefficients: row = table.D + 1
-    makes it one fused dot."""
+    makes it one fused dot (_dot_step)."""
     for i in order:
         Ui = (U if i == 0 and U is not None
               else _exact_product(M, i * length, length, counter))
         live = sum(len(e.coeffs) for r in Ui for e in r)
         counter.note_live_coeffs(live + table.D + 1)
-        yield [[_ps_eval(e.coeffs, table, row, p, counter) for e in r]
-               for r in Ui]
+        yield (_dot_step([[e.coeffs for e in r] for r in Ui], table, p, counter)
+               if row > table.D else
+               [[_ps_eval(e.coeffs, table, row, p, counter) for e in r]
+                for r in Ui])
         Ui = None
 
 
@@ -484,8 +544,7 @@ def _naive(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
 
 def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
                 reverse: bool):
-    p = plan.work_prec
-    m = plan.m
+    p, m = plan.work_prec, plan.m
     w = n // m
     xtable = PowerTable(z, M.deg_x(), p, counter)
     if not w:
@@ -497,7 +556,7 @@ def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     tmats = [base] + [_fix_shift(base, j, M.r, counter) for j in range(1, m)]
     U = product_binsplit_exact(
         tmats, lambda A, B: _fix_mat_mul(A, B, p, spread, M.r, counter))
-    steps = _fix_multipoint(U, [i * m for i in range(w)], p, M.r, counter, z)
+    steps = _fix_multipoint(U, [i * m for i in range(w)], p, M.r, counter)
     return xtable, m * w, steps[::-1] if reverse else steps
 
 
@@ -516,15 +575,13 @@ def _ball_is_exact_zero(b) -> bool:
 
 
 def _fix_form(grid, prec, like):
-    """The fixed-point form (grid, e) of a grid of ball-coefficient lists,
-    in which multipoint works: entry (i, j) is a pair of coefficient lists
-    (mids, rads), and the coefficient of k^t lies in (mids[t] +- rads[t])
-    2^e.  It is exact if it can be, else it keeps prec bits of the top
-    coefficient and floors the lower bits into the radius.  A complex
-    matrix re + i im is the real one [[re, -im], [im, re]], whose products
-    are those of the complex matrices; op counts read its top left block,
-    the r0 x r0 of the complex matrix.  Every list keeps the length of the
-    ball polynomial it stands for, so the counts are those of balls."""
+    """The fixed-point form (mids, rads, e) of a grid of ball-coefficient
+    lists (see Fixed point): exact if it can be, else prec bits of the top
+    coefficient.  A complex matrix re + i im is the real one
+    [[re, -im], [im, re]], whose products are those of the complex matrices;
+    op counts read its top left block, the r0 x r0 of the complex matrix.
+    Every list keeps the length of the ball polynomial it stands for, so the
+    counts are those of balls."""
     if isinstance(like, ComplexBall):
         re, im, neg = ([[[f(b) for b in es] for es in row] for row in grid]
                        for f in (bl.n_real, lambda b: b.im, lambda b: -b.im))
@@ -541,18 +598,19 @@ def _fix_form(grid, prec, like):
         rad = b.rm << (b.re - e) if b.re >= e else -(-b.rm >> (e - b.re))
         return mid, rad + (d < 0 and mid << -d != b.man)
 
-    return [[tuple(map(list, zip(*map(at, es)))) if es else ([], [])
-             for es in row] for row in grid], e
+    pairs = [[tuple(map(list, zip(*map(at, es)))) if es else ([], [])
+              for es in row] for row in grid]
+    return (*([[x[k] for x in row] for row in pairs] for k in (0, 1)), e)
 
 
 def _fix_shift(F, c: int, r0: int, counter: OpCounter):
     """F(k + c) for an integer c > 0 by Taylor shifts of the midpoints and,
     since c > 0, of the radii (exact)."""
-    grid, e = F
-    counter.scalar += sum(len(mids) * (len(mids) - 1) // 2
-                          for row in grid[:r0] for mids, _ in row[:r0])
-    return [[tuple(_pad(taylor_shift_basecase(UniPoly(cs), c).coeffs, len(cs))
-                   for cs in es) for es in row] for row in grid], e
+    mids, rads, e = F
+    counter.scalar += sum(len(cs) * (len(cs) - 1) // 2
+                          for row in mids[:r0] for cs in row[:r0])
+    return (*([[_pad(taylor_shift_basecase(UniPoly(cs), c).coeffs, len(cs))
+                for cs in row] for row in g] for g in (mids, rads)), e)
 
 
 def _pad(cs, length):
@@ -561,39 +619,23 @@ def _pad(cs, length):
 
 def _fix_mat_mul(A, B, p, spread, r0: int, counter: OpCounter):
     """A B in fixed point: the midpoints exactly by mat_mul_exact (Kronecker
-    products), the radius |a| r_b + r_a |b| + r_a r_b by two products with
-    upper bounds of |a| + r_a and |b| + r_b to spread + 32 bits (a shorter
-    bound would widen the coefficients spread bits below the top); then the
-    midpoint bits more than p + spread below the top coefficient are floored
-    into the radius.  nonscalar counts the coefficient products of the
-    schoolbook product."""
-    (ga, ea), (gb, eb) = A, B
-    (am, ar), (bm, br) = ([[[es[k] for es in row] for row in g]
-                           for k in (0, 1)] for g in (ga, gb))
+    products), the radius by two products with upper bounds of |a| + r_a
+    and |b| to spread + 32 bits (a shorter bound would widen the
+    coefficients spread bits below the top); then the midpoint bits more
+    than p + spread below the top coefficient are floored into the radius.
+    nonscalar counts the coefficient products of the schoolbook product."""
+    (am, ar, ea), (bm, br, eb) = A, B
     counter.nonscalar += sum(len(am[i][t]) * len(bm[t][j]) for i in range(r0)
                              for j in range(r0) for t in range(r0))
-    (ua, sa), (ub, sb) = (_fix_upper(g, spread + 32) for g in (ga, gb))
+    (ua, sa), (ub, sb) = (_fix_upper(m, r, spread + 32)
+                          for m, r in ((am, ar), (bm, None)))
     mids, rb, ra = (_poly_mat_mul(X, Y)
                     for X, Y in ((am, bm), (ua, br), (ar, ub)))
-    top = max((abs(c).bit_length() for row in mids for cs in row for c in cs),
-              default=0)
-    s = max(0, top - p - spread)
-    low = (1 << s) - 1
-    grid = [[([c >> s for c in cs],
-              [-(-((x << sa) + (y << sb) + (c & low)) >> s)
-               for c, x, y in zip(cs, xs, ys)])
-             for cs, xs, ys in zip(*rows)] for rows in zip(mids, rb, ra)]
-    return grid, ea + eb + s
-
-
-def _fix_upper(grid, bits):
-    """(u, s) with u * 2^s >= |mid| + rad, coefficient by coefficient, and
-    the largest u of about bits bits."""
-    vals = [[[abs(c) + r for c, r in zip(*es)] for es in row] for row in grid]
-    top = max((v.bit_length() for row in vals for vs in row for v in vs),
-              default=0)
-    s = max(0, top - bits)
-    return [[[-(-v >> s) for v in vs] for vs in row] for row in vals], s
+    rads = [[[(x << sa) + (y << sb) for x, y in zip(*es)] for es in zip(*rows)]
+            for rows in zip(rb, ra)]
+    s = max([0] + [c.bit_length() - p - spread
+                   for row in mids for cs in row for c in cs])
+    return (*_fix_floor(mids, rads, s), ea + eb + s)
 
 
 def _poly_mat_mul(A, B):
@@ -611,8 +653,6 @@ def _fix_rem(mids, rads, node: UniPoly, counter):
     exact on the midpoints, and the radii take the same steps with |c|."""
     nc = node.coeffs
     d = len(nc) - 1
-    if len(mids) - 1 < d:
-        return mids, rads
     mids, rads = list(mids), list(rads)
     for i in range(len(mids) - 1 - d, -1, -1):
         lead, lr = mids[i + d], rads[i + d]
@@ -627,33 +667,31 @@ def _fix_rem(mids, rads, node: UniPoly, counter):
     return mids[:d], rads[:d]
 
 
-def _fix_multipoint(F, points, p, r0: int, counter: OpCounter, like):
-    """The ball matrices F(x) at the integer points x, by a remainder tree
-    over the exact product tree."""
-    grid, e = F
+def _fix_multipoint(F, points, p, r0: int, counter: OpCounter):
+    """The values F(x) at the integer points x, by a remainder tree over the
+    exact product tree: nodes at F's exponent, or for a complex F (r0 less
+    than its order) complex ball matrices."""
     out = []
 
-    def descend(node, grid):
-        grid = [[_fix_rem(*es, node.poly,
+    def descend(node, mids, rads):
+        rems = [[_fix_rem(cs, rs, node.poly,
                           counter if max(i, j) < r0 else OpCounter())
-                 for j, es in enumerate(row)] for i, row in enumerate(grid)]
+                 for j, (cs, rs) in enumerate(zip(*rows))]
+                for i, rows in enumerate(zip(mids, rads))]
+        mids, rads = ([[x[k] for x in row] for row in rems] for k in (0, 1))
         if node.left is not None:
-            descend(node.left, grid)
-            descend(node.right, grid)
-            return
-        vals = [[bl._make(mids[0], e, *bl._u_from_abs(rads[0], e), p)
-                 if mids else bl.Ball.zero() for mids, rads in row]
-                for row in grid]
-        out.append(vals if len(vals) == r0 else [
-            [ComplexBall(a, b) for a, b in zip(vals[i], vals[i + r0])][:r0]
-            for i in range(r0)])
+            descend(node.left, mids, rads)
+            return descend(node.right, mids, rads)
+        leaf = _node_round(*([[cs[0] if cs else 0 for cs in row]
+                               for row in g] for g in (mids, rads)), F[2], p)
+        if len(mids) > r0:  # re + i im from [[re, -im], [im, re]]
+            vals = _ball_node(leaf, p)
+            leaf = [[ComplexBall(a, b) for a, b in zip(vals[i], vals[i + r0])]
+                    [:r0] for i in range(r0)]
+        out.append(leaf)
 
-    descend(product_tree(points), grid)
+    descend(product_tree(points), F[0], F[1])
     return out
-
-
-def _order(w: int, reverse: bool):
-    return range(w - 1, -1, -1) if reverse else range(w)
 
 
 def _rect_ps(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
@@ -661,9 +699,9 @@ def _rect_ps(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     subn = plan.subn or n
     w = n // subn
     table = PowerTable(z, max(plan.m, M.deg_x()), plan.work_prec, counter)
-    return table, subn * w, _subproduct_steps(M, subn, _order(w, reverse),
-                                              table, plan.m, plan.work_prec,
-                                              counter)
+    order = range(w)[::-1 if reverse else 1]
+    return table, subn * w, _subproduct_steps(M, subn, order, table, plan.m,
+                                              plan.work_prec, counter)
 
 
 def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
@@ -680,7 +718,8 @@ def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     if not (plan.symmetric and _sums_are_polynomial(
             table, [e.coeffs for row in U for e in row])):
         counter.giant_step = "exact product"
-        return table, m * w, _subproduct_steps(M, m, _order(w, reverse), table,
+        order = range(w)[::-1 if reverse else 1]
+        return table, m * w, _subproduct_steps(M, m, order, table,
                                                table.D + 1, p, counter, U)
     counter.giant_step = "difference table"
     start, step = ((w - 1) * m, -m) if reverse else (0, m)
@@ -701,9 +740,7 @@ def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
 
     diffs = _difference_table(U, sums, table, counter,
                               sum(len(e.coeffs) for row in U for e in row))
-    # raw steps for _run's short-z tree, which multiplies them over Z
-    return table, m * w, _difference_steps(diffs, w, table, p, counter,
-                                           plan.short_z and not reverse)
+    return table, m * w, _difference_steps(diffs, w, table, p, counter)
 
 
 def _sums_are_polynomial(table, rows):
@@ -712,7 +749,7 @@ def _sums_are_polynomial(table, rows):
     (see Difference tables)."""
     fix = table._fix
     return fix is not None and (
-        all(part[2] is None for part in bl._fix_parts(fix))
+        all(part[1] is None for part in bl._fix_parts(fix))
         or all(min(r) >= 0 or max(r) <= 0 for r in rows if r))
 
 
@@ -746,19 +783,20 @@ def _difference_table(grid, sums, table, counter, live):
     return diffs
 
 
-def _difference_steps(diffs, w, table, p, counter, raw=False):
-    """The w steps from the difference table: one rounding per part of
-    each entry, or raw, on a real exact table, the exact node of the sums;
-    then Delta^j <- Delta^j + Delta^(j+1) for j = 0, 1, ... (exact integer
-    additions, counted in adds) moves every sum on to the next step."""
+def _difference_steps(diffs, w, table, p, counter):
+    """The w steps from the difference table, each made from its sums as
+    _dot_step makes them; then Delta^j <- Delta^j + Delta^(j+1) for
+    j = 0, 1, ... (exact integer additions, counted in adds) moves every sum
+    on to the next step."""
     fix = table._fix
-    raw = raw and len(fix) == 4 and fix[2] is None
     sums = [s for row in diffs for seqs in row for s in seqs if len(s) > 1]
     adds = sum(len(s) - 1 for s in sums)
     for i in range(w):
-        yield (([[seqs[0][0] for seqs in row] for row in diffs], fix[1]) if raw
-               else [[bl.n_ball_from_sums([s[0] for s in seqs], fix, p)
-                      for seqs in row] for row in diffs])
+        yield (([[seqs[0][0] for seqs in row] for row in diffs],
+                fix[1] and [[seqs[1][0] for seqs in row] for row in diffs],
+                fix[2]) if len(fix) == 3 else
+               [[bl.n_ball_from_sums([s[0] for s in seqs], fix, p)
+                 for seqs in row] for row in diffs])
         if i + 1 < w:
             for s in sums:
                 for j in range(len(s) - 1):
@@ -766,12 +804,12 @@ def _difference_steps(diffs, w, table, p, counter, raw=False):
             counter.adds += adds
 
 
-def _bivariate_steps(E, first, step, count, table, p, counter, raw=False):
-    """(by_table, steps): the count ball matrices [[e(z, k)]] for
-    k = first, first + step, ... (all k >= 0), e over a grid E of BiPoly
-    in (x, k).  When _sums_are_polynomial holds for the k-rows of E, the
-    sums at the first deg_k e + 1 indices make a difference table
-    (by_table, raw as in _difference_steps); else each is eval_k and a dot."""
+def _bivariate_steps(E, first, step, count, table, p, counter):
+    """(by_table, steps): the count steps [[e(z, k)]] for k = first,
+    first + step, ... (all k >= 0), e over a grid E of BiPoly in (x, k).
+    When _sums_are_polynomial holds for the k-rows of E, the dot sums at the
+    first deg_k e + 1 indices make a difference table (by_table); else each
+    step is eval_k and a dot (_dot_step)."""
     if not count:
         return False, ()
     ks = range(first, first + count * step, step)
@@ -787,10 +825,10 @@ def _bivariate_steps(E, first, step, count, table, p, counter, raw=False):
             E, lambda e: [_dot_sums(at(e, k), table, counter)
                           for k in ks[:max(1, e.deg_k() + 1)]],
             table, counter, live)
-        return True, _difference_steps(diffs, count, table, p, counter, raw)
+        return True, _difference_steps(diffs, count, table, p, counter)
     counter.note_live_coeffs(live + table.D + 1)
-    return False, ([[table.eval_int_poly(at(e, k), p, counter) for e in row]
-                    for row in E] for k in ks)
+    return False, (_dot_step([[at(e, k) for e in row] for row in E], table, p,
+                             counter) for k in ks)
 
 
 def _rect_delta(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
@@ -798,19 +836,19 @@ def _rect_delta(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     m = plan.m
     dx = M.deg_x()
     table = PowerTable(z, max(m * dx, dx), plan.work_prec, counter)
-    steps = _delta_steps(M, m, n // m, table, plan.work_prec, counter,
-                         plan.short_z and not reverse)
+    steps = _delta_steps(M, m, n // m, table, plan.work_prec, counter)
     # last first, the steps are still made in order and then held: the
     # backward update S_i - Delta_m would subtract from the largest step
     # and lose the bits of its ratio to the smallest
     return table, n // m * m, list(steps)[::-1] if reverse else steps
 
 
-def _delta_steps(M, m, w, table, p, counter, raw=False):
+def _delta_steps(M, m, w, table, p, counter):
     """rect-delta's giant steps S_i = prod_{t<m} M(z, i m + t), i < w:
     S_0 = C_0 is one exact product over Z[x] evaluated by scalar operations
     (products of table powers would carry the table's exponent into every
-    later nonscalar product), then S_{i+1} = S_i + Delta_m(z, i m)."""
+    later nonscalar product), then S_{i+1} = S_i + Delta_m(z, i m), exact on
+    nodes (_node_add)."""
     if not w:
         return
     S, = _subproduct_steps(M, m, (0,), table, table.D + 1, p, counter)
@@ -818,38 +856,23 @@ def _delta_steps(M, m, w, table, p, counter, raw=False):
     if w < 2:
         return
     by_table, deltas = _bivariate_steps(bivariate_delta(M, m, counter), 0, m,
-                                        w - 1, table, p, counter, raw)
+                                        w - 1, table, p, counter)
     counter.giant_step = "difference table" if by_table else "delta evaluation"
     for D in deltas:
         yield (S := _node_add(S, D, p))
-
-
-def _node_add(S, D, p):
-    """S + D: over Z for a raw D and S exact at its exponent within p bits."""
-    if isinstance(D, tuple):
-        X = _exact_node(S, p)
-        if X is not None and X[1] == D[1]:
-            out = [[a + b for a, b in zip(*rows)] for rows in zip(X[0], D[0])]
-            if _bits(X[0] + D[0] + out) <= p:
-                return out, D[1]
-        S, D = _ball_node(S, p), _ball_node(D, p)
-    return [[bl.n_add(s, d, p) for s, d in zip(*rows)] for rows in zip(S, D)]
 
 
 def bivariate_delta(M: RecMatrix, m: int, counter: OpCounter | None = None):
     """Delta_m = prod_{i<m} M(x, k+m+i) - prod_{i<m} M(x, k+i), expanded by
     exact bivariate binary splitting; the second product is the first
     shifted by k -> k + m."""
-    lo_factors = [[[e.shift_k(i) for e in row] for row in M.entries]
-                  for i in range(m)]
-    lo = product_binsplit_exact(lo_factors)
+    lo = product_binsplit_exact([[[e.shift_k(i) for e in row]
+                                  for row in M.entries] for i in range(m)])
     hi = [[e.shift_k(m) for e in row] for row in lo]
-    r = M.r
     if counter is not None:
-        counter.coeff += sum(sum(len(kr) for kr in lo[i][j].grid)
-                             + sum(len(kr) for kr in hi[i][j].grid)
-                             for i in range(r) for j in range(r))
-    return [[hi[i][j] - lo[i][j] for j in range(r)] for i in range(r)]
+        counter.coeff += sum(len(kr) for X in (lo, hi) for row in X
+                             for e in row for kr in e.grid)
+    return [[h - e for h, e in zip(*rows)] for rows in zip(hi, lo)]
 
 
 _ENGINES = {"naive": _naive, "binsplit-exact": _rect_ps,
@@ -896,10 +919,9 @@ def eval_dispatch(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
     counter = OpCounter()
     num = _run(M, z, n, plan, counter, row)
     den = _den_product(M, z, n, plan, counter)
-    mat = num
-    if not _is_one(den):
-        mat = [[bl.n_div(e, den, plan.work_prec) for e in r] for r in num]
-        counter.nonscalar += len(num) * M.r
-    mat = [[bl.n_reduce(e, p) for e in r] for r in mat]
+    one = _is_one(den)
+    counter.nonscalar += 0 if one else len(num) * M.r
+    mat = [[bl.n_reduce(e if one else bl.n_div(e, den, plan.work_prec), p)
+            for e in r] for r in num]
     acc = min(min(e.rel_accuracy_bits() for e in r) for r in mat)
     return EvalReport(mat, num, den, plan, counter, min(acc, p))

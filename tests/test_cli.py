@@ -85,6 +85,24 @@ class TestSpecFile:
         with pytest.raises(Exception):
             parse_spec_file("order 2\nentry 5 0 1\n")  # out of range
 
+    @pytest.mark.parametrize("text, line", [
+        ("order 2\nentry 0 0 1\ninit 5 7\n", 3),
+        ("order 2\ninit -1 3\nentry 0 0 1\n", 2),
+        ("init 2 1\norder 2\n", 1),  # the order may come later
+        ("order 2\nentry 5 0 1\n", 2),
+        ("order 2\nentry 0 1 k\nentry 1 1 1\nentry 0 1 x\n", 4),
+        ("order 2\ninit 1 3\ninit 0 1\ninit 1 4\n", 4)])
+    def test_index_out_of_range_or_repeated(self, text, line, tmp_path,
+                                            capsys):
+        # an index outside [0, order) or given twice is an error of its
+        # line, not dropped or overridden
+        with pytest.raises(SpecFileError, match="line %d" % line):
+            parse_spec_file(text)
+        spec = tmp_path / "bad.spec"
+        spec.write_text(text)
+        assert main(["eval", str(spec), "5"]) == 2
+        assert "line %d" % line in capsys.readouterr().err
+
 
 class TestCommands:
     def test_eval_fibonacci(self, tmp_path, capsys):

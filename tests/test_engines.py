@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holoeval.balls as bl
 from holoeval.balls import Ball, ComplexBall
@@ -258,6 +260,11 @@ def _ball_key(b):
     return int(b.man), b.exp, b.rm, b.re
 
 
+def _matrix_key(A):
+    """A node as it is, a ball matrix by _ball_key."""
+    return A if isinstance(A, tuple) else [[_ball_key(e) for e in r] for r in A]
+
+
 class _ExactSteps(RecMatrix):
     """The same matrix with the shift symmetry hidden, so that rect-split
     makes every giant step as the exact product of its factors."""
@@ -446,21 +453,29 @@ class TestTaylorSums:
 
 def _horner_steps(E, ks, table, p):
     """The reference for _bivariate_steps: [[e(z, k)]] for each k by eval_k
-    and the table's dot, one index at a time."""
-    return [[[_ball_key(table.eval_int_poly(e.eval_k(k).coeffs, p))
-              for e in row] for row in E] for k in ks]
+    and the table's dot, one index at a time: on a real table the node of
+    the dot sums, on a complex one the balls of the dot."""
+    fix = table._fix
+    if len(fix) == 2:
+        return [[[_ball_key(table.eval_int_poly(e.eval_k(k).coeffs, p))
+                  for e in row] for row in E] for k in ks]
+    return [engines._dot_step([[e.eval_k(k).coeffs for e in row] for row in E],
+                              table, p, engines.OpCounter()) for k in ks]
 
 
 def _count_dots(monkeypatch):
-    """A list that counts the calls of PowerTable.eval_int_poly."""
+    """A list that counts the fused dots made: the calls of
+    PowerTable.eval_int_poly and of engines._dot_sums."""
     calls = []
-    dot = PowerTable.eval_int_poly
+    dot, sums = PowerTable.eval_int_poly, engines._dot_sums
 
     def counted(self, *args, **kwargs):
         calls.append(1)
         return dot(self, *args, **kwargs)
 
     monkeypatch.setattr(PowerTable, "eval_int_poly", counted)
+    monkeypatch.setattr(engines, "_dot_sums",
+                        lambda *args: calls.append(1) or sums(*args))
     return calls
 
 
@@ -515,7 +530,7 @@ class TestBivariateDifferences:
         by_table, steps = engines._bivariate_steps(
             delta, 0, m, count, table, p, engines.OpCounter())
         assert by_table == self._by_table(delta, zname)
-        assert [[[_ball_key(b) for b in row] for row in S] for S in steps] \
+        assert [_matrix_key(S) for S in steps] \
             == _horner_steps(delta, range(0, count * m, m), table, p)
 
     @pytest.mark.parametrize("M", MATRICES)
@@ -530,7 +545,7 @@ class TestBivariateDifferences:
             M.entries, first, step, count, table, p, engines.OpCounter())
         assert by_table == self._by_table(M.entries, zname)
         ks = range(first, first + count * step, step)
-        assert [[[_ball_key(b) for b in row] for row in S] for S in steps] \
+        assert [_matrix_key(S) for S in steps] \
             == _horner_steps(M.entries, ks, table, p)
 
     def _same_as_eval_k(self, monkeypatch, M, z, n, p, m, alg, row=None,
@@ -580,21 +595,28 @@ class TestBivariateDifferences:
 
     def test_mixed_signs_at_inexact_z_fall_back(self, monkeypatch):
         M, n, m = self.MIXED, 23, 5
+        w = n // m
+
+        def setup(E, count):  # a table's dots: deg_k + 1 indices per entry
+            return sum(min(count, max(1, e.deg_k() + 1))
+                       for row in E for e in row)
+
         calls = _count_dots(monkeypatch)
         for zname, by_table in (("inexact", False), ("exact", True)):
             calls.clear()
             rep = eval_dispatch(M, self.ZS[zname], n, 256, algorithm="naive")
             # naive: every factor is a leftover one, r^2 = 4 dots each
-            assert len(calls) == (0 if by_table else 4 * n)
+            assert len(calls) == (setup(M.entries, n) if by_table else 4 * n)
             calls.clear()
             rep = eval_dispatch(M, self.ZS[zname], n, 256,
                                 algorithm="rect-delta", m=m)
             assert rep.counter.giant_step == ("difference table" if by_table
                                               else "delta evaluation")
             # C_0's 4 dots, then 4 per Delta step and per leftover factor
-            w = n // m
-            assert len(calls) == 4 + (0 if by_table
-                                      else 4 * (w - 1) + 4 * (n - m * w))
+            assert len(calls) == 4 + (
+                setup(bivariate_delta(M, m), w - 1)
+                + setup(M.entries, n - m * w) if by_table
+                else 4 * (w - 1) + 4 * (n - m * w))
 
     def test_tiny_z_falls_back(self):
         # no fixed-point form of the powers of 2^-3000 at p = 64
@@ -697,6 +719,15 @@ class TestDriverBoundaries:
     COMPANION = companion(ScalarRecurrence([bipoly_from_text("x - 2*k + 1"),
                                             bipoly_from_text("-3 - x*k"),
                                             bipoly_from_text("2 + x + k^2")]))
+
+    @pytest.mark.parametrize("m", [0, -7, True, False, 2.0, "3"])
+    def test_step_length_must_be_a_positive_int(self, m):
+        # m = -7 and m = True once ran as m = 1
+        with pytest.raises(ValueError, match="m must be"):
+            make_plan(RISING, HALF, 100, 64, "rect-split", m)
+        with pytest.raises(ValueError, match="m must be"):
+            eval_dispatch(RISING, HALF, 100, 64, m=m)
+        assert make_plan(RISING, HALF, 100, 64, "rect-split", 7).m == 7
 
     @pytest.mark.parametrize("m", [1, 3, 4])
     @pytest.mark.parametrize("alg", ALGORITHMS)
@@ -860,6 +891,90 @@ class TestBallMatMul:
             V = engines.ball_mat_mul(S, V, p)
 
 
+def _rand_node(rng, r, spread, top, exact):
+    """A node of r x r entries whose nonzero ones have top - spread + 1 to
+    top bits, a quarter of them exact zeros, with radii (rads None if exact)
+    of up to 40 bits, some 0 and some on a zero midpoint."""
+    def mid():
+        if rng.random() < 0.25:
+            return 0
+        k = rng.randint(max(1, top - spread + 1), top)
+        return rng.choice((-1, 1)) * (rng.getrandbits(k) | 1 << (k - 1))
+
+    mids = [[mid() for _ in range(r)] for _ in range(r)]
+    rads = None if exact else [[rng.choice((0, rng.getrandbits(40)))
+                                for _ in range(r)] for _ in range(r)]
+    return mids, rads, rng.randint(-60, 60)
+
+
+def _vertex(rng, X):
+    """A vertex of the box of a node: integers v with v 2^e in the node."""
+    mids, rads, _ = X
+    return [[c + rng.choice((-1, 0, 1)) * r for c, r in zip(*rows)]
+            for rows in zip(mids, engines._rads(X))]
+
+
+def _holds(C, V, e):
+    """Whether the values V 2^e lie in C, a node or a ball matrix."""
+    if not isinstance(C, tuple):
+        return all(b.contains(Fraction(v) * Fraction(2) ** e)
+                   for brow, vrow in zip(C, V) for b, v in zip(brow, vrow))
+    d = C[2] - e
+    return d >= 0 and all(abs(v - (c << d)) <= r << d for vrow, crow, rrow in
+                          zip(V, C[0], engines._rads(C))
+                          for v, c, r in zip(vrow, crow, rrow))
+
+
+class TestNode:
+    """The node product and addition (engines, Fixed point) against exact
+    integers at the vertices of the operands' boxes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3),
+           st.sampled_from([16, 64, 200, 1 << 17]), st.booleans(),
+           st.booleans())
+    def test_product_and_sum_contain_the_exact_values(self, seed, r, p, ea,
+                                                      eb):
+        # the exact product of sampled vertices of the operands' boxes lies
+        # in the node product, and the exact sum in the node sum; entries
+        # span up to the cap of p bits, and 1 x 1 operands at p = 2^17 lie
+        # on both sides of FFT_MIN_BITS (one `*`, or intmul.mat_mul)
+        rng = random.Random(seed)
+        fft = p > intmul.FFT_MIN_BITS and r == 1
+        top = (rng.choice((intmul.FFT_MIN_BITS - 1, intmul.FFT_MIN_BITS + 8))
+               if fft else rng.randint(1, 2 * p))
+        A, B, D = (_rand_node(rng, r, 1 if fft else p, top, exact)
+                   for exact in (ea, eb, ea))
+        counter = engines.OpCounter()
+        C = engines._node_mul(A, B, p, counter)
+        (am, ar), (bm, br) = ((X[0], engines._rads(X)) for X in (A, B))
+        made = sum(bool(am[i][t] or ar[i][t]) and bool(bm[t][j] or br[t][j])
+                   for i in range(r) for j in range(r) for t in range(r))
+        exact = not any(map(any, ar + br))
+        assert counter.nonscalar == made
+        assert counter.exact_merges == (made if exact else 0)
+        for _ in range(4):
+            a, b = _vertex(rng, A), _vertex(rng, B)
+            prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                    for row in a]
+            assert _holds(C, prod, A[2] + B[2])
+        if isinstance(C, tuple):
+            tops = [max(c.bit_length(), x.bit_length()) for rows in
+                    zip(C[0], engines._rads(C)) for c, x in zip(*rows) if c or x]
+            # the smallest nonzero entry keeps p bits (one more if its radius
+            # rounded up to a power of 2) once the product is rounded, and the
+            # entries span at most p bits
+            low = min(tops, default=0)
+            assert (low <= p if C[2] == A[2] + B[2] else p <= low <= p + 1)
+            assert max(tops, default=0) - min(tops, default=0) <= p
+            if exact and C[2] == A[2] + B[2]:
+                assert C[1] is None
+        D = D[:2] + A[2:]  # the steps of one power table share it
+        a, d = _vertex(rng, A), _vertex(rng, D)
+        assert _holds(engines._node_add(A, D, p), [
+            [x + y for x, y in zip(*rows)] for rows in zip(a, d)], A[2])
+
+
 def _dyadic_companions():
     """Companions of order 1, 2 and 3 shaped like the benchmark's
     recurrences (coefficients of degree 2 in x and in k, entries +-5), their
@@ -868,10 +983,6 @@ def _dyadic_companions():
     return {order: companion(ScalarRecurrence(
         [BiPoly([[rng.choice((-5, 5)) for _ in range(3)] for _ in range(3)])
          for _ in range(order + 1)])) for order in (1, 2, 3)}
-
-
-def _matrix_key(A):
-    return [[_ball_key(e) for e in r] for r in A]
 
 
 class TestShortZTree:
@@ -933,8 +1044,8 @@ class TestShortZTree:
     @staticmethod
     def _recorded(monkeypatch):
         """The (A, B, p, A B) of every matrix product that _run makes: by
-        ball_mat_mul, or in the short-z tree by tree_mat_mul, whose own
-        calls of ball_mat_mul are not recorded again."""
+        ball_mat_mul, or on the whole product by _node_mul, whose own calls
+        of ball_mat_mul are not recorded again."""
         calls = []
         depth = [0]
 
@@ -950,7 +1061,7 @@ class TestShortZTree:
                 return out
             return recording
 
-        for name in ("ball_mat_mul", "tree_mat_mul"):
+        for name in ("ball_mat_mul", "_node_mul"):
             monkeypatch.setattr(engines, name,
                                 recorder(getattr(engines, name)))
         return calls
@@ -959,7 +1070,7 @@ class TestShortZTree:
     def test_full_mantissa_and_row_keep_the_chain(self, alg, monkeypatch):
         # a pure-k denominator: every product recorded is the numerator's
         M, n = TestRowMode.COMPANION_K, 50
-        mul = engines.ball_mat_mul
+        mul, node_mul = engines.ball_mat_mul, engines._node_mul
         calls = self._recorded(monkeypatch)
         for zq, row in ((Fraction(3, 7), None), (Fraction(3, 4), 1),
                         (Fraction(3, 7), 2), (Fraction(3, 4), None)):
@@ -976,16 +1087,18 @@ class TestShortZTree:
                 assert any(B is not prev[3]
                            for prev, (_, B, _, _) in zip(calls, calls[1:]))
                 continue
-            # the left-to-right product of the same steps, bit for bit
+            # the left-to-right product of the same steps, bit for bit: of
+            # nodes for the whole product, of balls for a row
             V = calls[0][1] if row is None else calls[0][0]
-            for A, B, p, _ in calls:
+            for A, B, p, _ in list(calls):
                 if row is None:
                     assert _matrix_key(B) == _matrix_key(V)
-                    V = mul(A, V, p)
+                    V = node_mul(A, V, p, engines.OpCounter())
                 else:
                     assert _matrix_key(A) == _matrix_key(V)
                     V = mul(V, B, p)
-            assert _matrix_key(num) == _matrix_key(V), (alg, zq, row)
+            assert _matrix_key(num) == \
+                _matrix_key(engines._ball_node(V, p)), (alg, zq, row)
 
     def test_step_and_tree_take_one_short_z(self, monkeypatch):
         # p < 2 mantissa_bits(z) <= p + guard: z is short at the working
@@ -1025,11 +1138,9 @@ class TestShortZTree:
     @staticmethod
     def _ball_tree(mp):
         """Make _run's tree of ball steps and ball_mat_mul merges alone."""
-        steps, mul = engines._difference_steps, engines.ball_mat_mul
-        mp.setattr(engines, "_difference_steps",
-                   lambda *args, raw=False: steps(*args[:5]))
-        mp.setattr(engines, "tree_mat_mul", lambda A, B, p, counter: mul(
-            engines._ball_node(A, p), engines._ball_node(B, p), p, counter))
+        mul, ball = engines.ball_mat_mul, engines._ball_node
+        mp.setattr(engines, "_node_mul", lambda A, B, p, counter: mul(
+            ball(A, p), ball(B, p), p, counter))
 
     # 2^600 + i has more than p bits, so has a step of 8 factors at p = 16:
     # they are rounded first; at z = 0 every product with z is skipped
@@ -1038,8 +1149,8 @@ class TestShortZTree:
                                     Fraction(0)])
     @pytest.mark.parametrize("alg", ["naive", "rect-split", "rect-delta"])
     def test_exact_tree_is_the_ball_tree(self, alg, zq, monkeypatch):
-        # r = 1: an exact merge rounds where n_mul would, so the product is
-        # the ball tree's, bit for bit, and so are the counts
+        # r = 1: the node tree makes the ball tree's products, so the counts
+        # are the ball tree's, and it is no less accurate
         for n, p, m in ((37, 148, None), (300, 1200, None),
                         (1024, 4096, None), (300, 16, 8)):
             z = Ball.from_fraction(zq, p)
@@ -1047,7 +1158,7 @@ class TestShortZTree:
             with monkeypatch.context() as mp:
                 self._ball_tree(mp)
                 ref = eval_dispatch(RISING, z, n, p, algorithm=alg, m=m)
-            assert _matrix_key(rep.matrix) == _matrix_key(ref.matrix)
+            assert rep.accuracy_bits >= ref.accuracy_bits, (alg, n)
             assert rep.matrix[0][0].contains(rising_exact(zq, n))
             c, d = rep.counter, ref.counter
             assert (c.nonscalar, c.scalar, c.adds, c.coeff) == \
@@ -1290,7 +1401,7 @@ class TestFusedDot:
         z = Ball(bl._Z(rng.getrandbits(p) | (1 << (p - 1))), -p - 200,
                  rng.getrandbits(30) | 1, -p - 230)
         table = PowerTable(z, 16, p)
-        assert table._fix is not None and table._fix[2] is not None
+        assert table._fix is not None and table._fix[1] is not None
         tops = [b.re + b.rm.bit_length() for b in table.powers if b.rm]
         assert max(tops) - min(b.re for b in table.powers if b.rm) > 3000
         zq = z.mid_fraction()

@@ -13,11 +13,17 @@ from hypothesis import strategies as st
 import holoeval.balls as bl
 import holoeval.poly as pm
 from holoeval.balls import Ball
-from holoeval.engines import (OpCounter, PowerTable, _fix_form,
+from holoeval.engines import (OpCounter, PowerTable, _ball_node, _fix_form,
                               _fix_mat_mul, _fix_multipoint)
 from holoeval.poly import (BiPoly, UniPoly, bipoly_from_text, bipoly_to_text,
                            product_tree, taylor_shift_basecase,
                            taylor_shift_convolution)
+
+
+def _values(F, points, p):
+    """The ball matrices of the remainder tree's values F(x) at the points."""
+    return [_ball_node(v, p)
+            for v in _fix_multipoint(F, points, p, 2, OpCounter())]
 
 
 def rand_poly(rng, maxdeg, bound=50):
@@ -134,8 +140,7 @@ class TestProductTreeMultipoint:
         polys[1][0] = UniPoly.zero()
         U = [[[Ball.from_int(c) for c in e.coeffs] for e in row] for row in polys]
         pts = [i * m for i in range(w)]
-        values = _fix_multipoint(_fix_form(U, 4096, Ball.zero()), pts, 4096,
-                                 2, OpCounter(), Ball.zero())
+        values = _values(_fix_form(U, 4096, Ball.zero()), pts, 4096)
         assert len(values) == w
         for x0, mat in zip(pts, values):
             for erow, vrow in zip(polys, mat):
@@ -173,7 +178,7 @@ class TestProductTreeMultipoint:
         F = _fix_mat_mul(*(_fix_form(to_balls(X), p + spread, like)
                            for X in (A, B)), p, spread, 2, OpCounter())
         pts = [i * m for i in range(w)]
-        values = _fix_multipoint(F, pts, p, 2, OpCounter(), like)
+        values = _values(F, pts, p)
         def cmul(x, y):  # (re, im) pairs
             return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
@@ -207,7 +212,7 @@ class TestProductTreeMultipoint:
                 for _ in range(2))
         F = _fix_mat_mul(*(_fix_form(X, p + 8, Ball.zero()) for X in (A, B)),
                          p, 8, 2, OpCounter())
-        (mat,) = _fix_multipoint(F, [0], 2 * p, 2, OpCounter(), Ball.zero())
+        (mat,) = _values(F, [0], 2 * p)
         for i in range(2):
             for j in range(2):
                 corner = sum((a.mid_fraction() + a.rad_fraction())
