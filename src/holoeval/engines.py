@@ -44,7 +44,10 @@ and hands over its giant steps, in order, and the number of factors they
 cover; the factors left over follow one at a time through the table.  A
 step of a real z is a node: the integer sums of a difference table or of
 an exact subproduct's one fused dot (_dot_step), a remainder-tree leaf,
-or ball steps converted once (_node).  Every merge of the whole product is
+or ball steps converted once (_node), each rounded by _node_round, so that
+every operand of a merge is within the cap: at a tiny inexact z a step's
+entries can span more than p bits, and bounds taken to p + 32 bits of the
+largest would swamp the smallest.  Every merge of the whole product is
 one node product (_node_mul): the midpoints exactly, by one `*` on 1 x 1
 below intmul.FFT_MIN_BITS (through mat_mul, naive took three times as long
 on a short z) and intmul.mat_mul otherwise.  A complex z, and a node past
@@ -135,7 +138,8 @@ class OpCounter:
     giant_step: str | None = None
 
     def note_live_coeffs(self, count: int):
-        self.peak_coeffs = max(self.peak_coeffs, count)
+        if count > self.peak_coeffs:
+            self.peak_coeffs = count
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,9 @@ def mantissa_bits(z) -> int:
     if isinstance(z, ComplexBall):
         return max(mantissa_bits(z.re), mantissa_bits(z.im))
     man = z.man
-    return man.bit_length() - (man & -man).bit_length() + 1 if man else 0
+    if not man:
+        return 0
+    return man.bit_length() - (man & -man).bit_length() + 1
 
 
 def _short_z(zbits: int, p: int) -> bool:
@@ -229,15 +235,20 @@ def make_plan(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
 # ---------------------------------------------------------------------------
 
 class PowerTable:
-    """Powers z^0 .. z^D of the evaluation point and their fixed-point form
-    (balls.n_fixed_point): sum c_j z^j is one integer dot product for the
-    midpoint and one for the radius (scalar operations)."""
+    """Powers z^0 .. z^D of the evaluation point.
+
+    Besides the ball powers, the table keeps their fixed-point form
+    (balls.n_fixed_point), so that sum c_j z^j collapses into one integer
+    dot product for the midpoint and one for the radius (all scalar
+    operations)."""
 
     def __init__(self, z, max_exp: int, p: int, counter: OpCounter | None = None):
         self.z = z
         self.p = p
         self.D = max_exp
-        powers = [bl.n_one(z)] + [z] * (max_exp >= 1)
+        powers = [bl.n_one(z)]
+        if max_exp >= 1:
+            powers.append(z)
         for j in range(2, max_exp + 1):
             powers.append(bl.n_mul(powers[j // 2], powers[(j + 1) // 2], p))
             if counter is not None:
@@ -248,7 +259,9 @@ class PowerTable:
     def eval_int_poly(self, coeffs, p: int | None = None,
                       counter: OpCounter | None = None):
         """sum_j coeffs[j] * z^j using scalar operations only."""
-        out = bl.n_int_dot(coeffs, self.powers, self._fix, p or self.p)
+        if p is None:
+            p = self.p
+        out = bl.n_int_dot(coeffs, self.powers, self._fix, p)
         if counter is not None:
             counter.scalar += len(coeffs) - coeffs.count(0)
         return out
@@ -258,20 +271,39 @@ class PowerTable:
 # ball matrices
 # ---------------------------------------------------------------------------
 
+def ball_identity(r: int, like):
+    one = bl.n_one(like)
+    zero = bl.n_zero(like)
+    return [[one if i == j else zero for j in range(r)] for i in range(r)]
+
+
 def ball_mat_mul(A, B, p, counter: OpCounter | None = None):
     """A B for an r x r ball matrix B and A an r x r matrix or a 1 x r row.
     A product with an exact-zero factor is not made: the exact zero that
     n_mul would give takes its place in the sum, so the result is the dense
     product's, bit for bit."""
     zero = bl.n_zero(B[0][0])
-    terms = [[[zero if _ball_is_exact_zero(a) or _ball_is_exact_zero(b)
-               else bl.n_mul(a, b, p) for a, b in zip(arow, col)]
-              for col in zip(*B)] for arow in A]
+    r = len(B)
+    bnz = [[not _ball_is_exact_zero(b) for b in brow] for brow in B]
+    made = 0
+    out = []
+    for arow in A:
+        anz = [not _ball_is_exact_zero(a) for a in arow]
+        row = []
+        for j in range(r):
+            acc = None
+            for t in range(r):
+                if anz[t] and bnz[t][j]:
+                    x = bl.n_mul(arow[t], B[t][j], p)
+                    made += 1
+                else:
+                    x = zero
+                acc = x if acc is None else bl.n_add(acc, x, p)
+            row.append(acc)
+        out.append(row)
     if counter is not None:
-        counter.nonscalar += sum(t is not zero for row in terms for ts in row
-                                 for t in ts)
-    return [[reduce(lambda x, y: bl.n_add(x, y, p), ts) for ts in row]
-            for row in terms]
+        counter.nonscalar += made
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +363,12 @@ def _ball_node(X, p):
 def _dot_step(coeffs, table, p, counter):
     """The step [[sum_j c_j z^j]] for a grid of coefficient lists by one
     fused dot per entry: the node of the dot sums on a real table (one
-    exponent), their balls on a complex one, else balls term by term."""
+    exponent), else the balls of eval_int_poly."""
     fix = table._fix
-    if fix is None:
+    if fix is None or len(fix) == 2:
         return [[table.eval_int_poly(cs, p, counter) for cs in row]
                 for row in coeffs]
     sums = [[_dot_sums(cs, table, counter) for cs in row] for row in coeffs]
-    if len(fix) == 2:
-        return [[bl.n_ball_from_sums(s, fix, p) for s in row] for row in sums]
     return ([[s[0] for s in row] for row in sums],
             fix[1] and [[s[1] for s in row] for row in sums], fix[2])
 
@@ -356,11 +386,6 @@ def _node_round(mids, rads, e, p):
         return node
     (mids,), (rads,) = _fix_floor([mids], [_rads(node)], low - p)
     return mids, rads, e + low - p
-
-
-def _int_mat_mul(A, B):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*B)]
-            for row in A]
 
 
 def _node_mul(A, B, p, counter: OpCounter):
@@ -391,12 +416,15 @@ def _node_mul(A, B, p, counter: OpCounter):
                * sum(1 for c, r in zip(*brow) if c or r)
                for acol, brow in zip(zip(zip(*am), zip(*ar)), zip(bm, br)))
     counter.nonscalar += made
-    counter.exact_merges += made * (not any(map(any, ar + br)))
-    # bounds to p + 32 bits: 32 bits below the smallest entry within the cap
+    if not any(map(any, ar + br)):
+        counter.exact_merges += made
+        return _node_round(intmul.mat_mul(am, bm), None, ea + eb, p)
+    # bounds to p + 32 bits: 32 bits below the smallest nonzero entry, as
+    # _run keeps every operand within the cap
     ([ua], sa), ([ub], sb) = (_fix_upper([am], [ar], p + 32),
                               _fix_upper([bm], None, p + 32))
     rads = [[(x << sa) + (y << sb) for x, y in zip(*rows)]
-            for rows in zip(_int_mat_mul(ua, br), _int_mat_mul(ar, ub))]
+            for rows in zip(intmul.mat_mul(ua, br), intmul.mat_mul(ar, ub))]
     return _node_round(intmul.mat_mul(am, bm), rads, ea + eb, p)
 
 
@@ -415,21 +443,25 @@ def _node_add(S, D, p):
 # ---------------------------------------------------------------------------
 
 def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
-    """Product of the denominator values q(z, i), i < n: exactly over Z for
-    a pure-k denominator, else as the 1 x 1 product of [q]."""
+    """Product of the denominator values q(z, i), i < n.
+
+    Pure-k denominators are multiplied exactly over Z (coefficient work
+    only); x-dependent denominators are evaluated as a 1x1 parametric
+    product."""
     if M.has_trivial_den() or n == 0:
         return bl.n_one(z)
     den = M.den
     if den.deg_x() <= 0:
-        vals = list(map(UniPoly(den.grid[0] if den.grid else []).eval_at,
-                        range(n)))
-        if 0 in vals:
-            i = vals.index(0)
-            raise DenominatorZeroError(
-                "denominator vanishes at index %d" % i, index=i)
+        kpoly = UniPoly(den.grid[0] if den.grid else [])
+        vals = []
+        for i in range(n):
+            v = kpoly.eval_at(i)
+            if v == 0:
+                raise DenominatorZeroError(
+                    "denominator vanishes at index %d" % i, index=i)
+            vals.append([[v]])
         counter.coeff += n
-        return bl.n_from_int(
-            product_binsplit_exact([[[v]] for v in vals])[0][0], z)
+        return bl.n_from_int(product_binsplit_exact(vals)[0][0], z)
     sub = RecMatrix([[den]])
     # the 1x1 denominator product must be provably nonzero, so it always
     # goes through the stable scalar-only engine: the multipoint remainder
@@ -439,20 +471,29 @@ def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     # sign-changing denominators can cost O(m) extra bits in expanded form;
     # escalate the guard until the product separates from zero
     boost = 64 + den_plan.m * (den.deg_k() * max(n, 2).bit_length() + 8)
-    step = counter.giant_step
     for attempt in range(3):
         eff = replace(den_plan, guard=den_plan.guard + attempt * boost)
-        val = _run(sub, z, n, eff, counter)[0][0]
+        step = counter.giant_step
+        mat = _run(sub, z, n, eff, counter)
         counter.giant_step = step
+        val = mat[0][0]
         if not val.contains_zero():
             return val
-    # the first index whose factor contains zero at 128 bits
-    table = PowerTable(z, den.deg_x(), min(plan.work_prec, 128))
-    idx = next((i for i in range(n) if table.eval_int_poly(
-        eval_factor(sub, i)[0][0][0].coeffs).contains_zero()), None)
+    idx = _find_zero_index(sub, z, n, plan.work_prec)
     raise DenominatorZeroError(
         "denominator product contains zero (first suspect index %s)" % idx,
         index=idx)
+
+
+def _find_zero_index(M: RecMatrix, z, n: int, p: int):
+    dx = M.deg_x()
+    table = PowerTable(z, dx, min(p, 128))
+    for i in range(n):
+        grid, _ = eval_factor(M, i)
+        v = table.eval_int_poly(grid[0][0].coeffs, min(p, 128))
+        if v.contains_zero():
+            return i
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +508,7 @@ def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     top two while the top covers at least as many factors as the one below
     (the tree) or always (the chain)."""
     if not n:
-        one = [[bl.n_one(z) if i == j else bl.n_zero(z) for j in range(M.r)]
-               for i in range(M.r)]
+        one = ball_identity(M.r, z)
         return one if row is None else [one[row]]
     p = plan.work_prec
     table, covered, steps = _ENGINES[plan.algorithm](M, z, n, plan, counter,
@@ -484,7 +524,13 @@ def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     stack = []  # (factors covered, product)
     for k, S in chain(zip(repeat(plan.subn or plan.m), steps),
                       zip(repeat(1), tail)):
-        S = S if isinstance(S, tuple) else _node(S, p)
+        # every operand of a merge within the cap (a 1 x 1 step spans 0
+        # bits, and _node_mul rounds its product; _node_round there made
+        # naive twice as slow on a short z)
+        if not isinstance(S, tuple):
+            S = _node(S, p)
+        elif len(S[0]) > 1:
+            S = _node_round(*S, p)
         while stack and (not plan.short_z or stack[-1][0] <= k):
             c, P = stack.pop()
             S, k = _node_mul(S, P, p, counter), k + c
@@ -544,7 +590,8 @@ def _naive(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
 
 def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
                 reverse: bool):
-    p, m = plan.work_prec, plan.m
+    p = plan.work_prec
+    m = plan.m
     w = n // m
     xtable = PowerTable(z, M.deg_x(), p, counter)
     if not w:
@@ -653,6 +700,8 @@ def _fix_rem(mids, rads, node: UniPoly, counter):
     exact on the midpoints, and the radii take the same steps with |c|."""
     nc = node.coeffs
     d = len(nc) - 1
+    if len(mids) - 1 < d:
+        return mids, rads
     mids, rads = list(mids), list(rads)
     for i in range(len(mids) - 1 - d, -1, -1):
         lead, lr = mids[i + d], rads[i + d]
@@ -694,14 +743,18 @@ def _fix_multipoint(F, points, p, r0: int, counter: OpCounter):
     return out
 
 
+def _order(w: int, reverse: bool):
+    return range(w - 1, -1, -1) if reverse else range(w)
+
+
 def _rect_ps(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
              reverse: bool):
     subn = plan.subn or n
     w = n // subn
     table = PowerTable(z, max(plan.m, M.deg_x()), plan.work_prec, counter)
-    order = range(w)[::-1 if reverse else 1]
-    return table, subn * w, _subproduct_steps(M, subn, order, table, plan.m,
-                                              plan.work_prec, counter)
+    return table, subn * w, _subproduct_steps(M, subn, _order(w, reverse),
+                                              table, plan.m, plan.work_prec,
+                                              counter)
 
 
 def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
@@ -718,8 +771,7 @@ def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     if not (plan.symmetric and _sums_are_polynomial(
             table, [e.coeffs for row in U for e in row])):
         counter.giant_step = "exact product"
-        order = range(w)[::-1 if reverse else 1]
-        return table, m * w, _subproduct_steps(M, m, order, table,
+        return table, m * w, _subproduct_steps(M, m, _order(w, reverse), table,
                                                table.D + 1, p, counter, U)
     counter.giant_step = "difference table"
     start, step = ((w - 1) * m, -m) if reverse else (0, m)
@@ -866,13 +918,16 @@ def bivariate_delta(M: RecMatrix, m: int, counter: OpCounter | None = None):
     """Delta_m = prod_{i<m} M(x, k+m+i) - prod_{i<m} M(x, k+i), expanded by
     exact bivariate binary splitting; the second product is the first
     shifted by k -> k + m."""
-    lo = product_binsplit_exact([[[e.shift_k(i) for e in row]
-                                  for row in M.entries] for i in range(m)])
+    lo_factors = [[[e.shift_k(i) for e in row] for row in M.entries]
+                  for i in range(m)]
+    lo = product_binsplit_exact(lo_factors)
     hi = [[e.shift_k(m) for e in row] for row in lo]
+    r = M.r
     if counter is not None:
-        counter.coeff += sum(len(kr) for X in (lo, hi) for row in X
-                             for e in row for kr in e.grid)
-    return [[h - e for h, e in zip(*rows)] for rows in zip(hi, lo)]
+        counter.coeff += sum(sum(len(kr) for kr in lo[i][j].grid)
+                             + sum(len(kr) for kr in hi[i][j].grid)
+                             for i in range(r) for j in range(r))
+    return [[hi[i][j] - lo[i][j] for j in range(r)] for i in range(r)]
 
 
 _ENGINES = {"naive": _naive, "binsplit-exact": _rect_ps,
@@ -919,9 +974,10 @@ def eval_dispatch(M: RecMatrix, z, n: int, p: int, algorithm: str | None = None,
     counter = OpCounter()
     num = _run(M, z, n, plan, counter, row)
     den = _den_product(M, z, n, plan, counter)
-    one = _is_one(den)
-    counter.nonscalar += 0 if one else len(num) * M.r
-    mat = [[bl.n_reduce(e if one else bl.n_div(e, den, plan.work_prec), p)
-            for e in r] for r in num]
+    mat = num
+    if not _is_one(den):
+        mat = [[bl.n_div(e, den, plan.work_prec) for e in r] for r in num]
+        counter.nonscalar += len(num) * M.r
+    mat = [[bl.n_reduce(e, p) for e in r] for r in mat]
     acc = min(min(e.rel_accuracy_bits() for e in r) for r in mat)
     return EvalReport(mat, num, den, plan, counter, min(acc, p))

@@ -974,6 +974,30 @@ class TestNode:
         assert _holds(engines._node_add(A, D, p), [
             [x + y for x, y in zip(*rows)] for rows in zip(a, d)], A[2])
 
+    @pytest.mark.parametrize("text", [("1", "0", "0", "x^2"),
+                                      ("x^2", "x", "1", "0")])
+    @pytest.mark.parametrize("alg", ["naive", "rect-ps", "rect-split",
+                                     "rect-delta"])
+    def test_wide_spread_steps_keep_the_ball_accuracy(self, alg, text,
+                                                      monkeypatch):
+        # at an inexact tiny z the entries of a step span more than p bits;
+        # such a step must merge as balls, since bounds taken relative to
+        # its largest entry would swamp the smallest (0 bits or fewer kept)
+        M = RecMatrix([[bipoly_from_text(t) for t in text[:2]],
+                       [bipoly_from_text(t) for t in text[2:]]])
+        zq = Fraction(1, 3) / 2 ** 100
+        for p, n in ((64, 5), (64, 40), (200, 40)):
+            z = Ball.from_fraction(zq, p)
+            rep = eval_dispatch(M, z, n, p, algorithm=alg)
+            with monkeypatch.context() as mp:
+                TestShortZTree._ball_tree(mp)
+                ref = eval_dispatch(M, z, n, p, algorithm=alg)
+            assert rep.accuracy_bits >= max(ref.accuracy_bits, p - 8), \
+                (alg, p, n)
+            assert all(v.contains(e) for vrow, erow in zip(
+                rep.matrix, unroll_rational(M, zq, n))
+                for v, e in zip(vrow, erow)), (alg, p, n)
+
 
 def _dyadic_companions():
     """Companions of order 1, 2 and 3 shaped like the benchmark's
