@@ -27,15 +27,17 @@ A node (mids, rads, e) is a matrix whose entry (i, j) lies in
 exponent; rads is None for an exact node.  Multipoint's form is the same
 with polynomials in k for entries (_fix_form).  One argument keeps every
 value inside.  A product takes the midpoints exactly, and for a in
-a_m +- a_r, b in b_m +- b_r, |a b - a_m b_m| <= (|a_m| + a_r) b_r + a_r |b_m|
-<= u_a 2^s_a b_r + a_r u_b 2^s_b with upper bounds u_a 2^s_a >= |a_m| + a_r
-and u_b 2^s_b >= |b_m| (_fix_upper); sums add these terms.  Rounding
-(_fix_floor) writes c = (c >> s) 2^s + d with 0 <= d < 2^s, keeps c >> s
-and adds d to the radius, rounded up to the unit 2^(e + s); a ball is put
-at 2^e alike (_fix_form).  Addition on one exponent is exact.  A node keeps
-p bits of its smallest nonzero entry, no fewer than p-bit balls would, and
-becomes a ball matrix past the spread cap, entries that span more than p
-bits (_node_round).
+a_m +- a_r, b in b_m +- b_r, |a b - a_m b_m| <= |a_m| b_r + a_r (|b_m| + b_r);
+sums add these terms.  A node product takes this radius exactly, by two
+integer matrix products |A_m| R_B + R_A (|B_m| + R_B); multipoint, whose
+entries are polynomials, bounds it by u_a 2^s_a b_r + a_r u_b 2^s_b with
+short upper bounds u_a 2^s_a >= |a_m| + a_r, u_b 2^s_b >= |b_m|
+(_fix_upper).  Rounding (_fix_floor) writes c = (c >> s) 2^s + d with
+0 <= d < 2^s, keeps c >> s and adds d to the radius, rounded up to the
+unit 2^(e + s); a ball is put at 2^e alike (_fix_form).  Addition on one
+exponent is exact.  A node keeps p bits of its smallest nonzero entry, no
+fewer than p-bit balls would, and becomes a ball matrix past the spread
+cap, entries that span more than p bits (_node_round).
 
 The engine loop
 ---------------
@@ -46,12 +48,12 @@ step of a real z is a node: the integer sums of a difference table or of
 an exact subproduct's one fused dot (_dot_step), a remainder-tree leaf,
 or ball steps converted once (_node), each rounded by _node_round, so that
 every operand of a merge is within the cap: at a tiny inexact z a step's
-entries can span more than p bits, and bounds taken to p + 32 bits of the
-largest would swamp the smallest.  Every merge of the whole product is
-one node product (_node_mul): the midpoints exactly, by one `*` on 1 x 1
-below intmul.FFT_MIN_BITS (through mat_mul, naive took three times as long
-on a short z) and intmul.mat_mul otherwise.  A complex z, and a node past
-the cap, merge by ball_mat_mul.  _run chooses only the order: for a
+entries can span more than p bits, and rounding them on one exponent would
+swamp the smallest.  Every merge of the whole product is one node product
+(_node_mul), exact before rounding: one `*` on 1 x 1 below
+intmul.FFT_MIN_BITS (through mat_mul, naive took three times as long on a
+short z), else intmul.mat_mul.  A complex z, and a node past the cap,
+merge by ball_mat_mul.  _run chooses only the order: for a
 full-mantissa z the chain V <- S V, since a tree saves nothing there and
 its dense merges cost more on sparse companion factors; for a short z
 (_short_z), whose steps have O(m log n) bits, a balanced tree, a stack
@@ -70,12 +72,13 @@ Difference tables
 -----------------
 The fused dot of the power table makes two integer sums per part of z,
 the midpoint sum_j c_j mid_j and the radius sum_j |c_j| rad_j.  When each
-c_j is a polynomial in the step index, so are the sums, and their exact
-forward differences (_difference_table) give each later step by deg
-additions per sum and no dot (_difference_steps).  The precondition
-(_sums_are_polynomial): the table has a fixed-point form, and either its
-radii are all zero or every x^a coefficient, a polynomial in k >= 0, keeps
-one sign, so that |c_j| is a polynomial too.  Three users:
+c_j is a polynomial in the step index k >= 0, the radius sum takes
+C_j(k) >= |c_j(k)| for |c_j|, with C_j the polynomial c_j with absolute
+coefficients (equal to |c_j| if they have one sign), so both sums are
+polynomials; their exact forward differences (_difference_table) give
+each later step by deg additions per sum and no dot (_difference_steps).
+The one precondition (_sums_are_polynomial): the table has a fixed-point
+form.  Three users:
 - rect-split, for a shift-symmetric matrix (M(x, k+m) = M(x+m, k)):
   U_i(x) = U_0(x + i m), and a sum at the shift s >= 0 is the polynomial
   sum_k s^k (that sum of U_0's Taylor coefficient c_k): D + 1 dots on U_0's
@@ -377,10 +380,10 @@ def _node_round(mids, rads, e, p):
     """The node floored so that its smallest nonzero entry keeps p bits (rads
     None if all 0), or its ball matrix past the spread cap."""
     node = mids, rads if rads and any(map(any, rads)) else None, e
-    tops = [max(c.bit_length(), r.bit_length()) for rows in
-            zip(mids, _rads(node)) for c, r in zip(*rows) if c or r]
-    low = min(tops, default=0)
-    if tops and max(tops) - low > p:
+    tops = [(abs(c) | r).bit_length() for rows in zip(mids, _rads(node))
+            for c, r in zip(*rows)]
+    low = min(filter(None, tops), default=0)
+    if max(tops) - low > p:
         return _ball_node(node, p)
     if low <= p:
         return node
@@ -419,12 +422,11 @@ def _node_mul(A, B, p, counter: OpCounter):
     if not any(map(any, ar + br)):
         counter.exact_merges += made
         return _node_round(intmul.mat_mul(am, bm), None, ea + eb, p)
-    # bounds to p + 32 bits: 32 bits below the smallest nonzero entry, as
-    # _run keeps every operand within the cap
-    ([ua], sa), ([ub], sb) = (_fix_upper([am], [ar], p + 32),
-                              _fix_upper([bm], None, p + 32))
-    rads = [[(x << sa) + (y << sb) for x, y in zip(*rows)]
-            for rows in zip(intmul.mat_mul(ua, br), intmul.mat_mul(ar, ub))]
+    # the radius |A| R_B + R_A (|B| + R_B) exactly, as on 1 x 1
+    rads = [[x + y for x, y in zip(*rows)] for rows in zip(
+        intmul.mat_mul([[abs(c) for c in row] for row in am], br),
+        intmul.mat_mul(ar, [[abs(c) + r for c, r in zip(*rows)]
+                            for rows in zip(bm, br)]))]
     return _node_round(intmul.mat_mul(am, bm), rads, ea + eb, p)
 
 
@@ -597,9 +599,14 @@ def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     if not w:
         return xtable, 0, ()
     # bits kept under the top coefficient beyond p (8 guard bits): U has
-    # degree m deg_k, and its coefficient of k^t is multiplied by up to n^t
-    spread = m * M.deg_k() * n.bit_length() + 8
-    base = _fix_form(_substitute_x(M, xtable, p, counter), p + spread, z)
+    # degree m deg_k, and its coefficient of k^t is multiplied by up to n^t;
+    # on one exponent, a product of m factors compounds m times the size
+    # ratio of the nonzero entries
+    grid = _substitute_x(M, xtable, p, counter)
+    tops = {max(map(bl._top, es, repeat(-math.inf)), default=-math.inf)
+            for row in grid for es in row} - {-math.inf} or {0}
+    spread = m * (M.deg_k() * n.bit_length() + max(tops) - min(tops)) + 8
+    base = _fix_form(grid, p + spread, z)
     tmats = [base] + [_fix_shift(base, j, M.r, counter) for j in range(1, m)]
     U = product_binsplit_exact(
         tmats, lambda A, B: _fix_mat_mul(A, B, p, spread, M.r, counter))
@@ -767,9 +774,7 @@ def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     if not w:
         return table, 0, ()
     U = _exact_product(M, 0, m, counter)
-    # the rows of U_0(x + k) keep one sign exactly when U_0's coefficients do
-    if not (plan.symmetric and _sums_are_polynomial(
-            table, [e.coeffs for row in U for e in row])):
+    if not (plan.symmetric and _sums_are_polynomial(table)):
         counter.giant_step = "exact product"
         return table, m * w, _subproduct_steps(M, m, _order(w, reverse), table,
                                                table.D + 1, p, counter, U)
@@ -795,20 +800,15 @@ def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     return table, m * w, _difference_steps(diffs, w, table, p, counter)
 
 
-def _sums_are_polynomial(table, rows):
-    """A difference table's precondition, for entries whose x^a
-    coefficients are the polynomials in k >= 0 with coefficient lists rows
-    (see Difference tables)."""
-    fix = table._fix
-    return fix is not None and (
-        all(part[1] is None for part in bl._fix_parts(fix))
-        or all(min(r) >= 0 or max(r) <= 0 for r in rows if r))
+def _sums_are_polynomial(table):
+    """A difference table's precondition (see Difference tables)."""
+    return table._fix is not None
 
 
-def _dot_sums(coeffs, table, counter):
+def _dot_sums(coeffs, table, counter, bounds=None):
     """bl.n_dot_sums of coeffs on the table's fixed-point form."""
     counter.scalar += len(coeffs) - coeffs.count(0)
-    return bl.n_dot_sums(coeffs, table._fix)
+    return bl.n_dot_sums(coeffs, table._fix, bounds)
 
 
 def _difference_table(grid, sums, table, counter, live):
@@ -859,24 +859,29 @@ def _difference_steps(diffs, w, table, p, counter):
 def _bivariate_steps(E, first, step, count, table, p, counter):
     """(by_table, steps): the count steps [[e(z, k)]] for k = first,
     first + step, ... (all k >= 0), e over a grid E of BiPoly in (x, k).
-    When _sums_are_polynomial holds for the k-rows of E, the dot sums at the
-    first deg_k e + 1 indices make a difference table (by_table); else each
-    step is eval_k and a dot (_dot_step)."""
+    When _sums_are_polynomial holds, the dot sums at the first deg_k e + 1
+    indices make a difference table (by_table), with the radius sums of the
+    absolute k-rows; else each step is eval_k and a dot (_dot_step)."""
     if not count:
         return False, ()
     ks = range(first, first + count * step, step)
-    rows = [kr for row in E for e in row for kr in e.grid]
-    live = sum(map(len, rows))
+    live = sum(len(kr) for row in E for e in row for kr in e.grid)
 
     def at(e, k):
         counter.coeff += sum(map(len, e.grid))
         return e.eval_k(k).coeffs
 
-    if _sums_are_polynomial(table, rows):
-        diffs = _difference_table(
-            E, lambda e: [_dot_sums(at(e, k), table, counter)
-                          for k in ks[:max(1, e.deg_k() + 1)]],
-            table, counter, live)
+    def sums(e):  # radii by |c| on a row of one sign, else its absolute row
+        mixed = [min(r, default=0) < 0 < max(r, default=0) for r in e.grid]
+        for k in ks[:max(1, e.deg_k() + 1)]:
+            cs = at(e, k)
+            yield _dot_sums(cs, table, counter, any(mixed) and [
+                reduce(lambda acc, t: acc * k + abs(t), reversed(r), 0)
+                if x else abs(c)
+                for r, x, c in zip(e.grid, mixed, cs + [0] * len(mixed))])
+
+    if _sums_are_polynomial(table):
+        diffs = _difference_table(E, sums, table, counter, live)
         return True, _difference_steps(diffs, count, table, p, counter)
     counter.note_live_coeffs(live + table.D + 1)
     return False, (_dot_step([[at(e, k) for e in row] for row in E], table, p,

@@ -11,7 +11,9 @@ the product, not the next power of two: numpy's pocketfft runs such lengths
 at about the same cost per point, and they are on average far fuller.
 `mat_mul` then transforms every entry once and sums the products of each
 output entry in the frequency domain, before one inverse transform per
-entry.
+entry, whose rounded limb sums stay below 2^38: 5 bytes of each rebuild it.
+Below the crossover, as for the engines' small node products, one scan per
+matrix finds the largest entry and each entry is `sum(map(mul, row, col))`.
 
 The FFT products are exact: their rounding error is proven below 1/2 for
 every transform length and matrix size that they accept (bound below), and
@@ -25,6 +27,7 @@ makes its entry products one at a time in the same way.
 from __future__ import annotations
 
 import operator
+from itertools import chain
 
 from .balls import _Z
 
@@ -77,8 +80,11 @@ FFT_MIN_BITS = 1 << 16
 # at r = 2, N = 2^6 3^10 = 3779136 (n = 26), where it is 0.0751 < 1/2 (for
 # r = 1 it is 0.0375; at N = 2^22 it is 0.0706 and 0.0353), so rounding
 # every output to the nearest integer is exact; tests/test_intmul.py
-# evaluates the bound for every admitted (N, r).  It holds only for 8-bit
-# limbs: with 16-bit limbs one product could not exceed N = 2^10.
+# evaluates the bound for every admitted (N, r).  The rounded output, a sum
+# of r products of limb vectors, has magnitude at most r ((N+1)/2) 255^2,
+# largest at r = 2, N = 2^22 and below 2^38 there, so 5 bytes of it hold
+# its value (_from_limb_sums).  The bound holds only for 8-bit limbs: with
+# 16-bit limbs one product could not exceed N = 2^10.
 _FFT_MAX_LEN = 1 << 22  # products of up to 2^25 bits in one transform
 # The transforms of mat_mul, 2 r^2 spectra of N float64 words, are all kept;
 # above this many words it multiplies entry by entry.
@@ -98,8 +104,8 @@ def mat_mul(A, B):
         # over the caps: split a 1 x 1 product, and make each entry product
         # of a larger one by _mul, which splits it if need be
         mul = _split_mul if r == 1 else _mul
-    return [[sum(mul(A[i][t], B[t][j]) for t in range(r)) for j in range(r)]
-            for i in range(r)]
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def _fft_size(A, B, cap=True):
@@ -109,8 +115,8 @@ def _fft_size(A, B, cap=True):
     exceeds the length cap or the memory limit that the bound is proven for."""
     if not FFT_ACTIVE:
         return 0
-    bits_a = max(x.bit_length() for row in A for x in row)
-    bits_b = max(x.bit_length() for row in B for x in row)
+    bits_a = max(map(abs, chain.from_iterable(A))).bit_length()
+    bits_b = max(map(abs, chain.from_iterable(B))).bit_length()
     if min(bits_a, bits_b) * len(A) < FFT_MIN_BITS:
         return 0
     need = ((bits_a + 7) >> 3) + ((bits_b + 7) >> 3) - 1
@@ -194,17 +200,18 @@ def _spectrum(x, size):
 def _from_limb_sums(v):
     """sum_j round(v[j]) 2^(8j) as an int.
 
-    Byte k of every rounded entry (int64, two's complement) forms one
-    integer, shifted by 8k bits.  A negative entry c reads as c + 2^64
-    there, so 2^64 is taken off again at each negative position."""
+    Every rounded entry c has |c| < 2^38 (bound above), so its low 5 bytes
+    (int64, two's complement) are c mod 2^40.  Byte k of every entry forms
+    one integer, shifted by 8k bits, for k < 5.  A negative entry c reads as
+    c + 2^40 there, so 2^40 is taken off again at each negative position."""
     conv = _np.rint(v).astype("<i8")
     cols = conv.view(_np.uint8).reshape(-1, 8)
     z = 0
-    for k in range(8):
+    for k in range(5):
         col = cols[:, k]
         if col.any():
             z += int.from_bytes(col.tobytes(), "little") << (8 * k)
     neg = conv < 0
     if neg.any():
-        z -= int.from_bytes(neg.view(_np.uint8).tobytes(), "little") << 64
+        z -= int.from_bytes(neg.view(_np.uint8).tobytes(), "little") << 40
     return z

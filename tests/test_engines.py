@@ -283,7 +283,7 @@ def _exact_step_reference(M, z, n, p, m, row=None):
 class TestDifferenceTable:
     """The giant steps from the difference table are bit-identical to the
     per-step exact products at the same m, in order and (for one row of the
-    product) last first."""
+    product) last first, where the coefficients of U_0 keep one sign."""
 
     def _same_as_exact_steps(self, M, z, n, p, m, update="difference table",
                              row=None):
@@ -325,15 +325,20 @@ class TestDifferenceTable:
         for n, p, m in ((400, 256, 9), (1500, 1024, 20)):
             self._same_as_exact_steps(M, Ball.from_fraction(zq, p), n, p, m)
 
-    def test_mixed_signs_take_the_exact_product(self):
-        # prod (x + i - 3) changes sign in its coefficients: the radius sum
-        # over |c_j| is no polynomial in the step index
+    @pytest.mark.parametrize("row", [None, 0])
+    def test_mixed_signs_at_inexact_z_take_the_table(self, row):
+        # prod (x + i - 3) changes sign in its coefficients: the radius sums
+        # take the absolute Taylor coefficients, a bound of the exact
+        # products' radii, not their bits; they lose at most a bit
         M = RecMatrix([[bipoly_from_text("x + k - 3")]])
         assert M.shift_symmetry_holds()
-        zq = Fraction(1, 3)
-        rep = self._same_as_exact_steps(M, Ball.from_fraction(zq, 256), 100,
-                                        256, 7, update="exact product")
+        zq, p = Fraction(1, 3), 256
+        z = Ball.from_fraction(zq, p)
+        rep = eval_dispatch(M, z, 100, p, algorithm="rect-split", m=7, row=row)
+        assert rep.counter.giant_step == "difference table"
+        ref = _exact_step_reference(M, z, 100, p, 7, row)
         assert rep.matrix[0][0].contains(rising_exact(zq - 3, 100))
+        assert rep.accuracy_bits >= ref.accuracy_bits - 1
 
     @pytest.mark.parametrize("row", [None, 0])
     def test_mixed_signs_at_exact_z_take_the_table(self, row):
@@ -451,16 +456,26 @@ class TestTaylorSums:
             assert list(sums(e)) == ref
 
 
-def _horner_steps(E, ks, table, p):
-    """The reference for _bivariate_steps: [[e(z, k)]] for each k by eval_k
-    and the table's dot, one index at a time: on a real table the node of
-    the dot sums, on a complex one the balls of the dot."""
+def _eval_k_steps(E, ks, table, p):
+    """The reference for _bivariate_steps on a table with a fixed-point
+    form: [[e(z, k)]] for each k by eval_k and the table's dot, one index at
+    a time, with the radius sums of e's x^a rows made absolute and evaluated
+    at k: on a real table the node of the dot sums, on a complex one their
+    balls."""
     fix = table._fix
-    if len(fix) == 2:
-        return [[[_ball_key(table.eval_int_poly(e.eval_k(k).coeffs, p))
-                  for e in row] for row in E] for k in ks]
-    return [engines._dot_step([[e.eval_k(k).coeffs for e in row] for row in E],
-                              table, p, engines.OpCounter()) for k in ks]
+    for k in ks:
+        sums = [[bl.n_dot_sums(e.eval_k(k).coeffs, fix, [
+            sum(abs(c) * k ** b for b, c in enumerate(r)) for r in e.grid])
+            for e in row] for row in E]
+        yield ([[bl.n_ball_from_sums(s, fix, p) for s in row] for row in sums]
+               if len(fix) == 2 else
+               ([[s[0] for s in row] for row in sums],
+                fix[1] and [[s[1] for s in row] for row in sums], fix[2]))
+
+
+def _horner_steps(E, ks, table, p):
+    """_eval_k_steps, ball matrices by _ball_key."""
+    return [_matrix_key(S) for S in _eval_k_steps(E, ks, table, p)]
 
 
 def _count_dots(monkeypatch):
@@ -481,10 +496,10 @@ def _count_dots(monkeypatch):
 
 class TestBivariateDifferences:
     """rect-delta's Delta_m(z, i m) and the factors _run multiplies in one
-    at a time come from a difference table of their fused-dot sums, bit
-    for bit the balls of eval_k and the table's dot; where the sums need
-    not be polynomials (mixed signs at an inexact z), eval_k and the dot
-    make every one."""
+    at a time come from a difference table of their fused-dot sums on every
+    table with a fixed-point form, bit for bit the balls of eval_k and the
+    table's dot with the radius sums of the absolute k-rows (_eval_k_steps),
+    which are those of the dot itself where each row keeps one sign."""
 
     # every x^a row of a_0 and a_1 of one sign, and so of Delta_m
     ONE_SIGNED = companion(ScalarRecurrence([
@@ -514,10 +529,8 @@ class TestBivariateDifferences:
     MATRICES = [RISING, ONE_SIGNED, ONE_SIGNED_2, MIXED, DIAGONAL]
 
     @staticmethod
-    def _by_table(E, zname):
-        rows = [r for row in E for e in row for r in e.grid]
-        return "inexact" not in zname or all(min(r) >= 0 or max(r) <= 0
-                                              for r in rows)
+    def _by_table(table):
+        return table._fix is not None
 
     @pytest.mark.parametrize("M", MATRICES)
     @pytest.mark.parametrize("zname", list(ZS))
@@ -529,7 +542,7 @@ class TestBivariateDifferences:
         delta = bivariate_delta(M, m)
         by_table, steps = engines._bivariate_steps(
             delta, 0, m, count, table, p, engines.OpCounter())
-        assert by_table == self._by_table(delta, zname)
+        assert by_table == self._by_table(table)
         assert [_matrix_key(S) for S in steps] \
             == _horner_steps(delta, range(0, count * m, m), table, p)
 
@@ -543,7 +556,7 @@ class TestBivariateDifferences:
         table = PowerTable(z, M.deg_x(), p)
         by_table, steps = engines._bivariate_steps(
             M.entries, first, step, count, table, p, engines.OpCounter())
-        assert by_table == self._by_table(M.entries, zname)
+        assert by_table == self._by_table(table)
         ks = range(first, first + count * step, step)
         assert [_matrix_key(S) for S in steps] \
             == _horner_steps(M.entries, ks, table, p)
@@ -554,8 +567,11 @@ class TestBivariateDifferences:
         if alg == "rect-delta":
             assert rep.counter.giant_step == (update if n // m > 1 else None)
         with monkeypatch.context() as mp:
-            # the reference: no difference table anywhere
-            mp.setattr(engines, "_sums_are_polynomial", lambda *_: False)
+            # the reference: every step of _bivariate_steps by _eval_k_steps
+            mp.setattr(engines, "_bivariate_steps", lambda E, first, step,
+                       count, table, p, counter: (False, _eval_k_steps(
+                           E, range(first, first + count * step, step),
+                           table, p)))
             ref = eval_dispatch(M, z, n, p, algorithm=alg, m=m, row=row)
         for mat, rmat in ((rep.numerator, ref.numerator),
                           (rep.matrix, ref.matrix)):
@@ -585,15 +601,12 @@ class TestBivariateDifferences:
         for M in self.MATRICES[1:]:
             if row is not None and row >= M.r:
                 continue
-            update = ("difference table"
-                      if self._by_table(bivariate_delta(M, m), zname)
-                      else "delta evaluation")
             for alg in ("rect-delta", "rect-split", "naive"):
                 for n in (6, 23, 50):
                     self._same_as_eval_k(monkeypatch, M, z, n, 256, m, alg,
-                                         row, update)
+                                         row)
 
-    def test_mixed_signs_at_inexact_z_fall_back(self, monkeypatch):
+    def test_mixed_signs_at_inexact_z_take_the_table(self, monkeypatch):
         M, n, m = self.MIXED, 23, 5
         w = n // m
 
@@ -602,21 +615,46 @@ class TestBivariateDifferences:
                        for row in E for e in row)
 
         calls = _count_dots(monkeypatch)
-        for zname, by_table in (("inexact", False), ("exact", True)):
+        for zname in ("inexact", "complex inexact", "exact"):
             calls.clear()
             rep = eval_dispatch(M, self.ZS[zname], n, 256, algorithm="naive")
-            # naive: every factor is a leftover one, r^2 = 4 dots each
-            assert len(calls) == (setup(M.entries, n) if by_table else 4 * n)
+            # naive: every factor is a leftover one, from the table's dots
+            # (4 per factor without it)
+            assert len(calls) == setup(M.entries, n) < 4 * n
             calls.clear()
             rep = eval_dispatch(M, self.ZS[zname], n, 256,
                                 algorithm="rect-delta", m=m)
-            assert rep.counter.giant_step == ("difference table" if by_table
-                                              else "delta evaluation")
-            # C_0's 4 dots, then 4 per Delta step and per leftover factor
-            assert len(calls) == 4 + (
-                setup(bivariate_delta(M, m), w - 1)
-                + setup(M.entries, n - m * w) if by_table
-                else 4 * (w - 1) + 4 * (n - m * w))
+            assert rep.counter.giant_step == "difference table"
+            # C_0's 4 dots, then the tables of the Delta steps and of the
+            # leftover factors
+            assert len(calls) == 4 + setup(bivariate_delta(M, m), w - 1) \
+                + setup(M.entries, n - m * w)
+
+    # shift-symmetric, with the mixed x^0 rows k - 3 and 2 - k
+    SYMMETRIC_MIXED = RecMatrix([
+        [bipoly_from_text("x + k - 3"), bipoly_from_text("-2")],
+        [bipoly_from_text("1"), bipoly_from_text("2 - x - k")]])
+
+    @pytest.mark.parametrize("cpx", [False, True])
+    @pytest.mark.parametrize("alg", ["naive", "rect-delta", "rect-split"])
+    def test_mixed_signs_contain_the_exact_product(self, alg, cpx):
+        # the absolute-row radius sums hold the exact values, at an inexact
+        # real and complex z, on both matrices with mixed rows
+        assert self.SYMMETRIC_MIXED.shift_symmetry_holds()
+        p = 128
+        zq = (_Gaussian(Fraction(3, 2), Fraction(-5, 7)) if cpx
+              else Fraction(-2, 3))
+        z = TestShortZTree._ball(zq, p)
+        for M in (self.MIXED, self.SYMMETRIC_MIXED):
+            for n in (7, 64, 257):
+                rep = eval_dispatch(M, z, n, p, algorithm=alg)
+                if n > 7 and alg != "naive":
+                    assert rep.counter.giant_step == (
+                        "exact product" if alg == "rect-split"
+                        and M is self.MIXED else "difference table")
+                exact = unroll_rational(M, zq, n)
+                assert all(_contains(v, e) for vrow, erow in zip(
+                    rep.matrix, exact) for v, e in zip(vrow, erow)), (M, n)
 
     def test_tiny_z_falls_back(self):
         # no fixed-point form of the powers of 2^-3000 at p = 64
@@ -973,6 +1011,55 @@ class TestNode:
         a, d = _vertex(rng, A), _vertex(rng, D)
         assert _holds(engines._node_add(A, D, p), [
             [x + y for x, y in zip(*rows)] for rows in zip(a, d)], A[2])
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_inexact_merge_takes_the_exact_radius(self, monkeypatch, r,
+                                                  above):
+        # before rounding, an r x r merge of inexact nodes has the midpoints
+        # A B and the radii |A| R_B + R_A (|B| + R_B), entry by entry, with
+        # operands below and above intmul's crossover FFT_MIN_BITS / r, of
+        # far more than p bits: upper bounds to p + 32 bits would be wider
+        rng = random.Random(r + 2 * above)
+        top = intmul.FFT_MIN_BITS // r + (8 if above else -1)
+        A, B = (_rand_node(rng, r, 1, top, False) for _ in range(2))
+        for X in (A, B):
+            X[1][0][0] |= 1  # an inexact node
+        seen, ffts = [], []
+        monkeypatch.setattr(engines, "_node_round",
+                            lambda *args: seen.append(args) or args[:3])
+        fft = intmul._fft_mat_mul
+        monkeypatch.setattr(intmul, "_fft_mat_mul",
+                            lambda *args: ffts.append(1) or fft(*args))
+        engines._node_mul(A, B, 64, engines.OpCounter())
+        (am, ar, ea), (bm, br, eb) = A, B
+        cols = list(zip(*bm)), list(zip(*br))
+        assert seen == [(
+            [[sum(x * y for x, y in zip(row, col)) for col in cols[0]]
+             for row in am],
+            [[sum(abs(x) * v + u * (abs(y) + v)
+                  for x, u, y, v in zip(arow, urow, bcol, vcol))
+              for bcol, vcol in zip(*cols)] for arow, urow in zip(am, ar)],
+            ea + eb, 64)]
+        # above it the midpoints take the FFT; the radius products have a
+        # short factor (radii of up to 40 bits) and never do
+        assert len(ffts) == (1 if above and intmul.FFT_ACTIVE else 0)
+
+    @pytest.mark.parametrize("text", [("1", "0", "0", "x^2"),
+                                      ("x^2", "x", "1", "0")])
+    @pytest.mark.parametrize("p, n", [(64, 5), (64, 40), (200, 5), (200, 40)])
+    def test_multipoint_keeps_the_bits_of_unequal_entries(self, text, p, n):
+        # at a tiny inexact z the entries differ by up to 200 bits in size;
+        # multipoint's one exponent must still keep p bits of the smallest
+        M = RecMatrix([[bipoly_from_text(t) for t in text[:2]],
+                       [bipoly_from_text(t) for t in text[2:]]])
+        zq = Fraction(1, 3) / 2 ** 100
+        z = Ball.from_fraction(zq, p)
+        rep, ref = (eval_dispatch(M, z, n, p, algorithm=alg)
+                    for alg in ("multipoint", "naive"))
+        assert rep.accuracy_bits >= ref.accuracy_bits - 2
+        assert all(v.contains(e) for vrow, erow in zip(
+            rep.matrix, unroll_rational(M, zq, n)) for v, e in zip(vrow, erow))
 
     @pytest.mark.parametrize("text", [("1", "0", "0", "x^2"),
                                       ("x^2", "x", "1", "0")])

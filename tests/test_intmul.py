@@ -235,7 +235,7 @@ class TestTransformLength:
         # the caps admit: N = 2^a 3^b with a radix-3 pass charged as two
         # radix-2 levels, n = a + 2b
         eps, beta = 2.0 ** -53, 32 * 2.0 ** -53
-        worst = (0.0, 0, 0)
+        worst, largest = (0.0, 0, 0), (0, 0, 0)
         for size, a, b in smooth_lengths(2 * im._FFT_MAX_LEN):
             n, r = a + 2 * b, 1
             while im._admitted(size, r):
@@ -244,11 +244,34 @@ class TestTransformLength:
                         + 3 * n * math.log1p(beta))
                 bound = r * (size + 1) / 2 * 255 ** 2 * math.expm1(grow)
                 worst = max(worst, (bound, size, r))
+                # the magnitude of a rounded limb sum, which
+                # _from_limb_sums reads from 5 bytes
+                largest = max(largest, (r * (size + 1) * 255 ** 2 // 2,
+                                        size, r))
                 r += 1
         assert worst[0] < 0.5
-        # the largest value, as the comment in intmul states it
+        # the largest values, as the comment in intmul states them
         assert worst[1:] == (2 ** 6 * 3 ** 10, 2)
         assert round(worst[0], 4) == 0.0751
+        assert largest[1:] == (2 ** 22, 2) and largest[0] < 2 ** 38
+
+    def test_limb_sums_within_the_magnitude_bound(self):
+        # rounded limb sums of either sign up to 2^38, as the FFT products
+        # make them, against a plain sum of round(v_j) 2^(8j)
+        if not im.FFT_ACTIVE:
+            pytest.skip("FFT path needs plain-int mantissas and numpy")
+        np = im._np
+        rng = random.Random(11)
+        top = 1 << 38
+        for count in (1, 2, 7, 1000):
+            for _ in range(20):
+                ints = [rng.choice((rng.randint(-top, top),
+                                    rng.choice((-top, top, -1, 0, 1))))
+                        for _ in range(count)]
+                v = np.array(ints, dtype=float) + np.array(
+                    [rng.uniform(-0.4, 0.4) for _ in ints])
+                assert im._from_limb_sums(v) == sum(
+                    round(x) << 8 * j for j, x in enumerate(v.tolist()))
 
 
 class TestAboveTheLengthCap:
