@@ -813,21 +813,19 @@ def _fix_parts(fix):
     return fix if len(fix) == 2 else (fix,)
 
 
-def n_dot_sums(coeffs, fix, bounds=None):
+def n_dot_sums(coeffs, fix):
     """The integer sums behind n_int_dot(coeffs, balls, fix, p) for a fix
     that is not None: [mid, rad] per part, with mid = sum c_j mids_j and
-    rad = sum |c_j| rads_j (0 for an exact part), or sum b_j rads_j for
-    given bounds b_j >= |c_j|.  n_ball_from_sums makes the same ball from
-    them, so a caller may get the sums by other exact means (the engines'
-    difference table does)."""
-    if len(bounds or coeffs) > len(_fix_parts(fix)[0][0]):
+    rad = sum |c_j| rads_j (0 for an exact part).  n_ball_from_sums makes
+    the same ball from them, or from any sums that bound these (the
+    engines' difference table makes them by other exact means)."""
+    if len(coeffs) > len(_fix_parts(fix)[0][0]):
         raise IndexError("more coefficients than values")
     out = []
     for mids, rads, _ in _fix_parts(fix):
         out.append(sum(map(operator.mul, coeffs, mids)))
         out.append(0 if rads is None
-                   else sum(map(operator.mul, map(abs, bounds or coeffs),
-                                rads)))
+                   else sum(map(operator.mul, map(abs, coeffs), rads)))
     return out
 
 

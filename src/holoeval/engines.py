@@ -70,24 +70,25 @@ one fused dot.  An x-dependent denominator is the same loop on [q].
 
 Difference tables
 -----------------
-The fused dot of the power table makes two integer sums per part of z,
-the midpoint sum_j c_j mid_j and the radius sum_j |c_j| rad_j.  When each
-c_j is a polynomial in the step index k >= 0, the radius sum takes
-C_j(k) >= |c_j(k)| for |c_j|, with C_j the polynomial c_j with absolute
-coefficients (equal to |c_j| if they have one sign), so both sums are
-polynomials; their exact forward differences (_difference_table) give
-each later step by deg additions per sum and no dot (_difference_steps).
-The one precondition (_sums_are_polynomial): the table has a fixed-point
-form.  Three users:
-- rect-split, for a shift-symmetric matrix (M(x, k+m) = M(x+m, k)):
-  U_i(x) = U_0(x + i m), and a sum at the shift s >= 0 is the polynomial
-  sum_k s^k (that sum of U_0's Taylor coefficient c_k): D + 1 dots on U_0's
-  own coefficients, then Horner at the first min(D + 1, w) shifts (last
-  first, from s = (w-1) m down); otherwise each step is the exact U_i;
-- rect-delta's Delta_m(z, i m), from eval_k at the first deg_k + 1 steps;
-- the factors _run multiplies in one at a time, in either order, from
-  eval_k at the first deg_k + 1 indices.
-Otherwise each is eval_k and a dot.  OpCounter.giant_step records the
+Every giant step of rect-split and rect-delta and every leftover factor
+comes from one kernel, _bivariate_steps, handed a grid of integer
+polynomials G(x, k) = sum_b k^b g_b(x) and the indices k = first,
+first + step, ... (all >= 0).  The fused dot of the power table makes two
+integer sums per part of z, sum_a c_a mid_a and sum_a |c_a| rad_a.  For
+c_a = g_a(k) the radius takes C_a(k) = sum_b |g_ab| k^b >= |g_a(k)| (equal
+on a k-row of one sign), and both sums are polynomials in k whose
+coefficients are the sums of one dot per column g_b.  Integer Horner in k
+gives them at the first deg_k + 1 indices, their exact forward differences
+(_difference_table) every later step by deg_k additions per sum and no dot
+(_difference_steps).  Without a fixed-point form of the table each step is
+eval_k and a dot.  The users differ only in G:
+- rect-split on a shift-symmetric matrix (M(x, k+m) = M(x+m, k)):
+  U_i(x) = U_0(x + i m), so G = U_0(x + k), its columns C(a + b, b) u_(a+b)
+  made one at a time; otherwise each step is the exact U_i;
+- rect-delta: G = prod_{t<m} M(x, k + t) (_giant_step_poly), S_i = G(z, i m);
+- the factors _run multiplies in one at a time: G = M.
+The sums are exact, so a step has the same bits in either order; one row of
+the product starts at the last step.  OpCounter.giant_step records the
 update of rect-split and rect-delta.
 
 The plan
@@ -105,7 +106,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, repeat, zip_longest
+from operator import or_
 
 from . import balls as bl
 from . import intmul
@@ -127,8 +129,8 @@ class OpCounter:
     products made (none with an exact-zero factor), exact_merges those made
     by merges of two exact nodes; scalar counts a dot's nonzero coefficients;
     adds counts the exact integer additions of a difference table, its set-up
-    included, and the Horner steps of rect-split's first sums; coeff counts
-    work in Z, and falls where a table evaluates deg_k + 1 indices only."""
+    included: the Horner steps in k of its first sums, and the differences;
+    coeff counts work in Z."""
 
     nonscalar: int = 0
     scalar: int = 0
@@ -137,7 +139,7 @@ class OpCounter:
     exact_merges: int = 0
     peak_coeffs: int = 0
     # how the giant steps of the numerator product were made: "difference
-    # table", else "exact product" (rect-split) or "delta evaluation"
+    # table", else "exact product"
     giant_step: str | None = None
 
     def note_live_coeffs(self, count: int):
@@ -365,15 +367,26 @@ def _ball_node(X, p):
 
 def _dot_step(coeffs, table, p, counter):
     """The step [[sum_j c_j z^j]] for a grid of coefficient lists by one
-    fused dot per entry: the node of the dot sums on a real table (one
-    exponent), else the balls of eval_int_poly."""
-    fix = table._fix
-    if fix is None or len(fix) == 2:
+    fused dot per entry: _sums_step of the dot sums, else (no fixed-point
+    form) the balls of eval_int_poly."""
+    if table._fix is None:
         return [[table.eval_int_poly(cs, p, counter) for cs in row]
                 for row in coeffs]
-    sums = [[_dot_sums(cs, table, counter) for cs in row] for row in coeffs]
-    return ([[s[0] for s in row] for row in sums],
-            fix[1] and [[s[1] for s in row] for row in sums], fix[2])
+    return _sums_step([[[[s] for s in _dot_sums(cs, table, counter)]
+                        for cs in row] for row in coeffs], table._fix, p)
+
+
+def _sums_step(diffs, fix, p):
+    """The step of a grid of difference tables of fused-dot sums
+    (bl.n_dot_sums, one table per sum, _difference_table; a dot's own sums
+    are tables of one step) at their current step, on the table form fix:
+    the node of the midpoint and radius sums on a real table (one
+    exponent), else their balls."""
+    if len(fix) == 2:
+        return [[bl.n_ball_from_sums([s[0] for s in seqs], fix, p)
+                 for seqs in row] for row in diffs]
+    return ([[seqs[0][0] for seqs in row] for row in diffs],
+            fix[1] and [[seqs[1][0] for seqs in row] for row in diffs], fix[2])
 
 
 def _node_round(mids, rads, e, p):
@@ -415,9 +428,13 @@ def _node_mul(A, B, p, counter: OpCounter):
         return _node_round([[v]], [[abs(a) * rb + ra * abs(b) + ra * rb]],
                            ea + eb, p)
     ar, br = _rads(A), _rads(B)
-    made = sum(sum(1 for c, r in zip(*acol) if c or r)
-               * sum(1 for c, r in zip(*brow) if c or r)
-               for acol, brow in zip(zip(zip(*am), zip(*ar)), zip(bm, br)))
+    # sum_t (nonzeros in column t of A) (in row t of B), from flags c | r
+    # (r >= 0) made once per operand at C level
+    r = len(am)
+    fa, fb = (list(map(or_, chain(*X), chain(*R)))
+              for X, R in ((am, ar), (bm, br)))
+    made = sum([(r - fa[t::r].count(0)) * (r - fb[t * r:t * r + r].count(0))
+                for t in range(r)])
     counter.nonscalar += made
     if not any(map(any, ar + br)):
         counter.exact_merges += made
@@ -428,16 +445,6 @@ def _node_mul(A, B, p, counter: OpCounter):
         intmul.mat_mul(ar, [[abs(c) + r for c, r in zip(*rows)]
                             for rows in zip(bm, br)]))]
     return _node_round(intmul.mat_mul(am, bm), rads, ea + eb, p)
-
-
-def _node_add(S, D, p):
-    """S + D for two nodes on one exponent (steps of one power table),
-    exactly, or for two ball matrices."""
-    if not isinstance(S, tuple):
-        return [[bl.n_add(s, d, p) for s, d in zip(*rows)]
-                for rows in zip(S, D)]
-    return (*([[a + b for a, b in zip(*rows)] for rows in zip(X, Y)]
-              if X else None for X, Y in zip(S[:2], D[:2])), S[2])
 
 
 # ---------------------------------------------------------------------------
@@ -764,51 +771,36 @@ def _rect_ps(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
                                               counter)
 
 
-def _rect_split(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
-                reverse: bool):
-    p = plan.work_prec
-    m = plan.m
+def _rect(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
+          reverse: bool):
+    """rect-split and rect-delta: the w = n // m giant steps G(z, i m) of
+    _bivariate_steps, with G = U_0(x + k) for rect-split on a
+    shift-symmetric matrix (U_i(x) = U_0(x + i m); U_0's UniPoly entries
+    stand for it) and rect-delta's _giant_step_poly; rect-split otherwise
+    makes every step as the exact U_i."""
+    p, m = plan.work_prec, plan.m
     w = n // m
-    dx = M.deg_x()
-    table = PowerTable(z, max(m * dx, dx), p, counter)
+    table = PowerTable(z, m * M.deg_x(), p, counter)
     if not w:
         return table, 0, ()
-    U = _exact_product(M, 0, m, counter)
-    if not (plan.symmetric and _sums_are_polynomial(table)):
+    delta = plan.algorithm == "rect-delta"
+    G = (_giant_step_poly(M, m, counter) if delta
+         else _exact_product(M, 0, m, counter))
+    if not (delta or plan.symmetric and table._fix is not None):
         counter.giant_step = "exact product"
         return table, m * w, _subproduct_steps(M, m, _order(w, reverse), table,
-                                               table.D + 1, p, counter, U)
-    counter.giant_step = "difference table"
-    start, step = ((w - 1) * m, -m) if reverse else (0, m)
-
-    def sums(e):
-        # U_0(x + s) = sum_k s^k c_k(x) with c_k = [C(a + k, k) u_(a+k)]_a
-        # for u = e, so each sum of its dot is a polynomial in s >= 0
-        u = e.coeffs
-        counter.coeff += len(u) * (len(u) + 1) // 2
-        polys = [list(t) if any(t) else [0] for t in zip(*[_dot_sums(
-            [math.comb(a, k) * u[a] for a in range(k, len(u))], table, counter)
-            for k in range(max(1, len(u)))])]
-        count = max(1, min(len(u), w))
-        counter.adds += count * sum(len(P) - 1 for P in polys)
-        for s in range(start, start + count * step, step):
-            yield [reduce(lambda acc, c: acc * s + c, reversed(P))
-                   for P in polys]
-
-    diffs = _difference_table(U, sums, table, counter,
-                              sum(len(e.coeffs) for row in U for e in row))
-    return table, m * w, _difference_steps(diffs, w, table, p, counter)
+                                               table.D + 1, p, counter, G)
+    by_table, steps = _bivariate_steps(G, *((w - 1) * m, -m) if reverse
+                                       else (0, m), w, table, p, counter)
+    if w > 1 or not delta:  # one step of rect-delta is no update
+        counter.giant_step = "difference table" if by_table else "exact product"
+    return table, m * w, steps
 
 
-def _sums_are_polynomial(table):
-    """A difference table's precondition (see Difference tables)."""
-    return table._fix is not None
-
-
-def _dot_sums(coeffs, table, counter, bounds=None):
+def _dot_sums(coeffs, table, counter):
     """bl.n_dot_sums of coeffs on the table's fixed-point form."""
     counter.scalar += len(coeffs) - coeffs.count(0)
-    return bl.n_dot_sums(coeffs, table._fix, bounds)
+    return bl.n_dot_sums(coeffs, table._fix)
 
 
 def _difference_table(grid, sums, table, counter, live):
@@ -836,108 +828,88 @@ def _difference_table(grid, sums, table, counter, live):
 
 
 def _difference_steps(diffs, w, table, p, counter):
-    """The w steps from the difference table, each made from its sums as
-    _dot_step makes them; then Delta^j <- Delta^j + Delta^(j+1) for
-    j = 0, 1, ... (exact integer additions, counted in adds) moves every sum
-    on to the next step."""
+    """The w steps from the difference table, each made from its sums by
+    _sums_step; then Delta^j <- Delta^j + Delta^(j+1) for j = 0, 1, ...
+    (exact integer additions, counted in adds) moves every sum on to the
+    next step."""
     fix = table._fix
     sums = [s for row in diffs for seqs in row for s in seqs if len(s) > 1]
     adds = sum(len(s) - 1 for s in sums)
-    for i in range(w):
-        yield (([[seqs[0][0] for seqs in row] for row in diffs],
-                fix[1] and [[seqs[1][0] for seqs in row] for row in diffs],
-                fix[2]) if len(fix) == 3 else
-               [[bl.n_ball_from_sums([s[0] for s in seqs], fix, p)
-                 for seqs in row] for row in diffs])
-        if i + 1 < w:
-            for s in sums:
-                for j in range(len(s) - 1):
-                    s[j] += s[j + 1]
-            counter.adds += adds
+    yield _sums_step(diffs, fix, p)
+    for _ in range(w - 1):
+        for s in sums:
+            for j in range(len(s) - 1):
+                s[j] += s[j + 1]
+        counter.adds += adds
+        yield _sums_step(diffs, fix, p)
+
+
+def _k_columns(e):
+    """The columns g_b, b = 0, 1, ..., of an entry G(x, k) =
+    sum_b k^b g_b(x) of _bivariate_steps, as x-coefficient lists: a
+    BiPoly's own, or for a UniPoly u those of u(x + k),
+    g_b = [C(a + b, b) u_(a+b)]_a, made one at a time; at least one."""
+    if isinstance(e, UniPoly):
+        u = e.coeffs
+        return ([math.comb(a, b) * u[a] for a in range(b, len(u))]
+                for b in range(max(1, len(u))))
+    return zip_longest(*e.grid or [[0]], fillvalue=0)
 
 
 def _bivariate_steps(E, first, step, count, table, p, counter):
-    """(by_table, steps): the count steps [[e(z, k)]] for k = first,
-    first + step, ... (all k >= 0), e over a grid E of BiPoly in (x, k).
-    When _sums_are_polynomial holds, the dot sums at the first deg_k e + 1
-    indices make a difference table (by_table), with the radius sums of the
-    absolute k-rows; else each step is eval_k and a dot (_dot_step)."""
+    """(by_table, steps): the count steps [[G(z, k)]] for k = first,
+    first + step, ... (all k >= 0), over a grid E of G(x, k): BiPoly, or a
+    UniPoly u for u(x + k) (_k_columns; by_table only).  by_table: from a
+    difference table, on a table with a fixed-point form (see Difference
+    tables); else each step is eval_k and a dot (_dot_step)."""
     if not count:
         return False, ()
     ks = range(first, first + count * step, step)
-    live = sum(len(kr) for row in E for e in row for kr in e.grid)
+    live = sum(len(e.coeffs) if isinstance(e, UniPoly)
+               else sum(map(len, e.grid)) for row in E for e in row)
+    if table._fix is None:  # eval_k reads every coefficient at each index
+        counter.coeff += count * live
+        counter.note_live_coeffs(live + table.D + 1)
+        return False, (_dot_step([[e.eval_k(k).coeffs for e in row]
+                                  for row in E], table, p, counter) for k in ks)
 
-    def at(e, k):
-        counter.coeff += sum(map(len, e.grid))
-        return e.eval_k(k).coeffs
+    def sums(e):  # the column sums as polynomials in k, all-zero ones cut
+        cols = []
+        for g in _k_columns(e):
+            counter.coeff += len(g)
+            cols.append(_dot_sums(g, table, counter))
+        polys = [P if any(P) else (0,) for P in zip(*cols)]
+        starts = ks[:len(cols)]
+        counter.adds += len(starts) * sum(len(P) - 1 for P in polys)
+        for k in starts:
+            yield [reduce(lambda acc, c: acc * k + c, reversed(P))
+                   for P in polys]
 
-    def sums(e):  # radii by |c| on a row of one sign, else its absolute row
-        mixed = [min(r, default=0) < 0 < max(r, default=0) for r in e.grid]
-        for k in ks[:max(1, e.deg_k() + 1)]:
-            cs = at(e, k)
-            yield _dot_sums(cs, table, counter, any(mixed) and [
-                reduce(lambda acc, t: acc * k + abs(t), reversed(r), 0)
-                if x else abs(c)
-                for r, x, c in zip(e.grid, mixed, cs + [0] * len(mixed))])
-
-    if _sums_are_polynomial(table):
-        diffs = _difference_table(E, sums, table, counter, live)
-        return True, _difference_steps(diffs, count, table, p, counter)
-    counter.note_live_coeffs(live + table.D + 1)
-    return False, (_dot_step([[at(e, k) for e in row] for row in E], table, p,
-                             counter) for k in ks)
-
-
-def _rect_delta(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
-                reverse: bool):
-    m = plan.m
-    dx = M.deg_x()
-    table = PowerTable(z, max(m * dx, dx), plan.work_prec, counter)
-    steps = _delta_steps(M, m, n // m, table, plan.work_prec, counter)
-    # last first, the steps are still made in order and then held: the
-    # backward update S_i - Delta_m would subtract from the largest step
-    # and lose the bits of its ratio to the smallest
-    return table, n // m * m, list(steps)[::-1] if reverse else steps
+    return True, _difference_steps(_difference_table(E, sums, table, counter,
+                                                     live),
+                                   count, table, p, counter)
 
 
-def _delta_steps(M, m, w, table, p, counter):
-    """rect-delta's giant steps S_i = prod_{t<m} M(z, i m + t), i < w:
-    S_0 = C_0 is one exact product over Z[x] evaluated by scalar operations
-    (products of table powers would carry the table's exponent into every
-    later nonscalar product), then S_{i+1} = S_i + Delta_m(z, i m), exact on
-    nodes (_node_add)."""
-    if not w:
-        return
-    S, = _subproduct_steps(M, m, (0,), table, table.D + 1, p, counter)
-    yield S
-    if w < 2:
-        return
-    by_table, deltas = _bivariate_steps(bivariate_delta(M, m, counter), 0, m,
-                                        w - 1, table, p, counter)
-    counter.giant_step = "difference table" if by_table else "delta evaluation"
-    for D in deltas:
-        yield (S := _node_add(S, D, p))
+def _giant_step_poly(M: RecMatrix, m: int, counter: OpCounter):
+    """G(x, k) = prod_{t<m} M(x, k + t), later factors on the left, expanded
+    over Z[x, k] by exact bivariate binary splitting: rect-delta's giant
+    step S_i is G(z, i m)."""
+    G = product_binsplit_exact([[[e.shift_k(t) for e in row]
+                                 for row in M.entries] for t in range(m)])
+    counter.coeff += sum(len(kr) for row in G for e in row for kr in e.grid)
+    return G
 
 
 def bivariate_delta(M: RecMatrix, m: int, counter: OpCounter | None = None):
-    """Delta_m = prod_{i<m} M(x, k+m+i) - prod_{i<m} M(x, k+i), expanded by
-    exact bivariate binary splitting; the second product is the first
-    shifted by k -> k + m."""
-    lo_factors = [[[e.shift_k(i) for e in row] for row in M.entries]
-                  for i in range(m)]
-    lo = product_binsplit_exact(lo_factors)
-    hi = [[e.shift_k(m) for e in row] for row in lo]
-    r = M.r
-    if counter is not None:
-        counter.coeff += sum(sum(len(kr) for kr in lo[i][j].grid)
-                             + sum(len(kr) for kr in hi[i][j].grid)
-                             for i in range(r) for j in range(r))
-    return [[hi[i][j] - lo[i][j] for j in range(r)] for i in range(r)]
+    """Delta_m = prod_{i<m} M(x, k+m+i) - prod_{i<m} M(x, k+i), that is
+    G(x, k + m) - G(x, k) for rect-delta's G (_giant_step_poly)."""
+    return [[e.shift_k(m) - e for e in row]
+            for row in _giant_step_poly(M, m, counter or OpCounter())]
 
 
 _ENGINES = {"naive": _naive, "binsplit-exact": _rect_ps,
             "multipoint": _multipoint, "rect-ps": _rect_ps,
-            "rect-split": _rect_split, "rect-delta": _rect_delta}
+            "rect-split": _rect, "rect-delta": _rect}
 
 
 # ---------------------------------------------------------------------------

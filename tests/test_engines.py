@@ -412,13 +412,13 @@ class TestDifferenceTable:
 class TestTaylorSums:
     """rect-split's first sums of each entry of U_0, made from the dot sums
     of its Taylor coefficients and Horner in the shift, are the dot sums of
-    U_0 shifted by each step's start, in both orders."""
+    U_0 shifted by each step's start, in both orders; rect-delta's steps
+    taken last first are its forward steps, bit for bit."""
 
     CPX = ComplexBall(Ball.from_fraction(Fraction(3, 2), 512),
                       Ball.from_fraction(Fraction(-5, 7), 512))
 
-    @pytest.mark.parametrize("row", [None, 0])
-    @pytest.mark.parametrize("M, z, n, m", [
+    CASES = [
         (RISING, Fraction(1, 3), 23, 7),     # w = 3 < D + 1 = 8
         (RISING, Fraction(1, 3), 100, 7),    # w = 14 > D + 1
         (RISING, Fraction(5, 4), 23, 7),
@@ -429,7 +429,15 @@ class TestTaylorSums:
         (RecMatrix([[bipoly_from_text("-x - k")]]), Fraction(2, 7), 100, 7),
         (RecMatrix([[bipoly_from_text("-x - k")]]), Fraction(2, 7), 20, 9),
         (RecMatrix([[bipoly_from_text("x + k - 3")]]), Fraction(1, 4), 100, 7),
-        (RecMatrix([[bipoly_from_text("x + k - 3")]]), Fraction(1, 4), 30, 7)])
+        (RecMatrix([[bipoly_from_text("x + k - 3")]]), Fraction(1, 4), 30, 7)]
+
+    @staticmethod
+    def _z(z):
+        return ((512, z) if isinstance(z, ComplexBall)
+                else (256, Ball.from_fraction(z, 256)))
+
+    @pytest.mark.parametrize("row", [None, 0])
+    @pytest.mark.parametrize("M, z, n, m", CASES)
     def test_sums_are_those_of_the_shifted_entries(self, monkeypatch, M, z,
                                                    n, m, row):
         seen = []
@@ -440,8 +448,7 @@ class TestTaylorSums:
 
         real = engines._difference_table
         monkeypatch.setattr(engines, "_difference_table", spy)
-        p = 512 if isinstance(z, ComplexBall) else 256
-        zb = z if isinstance(z, ComplexBall) else Ball.from_fraction(z, p)
+        p, zb = self._z(z)
         rep = eval_dispatch(M, zb, n, p, algorithm="rect-split", m=m, row=row)
         assert rep.counter.giant_step == "difference table"
         grid, sums, table = seen[0]  # rect-split's, before the leftovers
@@ -455,6 +462,22 @@ class TestTaylorSums:
                                  .coeffs, table._fix) for i in range(count)]
             assert list(sums(e)) == ref
 
+    @pytest.mark.parametrize("M, z, n, m", CASES + [
+        (companion(ScalarRecurrence([bipoly_from_text("x + k^2"),
+                                     bipoly_from_text("x - k + 2"),
+                                     bipoly_from_text("1 + k")])),
+         Fraction(1, 3), 100, 7)])
+    def test_rect_delta_last_first(self, M, z, n, m):
+        # row mode starts at (w - 1) m and steps by -m; the sums are exact,
+        # also on a companion matrix with mixed k-rows
+        p, zb = self._z(z)
+        plan = make_plan(M, zb, n, p, "rect-delta", m)
+        steps = [[_matrix_key(S) for S in engines._ENGINES["rect-delta"](
+            M, zb, n, plan, engines.OpCounter(), reverse)[2]]
+            for reverse in (False, True)]
+        assert len(steps[0]) == n // m
+        assert steps[1] == steps[0][::-1]
+
 
 def _eval_k_steps(E, ks, table, p):
     """The reference for _bivariate_steps on a table with a fixed-point
@@ -463,14 +486,22 @@ def _eval_k_steps(E, ks, table, p):
     at k: on a real table the node of the dot sums, on a complex one their
     balls."""
     fix = table._fix
+    parts = fix if len(fix) == 2 else (fix,)
+
+    def sums(e, k):
+        cs = e.eval_k(k).coeffs
+        bounds = [sum(abs(c) * k ** b for b, c in enumerate(r))
+                  for r in e.grid]
+        return [s for mids, rads, _ in parts for s in (
+            sum(c * x for c, x in zip(cs, mids)),
+            0 if rads is None else sum(c * x for c, x in zip(bounds, rads)))]
+
     for k in ks:
-        sums = [[bl.n_dot_sums(e.eval_k(k).coeffs, fix, [
-            sum(abs(c) * k ** b for b, c in enumerate(r)) for r in e.grid])
-            for e in row] for row in E]
-        yield ([[bl.n_ball_from_sums(s, fix, p) for s in row] for row in sums]
-               if len(fix) == 2 else
-               ([[s[0] for s in row] for row in sums],
-                fix[1] and [[s[1] for s in row] for row in sums], fix[2]))
+        sums_k = [[sums(e, k) for e in row] for row in E]
+        yield ([[bl.n_ball_from_sums(s, fix, p) for s in row]
+                for row in sums_k] if len(fix) == 2 else
+               ([[s[0] for s in row] for row in sums_k],
+                fix[1] and [[s[1] for s in row] for row in sums_k], fix[2]))
 
 
 def _horner_steps(E, ks, table, p):
@@ -608,11 +639,9 @@ class TestBivariateDifferences:
 
     def test_mixed_signs_at_inexact_z_take_the_table(self, monkeypatch):
         M, n, m = self.MIXED, 23, 5
-        w = n // m
 
-        def setup(E, count):  # a table's dots: deg_k + 1 indices per entry
-            return sum(min(count, max(1, e.deg_k() + 1))
-                       for row in E for e in row)
+        def setup(E):  # a table's dots: one per k^b column of each entry
+            return sum(max(1, e.deg_k() + 1) for row in E for e in row)
 
         calls = _count_dots(monkeypatch)
         for zname in ("inexact", "complex inexact", "exact"):
@@ -620,15 +649,16 @@ class TestBivariateDifferences:
             rep = eval_dispatch(M, self.ZS[zname], n, 256, algorithm="naive")
             # naive: every factor is a leftover one, from the table's dots
             # (4 per factor without it)
-            assert len(calls) == setup(M.entries, n) < 4 * n
+            assert len(calls) == setup(M.entries) < 4 * n
             calls.clear()
             rep = eval_dispatch(M, self.ZS[zname], n, 256,
                                 algorithm="rect-delta", m=m)
             assert rep.counter.giant_step == "difference table"
-            # C_0's 4 dots, then the tables of the Delta steps and of the
-            # leftover factors
-            assert len(calls) == 4 + setup(bivariate_delta(M, m), w - 1) \
-                + setup(M.entries, n - m * w)
+            # the tables of the giant steps G(z, i m) and of the leftover
+            # factors, and no other dot
+            assert len(calls) == setup(engines._giant_step_poly(
+                M, m, engines.OpCounter())) \
+                + setup(M.entries)
 
     # shift-symmetric, with the mixed x^0 rows k - 3 and 2 - k
     SYMMETRIC_MIXED = RecMatrix([
@@ -656,11 +686,34 @@ class TestBivariateDifferences:
                 assert all(_contains(v, e) for vrow, erow in zip(
                     rep.matrix, exact) for v, e in zip(vrow, erow)), (M, n)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("zname", ["inexact", "complex inexact"])
+    @pytest.mark.parametrize("M", [RecMatrix([[bipoly_from_text("x + k - 3")]]),
+                                   SYMMETRIC_MIXED, hyp1f1_gamma_matrix(300)])
+    def test_rect_split_and_rect_delta_make_the_same_steps(self, M, zname,
+                                                           reverse):
+        # on a shift-symmetric matrix U_0(x + k) = prod_{t<m} M(x, k + t):
+        # both engines hand the one kernel the same G, so their steps are
+        # the same nodes or balls, radii included where G's k-rows change
+        # sign, in both orders
+        assert M.shift_symmetry_holds()
+        z, p, n, m = self.ZS[zname], 256, 100, 7
+        steps = []
+        for alg in ("rect-split", "rect-delta"):
+            counter = engines.OpCounter()
+            _, covered, S = engines._ENGINES[alg](
+                M, z, n, make_plan(M, z, n, p, alg, m), counter, reverse)
+            assert counter.giant_step == "difference table"
+            assert covered == n // m * m
+            steps.append([_matrix_key(X) for X in S])
+        assert len(steps[0]) == n // m
+        assert steps[0] == steps[1]
+
     def test_tiny_z_falls_back(self):
         # no fixed-point form of the powers of 2^-3000 at p = 64
         z = Ball.from_man_exp(1, -3000)
         rep = eval_dispatch(RISING, z, 40, 64, algorithm="rect-delta", m=8)
-        assert rep.counter.giant_step == "delta evaluation"
+        assert rep.counter.giant_step == "exact product"
 
     def test_one_giant_step_records_no_update(self):
         z = Ball.from_fraction(Fraction(1, 3), 128)
@@ -669,19 +722,23 @@ class TestBivariateDifferences:
 
     @pytest.mark.parametrize("alg", ["rect-delta", "naive"])
     def test_counts_on_the_rising_factorial(self, monkeypatch, alg):
-        # eval_k and the dot at deg_k + 1 indices only; a step adds about
-        # as many differences as the dot had coefficients (one for x + k at
-        # an exact z, where the radius sums are 0)
+        # one dot per k^b column, against eval_k and a dot at every index on
+        # a table with no fixed-point form; a step adds about as many
+        # differences as the dot had coefficients (one for x + k at an exact
+        # z, where the radius sums are 0), and the set-up adds Horner in k at
+        # deg_k + 1 indices (m + 1 = 14 for rect-delta's G)
         z, n, p = Ball.from_fraction(Fraction(1, 4), 4096), 1000, 4096
         rep = eval_dispatch(RISING, z, n, p, algorithm=alg, m=13)
         with monkeypatch.context() as mp:
-            mp.setattr(engines, "_sums_are_polynomial", lambda *_: False)
+            mp.setattr(bl, "n_fixed_point", lambda *_: None)
             ref = eval_dispatch(RISING, z, n, p, algorithm=alg, m=13)
+        assert rep.counter.giant_step == (
+            "difference table" if alg == "rect-delta" else None)
         assert rep.counter.nonscalar == ref.counter.nonscalar
         assert rep.counter.coeff < ref.counter.coeff / 4
         assert rep.counter.scalar < ref.counter.scalar / 4
         assert ref.counter.adds == 0
-        assert rep.counter.adds < (1.1 if alg == "rect-delta" else 0.6) \
+        assert rep.counter.adds < (1.3 if alg == "rect-delta" else 0.6) \
             * ref.counter.scalar
 
 
@@ -964,8 +1021,8 @@ def _holds(C, V, e):
 
 
 class TestNode:
-    """The node product and addition (engines, Fixed point) against exact
-    integers at the vertices of the operands' boxes."""
+    """The node product (engines, Fixed point) against exact integers at the
+    vertices of the operands' boxes."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(1, 3),
@@ -974,15 +1031,14 @@ class TestNode:
     def test_product_and_sum_contain_the_exact_values(self, seed, r, p, ea,
                                                       eb):
         # the exact product of sampled vertices of the operands' boxes lies
-        # in the node product, and the exact sum in the node sum; entries
-        # span up to the cap of p bits, and 1 x 1 operands at p = 2^17 lie
+        # in the node product; entries span up to the cap of p bits, and 1 x 1 operands at p = 2^17 lie
         # on both sides of FFT_MIN_BITS (one `*`, or intmul.mat_mul)
         rng = random.Random(seed)
         fft = p > intmul.FFT_MIN_BITS and r == 1
         top = (rng.choice((intmul.FFT_MIN_BITS - 1, intmul.FFT_MIN_BITS + 8))
                if fft else rng.randint(1, 2 * p))
-        A, B, D = (_rand_node(rng, r, 1 if fft else p, top, exact)
-                   for exact in (ea, eb, ea))
+        A, B = (_rand_node(rng, r, 1 if fft else p, top, exact)
+                for exact in (ea, eb))
         counter = engines.OpCounter()
         C = engines._node_mul(A, B, p, counter)
         (am, ar), (bm, br) = ((X[0], engines._rads(X)) for X in (A, B))
@@ -1007,10 +1063,6 @@ class TestNode:
             assert max(tops, default=0) - min(tops, default=0) <= p
             if exact and C[2] == A[2] + B[2]:
                 assert C[1] is None
-        D = D[:2] + A[2:]  # the steps of one power table share it
-        a, d = _vertex(rng, A), _vertex(rng, D)
-        assert _holds(engines._node_add(A, D, p), [
-            [x + y for x, y in zip(*rows)] for rows in zip(a, d)], A[2])
 
     @pytest.mark.parametrize("r", [2, 3])
     @pytest.mark.parametrize("above", [False, True])
@@ -1429,8 +1481,8 @@ class TestInstrumentation:
         assert peaks[32] <= 3 * peaks[16]
 
     def test_rect_delta_nonscalar_count(self):
-        # power table m - 1, giant steps w - 1, leftover n - m w: the first
-        # giant step C_0 is an exact product evaluated by scalar operations
+        # power table m - 1, giant steps w - 1, leftover n - m w: every giant
+        # step G(z, i m) comes from the table by scalar operations
         for n, m in ((16, 4), (100, 7), (1000, 13), (37, 1), (5, 5)):
             w = n // m
             for z in (Fraction(1, 8), Fraction(2, 3)):
