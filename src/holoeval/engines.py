@@ -66,7 +66,8 @@ on the 1F1 matrix [[a, b], [0, N^m]] a step costs two p x p products where
 S V makes three, and the row's entries span up to p + 39 bits (1F1 at
 p = 2048 and 8192).  Exact subproducts over Z[x] are evaluated by
 Paterson-Stockmeyer (_subproduct_steps); rows as long as the table make
-one fused dot.  An x-dependent denominator is the same loop on [q].
+one fused dot.  An x-dependent denominator q is rect-delta's loop on [q]
+(_den_product), its steps off the difference table.
 
 Difference tables
 -----------------
@@ -456,7 +457,9 @@ def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
 
     Pure-k denominators are multiplied exactly over Z (coefficient work
     only); x-dependent denominators are evaluated as a 1x1 parametric
-    product."""
+    product by rect-delta, whose steps G(z, i m), G = prod_{t<m} q(x, k + t),
+    come off the difference table by additions; rect-split takes an exact
+    subproduct per step unless q(x, k) is a polynomial in x + k."""
     if M.has_trivial_den() or n == 0:
         return bl.n_one(z)
     den = M.den
@@ -473,10 +476,11 @@ def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
         return bl.n_from_int(product_binsplit_exact(vals)[0][0], z)
     sub = RecMatrix([[den]])
     # the 1x1 denominator product must be provably nonzero, so it always
-    # goes through the stable scalar-only engine: the multipoint remainder
-    # tree can lose O(n) bits, and the full exact product evaluates a
-    # degree-n polynomial whose coefficients dwarf a tiny value
-    den_plan = make_plan(sub, z, n, plan.prec, "rect-split")
+    # goes through a scalar-only engine, whatever the numerator's: the
+    # multipoint remainder tree can lose O(n) bits, and the full exact
+    # product evaluates a degree-n polynomial whose coefficients dwarf a
+    # tiny value
+    den_plan = make_plan(sub, z, n, plan.prec, "rect-delta")
     # sign-changing denominators can cost O(m) extra bits in expanded form;
     # escalate the guard until the product separates from zero
     boost = 64 + den_plan.m * (den.deg_k() * max(n, 2).bit_length() + 8)
@@ -812,7 +816,8 @@ def _difference_table(grid, sums, table, counter, live):
     for row in grid:
         drow = []
         for e in row:
-            seqs = [list(s) for s in zip(*sums(e))]
+            # an all-zero sequence (a radius sum at an exact z) is [0]
+            seqs = [list(s) if any(s) else [0] for s in zip(*sums(e))]
             for s in seqs:
                 for k in range(1, len(s)):
                     for j in range(len(s) - 1, k - 1, -1):

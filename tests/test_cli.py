@@ -179,8 +179,8 @@ class TestCommands:
         # the naive tree makes its 99 products as exact integer merges
         # (the product has fewer than 1024 bits), at z = 1/3 none; the
         # factors x + k take one dot per k-column (scalar 2); adds are
-        # Horner at 2 indices of the midpoint sum, a difference of each sum
-        # and 99 steps
+        # Horner at 2 indices of the midpoint sum, its one difference and 99
+        # steps (the radius sum, all zero at the exact z, takes none)
         spec = tmp_path / "rising.spec"
         spec.write_text(RISING_SPEC)
         lines = []
@@ -189,7 +189,7 @@ class TestCommands:
             assert main(argv + ["--algorithm", "naive",
                                 "--prec-bits", "1024"]) == 0
             lines.append(capsys.readouterr().err.strip())
-        assert lines[0].endswith("nonscalar=99, scalar=2, adds=103, "
+        assert lines[0].endswith("nonscalar=99, scalar=2, adds=102, "
                                  "exact_merges=99)")
         assert lines[1].endswith(", exact_merges=0)")
         assert lines[2] == lines[0]

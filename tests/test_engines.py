@@ -349,6 +349,17 @@ class TestDifferenceTable:
                                         256, 7, row=row)
         assert rep.matrix[0][0].contains(rising_exact(zq - 3, 100))
 
+    def test_zero_sequences_take_no_differences(self):
+        # a midpoint sum k^2 + 1 and a radius sum that is 0 at every step
+        # (an exact z): only the first is differenced and counted
+        counter = engines.OpCounter()
+        table = PowerTable(Ball.from_fraction(Fraction(1, 4), 64), 1, 64)
+        seq = [(k * k + 1, 0) for k in range(4)]
+        diffs = engines._difference_table([[None]], lambda e: iter(seq),
+                                          table, counter, 0)
+        assert diffs == [[[[1, 1, 2], [0]]]]
+        assert counter.adds == 4 * 3 // 2
+
     @pytest.mark.parametrize("n", [21, 23])
     def test_degree_at_least_w_uses_w_sums(self, n):
         # w = 3 giant steps of degree 7: the table holds the 3 sums that
@@ -1431,6 +1442,15 @@ class TestCrossAlgorithmAgreement:
             assert v.re.contains(exact_re) and v.im.contains(exact_im), alg
 
 
+def _workload_companions(rng):
+    """Companions of orders 1-3 drawn as the recurrences workload draws
+    them: a_j(x, k) of degree 2 in x and in k with entries +-5 of seeded
+    signs."""
+    return [companion(ScalarRecurrence(
+        [BiPoly([[rng.choice((-5, 5)) for _ in range(3)] for _ in range(3)])
+         for _ in range(order + 1)])) for order in (1, 2, 3)]
+
+
 class TestDenominators:
     def test_pure_k_denominator_exact(self):
         M = RecMatrix([[bipoly_from_text("2")]], bipoly_from_text("1 + k"))
@@ -1455,6 +1475,75 @@ class TestDenominators:
             with pytest.raises(DenominatorZeroError) as err:
                 eval_dispatch(M, Ball.one(), 10, 64, algorithm=alg)
             assert err.value.index == 3
+
+    @pytest.mark.parametrize("z", [Ball.from_int(3), Ball(3, 0, 1, -62)],
+                             ids=["exact", "64-bit"])
+    def test_x_dependent_vanishing_reported(self, z):
+        # q(x, k) = x - k vanishes at k = 3 for z = 3; the 64-bit ball
+        # 3 +- 2^-62 contains that zero
+        M = RecMatrix([[bipoly_from_text("1")]], bipoly_from_text("x - k"))
+        for alg in ALGORITHMS:
+            with pytest.raises(DenominatorZeroError) as err:
+                eval_dispatch(M, z, 10, 64, algorithm=alg)
+            assert err.value.index == 3, alg
+
+    COMPANIONS = _workload_companions(random.Random(24))
+
+    @staticmethod
+    def _exact_den(q, re, im, n):
+        """prod_{i<n} q(z, i) for z = re + im i, as (real, imaginary)
+        Fractions: Gaussian integers over the common denominator d^deg_x."""
+        d = re.denominator * im.denominator
+        a, c, dx = int(re * d), int(im * d), q.deg_x()
+        pows = [(1, 0)]
+        for _ in range(dx):
+            u, v = pows[-1]
+            pows.append((u * a - v * c, u * c + v * a))
+        pr, pi = 1, 0
+        for i in range(n):
+            col = q.eval_k(i).coeffs
+            fr = sum(g * u * d ** (dx - j) for j, (g, (u, _)) in
+                     enumerate(zip(col, pows)))
+            fi = sum(g * v * d ** (dx - j) for j, (g, (_, v)) in
+                     enumerate(zip(col, pows)))
+            pr, pi = pr * fr - pi * fi, pr * fi + pi * fr
+        return Fraction(pr, d ** (dx * n)), Fraction(pi, d ** (dx * n))
+
+    @pytest.mark.parametrize("p", [128, 1024])
+    @pytest.mark.parametrize("zq", [(Fraction(2, 7), Fraction(0)),
+                                    (Fraction(3, 8), Fraction(-5, 4))],
+                             ids=["real", "complex"])
+    def test_x_dependent_product_by_the_difference_table(self, monkeypatch,
+                                                         zq, p):
+        # an x-dependent q makes no exact subproduct: its steps come off
+        # rect-delta's difference table; the reference is the rect-split
+        # plan on [q], an exact subproduct per step (q is not
+        # shift-symmetric).  At a full-mantissa complex z either path loses
+        # bits in proportion to the ball merges of its chain (none left at
+        # n = 1024, p = 128), so the complex z here is short.
+        re, im = zq
+        z = (Ball.from_fraction(re, p) if not im else
+             ComplexBall(Ball.from_fraction(re, p), Ball.from_fraction(im, p)))
+        calls = []
+        spied = engines._subproduct_steps
+        monkeypatch.setattr(engines, "_subproduct_steps",
+                            lambda *a, **k: calls.append(1) or spied(*a, **k))
+        for M in self.COMPANIONS:
+            sub = RecMatrix([[M.den]])
+            for n in (7, 64, 257, 1024):
+                plan = make_plan(M, z, n, p)
+                den = engines._den_product(M, z, n, plan,
+                                           engines.OpCounter())
+                assert not calls, (M.r, n)
+                ere, eim = self._exact_den(M.den, re, im, n)
+                assert (den.contains(ere, eim) if im else
+                        den.contains(ere)), (M.r, n)
+                ref = engines._run(sub, z, n, make_plan(sub, z, n, p,
+                                                        "rect-split"),
+                                   engines.OpCounter())[0][0]
+                calls.clear()
+                assert (den.rel_accuracy_bits()
+                        >= ref.rel_accuracy_bits() - 1), (M.r, n)
 
 
 class TestInstrumentation:

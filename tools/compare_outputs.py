@@ -9,8 +9,10 @@ four workloads once and writes, per op, the (man, exp, rm, re) of every
 output ball (mantissas in hex) and the output's accuracy in bits; it exits
 1 if any output misses its reference (workloads.check, and for Gamma the
 pair check), or if an op raises.  diff lists the ops of two dumps whose
-bits or accuracy differ, and exits 1 if there is one.  The keys are
-workload:seed:index in the workload's op order.
+bits or accuracy differ, each with its accuracy change, then a tally line:
+the ops lower in accuracy (with the worst loss), those higher, and those of
+equal accuracy whose bits changed; it exits 1 if any op differs.  The keys
+are workload:seed:index in the workload's op order.
 """
 
 from __future__ import annotations
@@ -88,8 +90,9 @@ def diff(path_a, path_b):
         a = json.load(fh)
     with open(path_b) as fh:
         b = json.load(fh)
-    changed = 0
-    for key in sorted(a.keys() | b.keys()):
+    keys = a.keys() | b.keys()
+    changed, lower, higher, same = 0, [], 0, 0
+    for key in sorted(keys):
         ra, rb = a.get(key), b.get(key)
         if ra == rb:
             continue
@@ -97,11 +100,22 @@ def diff(path_a, path_b):
         if ra is None or rb is None:
             print("%s: only in %s" % (key, path_a if rb is None else path_b))
             continue
-        bits = "bits same" if ra.get("bits") == rb.get("bits") else "bits differ"
-        print("%s %s: %s, accuracy_bits %s -> %s"
-              % (key, ra["metric"], bits, ra.get("accuracy_bits"),
-                 rb.get("accuracy_bits")))
-    print("%d of %d ops differ" % (changed, len(a.keys() | b.keys())))
+        same_bits = ra.get("bits") == rb.get("bits")
+        acc_a, acc_b = ra.get("accuracy_bits"), rb.get("accuracy_bits")
+        change = None if acc_a is None or acc_b is None else acc_b - acc_a
+        print("%s %s: %s, accuracy_bits %s -> %s%s"
+              % (key, ra["metric"], "bits same" if same_bits else "bits differ",
+                 acc_a, acc_b, "" if change is None else " (%+d)" % change))
+        if change is None:
+            continue
+        if change < 0:
+            lower.append((change, key))
+        higher += change > 0
+        same += change == 0 and not same_bits
+    worst = " (worst %+d, %s)" % min(lower) if lower else ""
+    print("%d of %d ops differ: %d lower in accuracy%s, %d higher, %d equal "
+          "with changed bits" % (changed, len(keys), len(lower), worst,
+                                 higher, same))
     return 1 if changed else 0
 
 
