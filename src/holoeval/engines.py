@@ -6,8 +6,8 @@ Algorithms
 naive           one factor at a time, O(n) full-precision multiplications
 binsplit-exact  rect-ps with one subproduct: the exact product of all n
                 factors over Z[x], evaluated once at z
-multipoint      giant-step polynomial in fixed point (integer midpoints
-                and radii), evaluated at 0, m, 2m, ... by a remainder tree
+multipoint      giant-step polynomial in fixed point, evaluated at 0, m,
+                2m, ... by a remainder tree of its integer midpoints
 rect-ps         exact subproducts of length ~n~ evaluated entrywise by
                 Paterson-Stockmeyer baby-step giant-step
 rect-split      giant-step products kept at degree O(m) in x, evaluated
@@ -25,19 +25,24 @@ Fixed point
 A node (mids, rads, e) is a matrix whose entry (i, j) lies in
 (mids[i][j] +- rads[i][j]) 2^e, with integer midpoints and radii on one
 exponent; rads is None for an exact node.  Multipoint's form is the same
-with polynomials in k for entries (_fix_form).  One argument keeps every
-value inside.  A product takes the midpoints exactly, and for a in
-a_m +- a_r, b in b_m +- b_r, |a b - a_m b_m| <= |a_m| b_r + a_r (|b_m| + b_r);
-sums add these terms.  A node product takes this radius exactly, by two
-integer matrix products |A_m| R_B + R_A (|B_m| + R_B); multipoint, whose
-entries are polynomials, bounds it by u_a 2^s_a b_r + a_r u_b 2^s_b with
-short upper bounds u_a 2^s_a >= |a_m| + a_r, u_b 2^s_b >= |b_m|
+with polynomials in k for entries, coefficient by coefficient (_fix_form).
+One argument keeps every value inside.  A product takes the midpoints
+exactly, and for a in a_m +- a_r, b in b_m +- b_r,
+|a b - a_m b_m| <= |a_m| b_r + a_r (|b_m| + b_r); sums add these terms.  A
+node product takes this radius exactly, by two integer matrix products
+|A_m| R_B + R_A (|B_m| + R_B); multipoint's polynomial entries bound it by
+u_a 2^s_a b_r + a_r u_b 2^s_b, u_a 2^s_a >= |a_m| + a_r, u_b 2^s_b >= |b_m|
 (_fix_upper).  Rounding (_fix_floor) writes c = (c >> s) 2^s + d with
 0 <= d < 2^s, keeps c >> s and adds d to the radius, rounded up to the
 unit 2^(e + s); a ball is put at 2^e alike (_fix_form).  Addition on one
-exponent is exact.  A node keeps p bits of its smallest nonzero entry, no
-fewer than p-bit balls would, and becomes a ball matrix past the spread
-cap, entries that span more than p bits (_node_round).
+exponent is exact, and a shift k -> k + c, c > 0, moves midpoints and radii
+alike (_fix_shift).  So a polynomial in k lies within R(k) of its midpoint
+polynomial at every k >= 0, R its radius polynomial (coefficients >= 0):
+the one radius rule, C_a(k) of the difference tables too.  Multipoint's
+remainder tree divides exact midpoints only; a leaf x takes R(x).  A node
+keeps p bits of its smallest nonzero entry, no fewer than p-bit balls
+would, and becomes a ball matrix past the spread cap, entries that span
+more than p bits (_node_round).
 
 The engine loop
 ---------------
@@ -51,23 +56,24 @@ every operand of a merge is within the cap: at a tiny inexact z a step's
 entries can span more than p bits, and rounding them on one exponent would
 swamp the smallest.  Every merge of the whole product is one node product
 (_node_mul), exact before rounding: one `*` on 1 x 1 below
-intmul.FFT_MIN_BITS (through mat_mul, naive took three times as long on a
-short z), else intmul.mat_mul.  A complex z, and a node past the cap,
-merge by ball_mat_mul.  _run chooses only the order: for a
-full-mantissa z the chain V <- S V, since a tree saves nothing there and
-its dense merges cost more on sparse companion factors; for a short z
-(_short_z), whose steps have O(m log n) bits, a balanced tree, a stack
-merged like a binary counter, whose operands stay short, and exact, up to
-the top levels (on 1 x 1 it makes as many products as the chain).  For one
-row r of the product the order turns round: the leftover factors from
-i = n - 1 down, then the steps last first, R <- R S on balls from R = row r
-of the first.  ball_mat_mul makes no product with an exact-zero factor, so
-on the 1F1 matrix [[a, b], [0, N^m]] a step costs two p x p products where
-S V makes three, and the row's entries span up to p + 39 bits (1F1 at
-p = 2048 and 8192).  Exact subproducts over Z[x] are evaluated by
-Paterson-Stockmeyer (_subproduct_steps); rows as long as the table make
-one fused dot.  An x-dependent denominator q is rect-delta's loop on [q]
-(_den_product), its steps off the difference table.
+intmul.FFT_MIN_BITS, else intmul.mat_mul.  A complex z, and a node past
+the cap, merge by ball_mat_mul.  _run chooses only the order: for a
+full-mantissa real z the chain V <- S V, since a tree's dense merges cost
+more on sparse companion factors; for a short z (_short_z), whose steps
+have O(m log n) bits, a balanced tree, a stack merged like a binary
+counter, whose operands stay short, and exact, up to the top levels (on
+1 x 1 it makes as many products as the chain); for a complex z the tree
+too, as a merge of axis-aligned boxes can widen them by sqrt 2, and the
+tree puts log n merges above a factor, the chain n.  For one row r of the
+product the order turns round: the leftover factors from i = n - 1 down,
+then the steps last first, R <- R S on balls from R = row r of the first.
+ball_mat_mul makes no product with an exact-zero factor, so on the 1F1
+matrix [[a, b], [0, N^m]] a step costs two p x p products where S V makes
+three, and the row's entries span up to p + 39 bits (1F1 at p = 2048 and
+8192).  Exact subproducts over Z[x] are evaluated by Paterson-Stockmeyer
+(_subproduct_steps); rows as long as the table make one fused dot.  An
+x-dependent denominator q is rect-delta's loop on [q] (_den_product), its
+steps off the difference table.
 
 Difference tables
 -----------------
@@ -477,9 +483,8 @@ def _den_product(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter):
     sub = RecMatrix([[den]])
     # the 1x1 denominator product must be provably nonzero, so it always
     # goes through a scalar-only engine, whatever the numerator's: the
-    # multipoint remainder tree can lose O(n) bits, and the full exact
-    # product evaluates a degree-n polynomial whose coefficients dwarf a
-    # tiny value
+    # full exact product and multipoint's one exponent evaluate
+    # polynomials whose coefficients can dwarf a tiny value
     den_plan = make_plan(sub, z, n, plan.prec, "rect-delta")
     # sign-changing denominators can cost O(m) extra bits in expanded form;
     # escalate the guard until the product separates from zero
@@ -534,6 +539,7 @@ def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
         for S in map(_ball_node, chain(tail, steps), repeat(p)):
             V = [S[row]] if V is None else ball_mat_mul(V, S, p, counter)
         return V
+    tree = plan.short_z or isinstance(z, ComplexBall)
     stack = []  # (factors covered, product)
     for k, S in chain(zip(repeat(plan.subn or plan.m), steps),
                       zip(repeat(1), tail)):
@@ -544,7 +550,7 @@ def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
             S = _node(S, p)
         elif len(S[0]) > 1:
             S = _node_round(*S, p)
-        while stack and (not plan.short_z or stack[-1][0] <= k):
+        while stack and (not tree or stack[-1][0] <= k):
             c, P = stack.pop()
             S, k = _node_mul(S, P, p, counter), k + c
         stack.append((k, S))
@@ -713,51 +719,45 @@ def _poly_mat_mul(A, B):
              for c, bcol in zip(crow, zip(*B))] for crow, arow in zip(C, A)]
 
 
-def _fix_rem(mids, rads, node: UniPoly, counter):
-    """The remainder by a monic integer polynomial, by synthetic division:
-    exact on the midpoints, and the radii take the same steps with |c|."""
-    nc = node.coeffs
-    d = len(nc) - 1
-    if len(mids) - 1 < d:
-        return mids, rads
-    mids, rads = list(mids), list(rads)
-    for i in range(len(mids) - 1 - d, -1, -1):
-        lead, lr = mids[i + d], rads[i + d]
-        if not (lead or lr):
-            continue
-        for j in range(d):
-            mids[i + j] -= lead * nc[j]
-        if lr:
-            for j in range(d):
-                rads[i + j] += lr * abs(nc[j])
-        counter.scalar += d
-    return mids[:d], rads[:d]
+def _fix_rem(cs, node: UniPoly, counter):
+    """The integer list cs mod a monic node, by exact synthetic division."""
+    *nc, _ = node.coeffs
+    cs, d = list(cs), len(nc)
+    for i in range(len(cs) - 1, d - 1, -1):
+        if cs[i]:
+            for j, c in enumerate(nc, i - d):
+                cs[j] -= cs[i] * c
+            counter.scalar += d
+    return cs[:d]
 
 
 def _fix_multipoint(F, points, p, r0: int, counter: OpCounter):
-    """The values F(x) at the integer points x, by a remainder tree over the
-    exact product tree: nodes at F's exponent, or for a complex F (r0 less
-    than its order) complex ball matrices."""
+    """F(x) at the integer points x >= 0 (see Fixed point), as nodes at F's
+    exponent, or for a complex F (r0 less than its order) complex ball
+    matrices: the midpoints by a remainder tree, the radii by Horner."""
     out = []
+    # all-zero radius polynomials (every one at an exact z) are skipped
+    rads = [[rs if any(rs) else () for rs in row] for row in F[1]]
 
-    def descend(node, mids, rads):
-        rems = [[_fix_rem(cs, rs, node.poly,
+    def descend(node, mids):
+        mids = [[_fix_rem(cs, node.poly,
                           counter if max(i, j) < r0 else OpCounter())
-                 for j, (cs, rs) in enumerate(zip(*rows))]
-                for i, rows in enumerate(zip(mids, rads))]
-        mids, rads = ([[x[k] for x in row] for row in rems] for k in (0, 1))
+                 for j, cs in enumerate(row)] for i, row in enumerate(mids)]
         if node.left is not None:
-            descend(node.left, mids, rads)
-            return descend(node.right, mids, rads)
-        leaf = _node_round(*([[cs[0] if cs else 0 for cs in row]
-                               for row in g] for g in (mids, rads)), F[2], p)
+            descend(node.left, mids)
+            return descend(node.right, mids)
+        x = -node.poly.coeffs[0]  # the leaf is k - x
+        leaf = _node_round(
+            [[cs[0] if cs else 0 for cs in row] for row in mids],
+            [[reduce(lambda acc, c: acc * x + c, reversed(rs), 0)
+              for rs in row] for row in rads], F[2], p)
         if len(mids) > r0:  # re + i im from [[re, -im], [im, re]]
             vals = _ball_node(leaf, p)
             leaf = [[ComplexBall(a, b) for a, b in zip(vals[i], vals[i + r0])]
                     [:r0] for i in range(r0)]
         out.append(leaf)
 
-    descend(product_tree(points), F[0], F[1])
+    descend(product_tree(points), F[0])
     return out
 
 

@@ -140,15 +140,26 @@ class TestSmallExamples:
                                              (Fraction(1, 3), 1024, 160),
                                              (Fraction(1, 8), 4096, 0)])
     def test_multipoint_bits_lost(self, zq, n, lost):
-        # the remainder tree widens the radii by its node coefficients: at
-        # p = 4n, multipoint on ball coefficients lost 47 and 158 bits of
-        # (1/3)_n, and the bound is that loss plus 2 bits; a dyadic z makes
-        # every product of the fixed-point form exact, and loses nothing
+        # bounds from a remainder tree that divided the radii too, widening
+        # them by its node coefficients (47 and 158 bits lost on (1/3)_n at
+        # p = 4n, plus 2); it now divides the exact midpoints only and loses
+        # 2-3 bits (test_multipoint_keeps_p_bits).  A dyadic z makes every
+        # product of the fixed-point form exact, and loses nothing
         p = 4 * n
         rep = eval_dispatch(RISING, Ball.from_fraction(zq, p), n, p,
                             algorithm="multipoint")
         assert rep.matrix[0][0].contains(rising_exact(zq, n))
         assert rep.accuracy_bits >= p - lost
+
+    @pytest.mark.parametrize("n", [256, 1024, 2048])
+    def test_multipoint_keeps_p_bits(self, n):
+        # the leaves take the radius polynomial at x >= 0, not radii carried
+        # down the remainder tree, which lost 47, 158 and 263 bits here
+        p, zq = 4 * n, Fraction(1, 3)
+        rep = eval_dispatch(RISING, Ball.from_fraction(zq, p), n, p,
+                            algorithm="multipoint")
+        assert rep.matrix[0][0].contains(rising_exact(zq, n))
+        assert rep.accuracy_bits >= p - 8
 
     def test_rect_ps_rising_8(self):
         # n = 8: one subproduct of length int(2 sqrt 8) = 5 and a leftover
@@ -1160,9 +1171,10 @@ def _dyadic_companions():
 
 
 class TestShortZTree:
-    """For a short z (2 mantissa_bits(z) <= p), _run multiplies the giant
-    steps and the leftover factors as a balanced tree; for a full-mantissa
-    z, and in row mode, it keeps the left-to-right product."""
+    """For a short z (2 mantissa_bits(z) <= p) and a complex z, _run
+    multiplies the giant steps and the leftover factors as a balanced tree;
+    for a full-mantissa real z, and in row mode, it keeps the left-to-right
+    product."""
 
     COMPANIONS = _dyadic_companions()
     # accuracy_bits of the left-to-right product at z = 3/4, per engine in
@@ -1273,6 +1285,25 @@ class TestShortZTree:
                     V = mul(V, B, p)
             assert _matrix_key(num) == \
                 _matrix_key(engines._ball_node(V, p)), (alg, zq, row)
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_complex_z_takes_the_tree(self, alg, monkeypatch):
+        # a full-mantissa complex z: its merges are ball products, whose
+        # axis-aligned boxes widen with every merge, so the whole product
+        # takes the tree, not the chain
+        p, n = 128, 50
+        z = ComplexBall(Ball.from_fraction(Fraction(1, 3), p),
+                        Ball.from_fraction(Fraction(5, 2), p))
+        assert not make_plan(RISING, z, n, p, alg).short_z
+        calls = self._recorded(monkeypatch)
+        rep = eval_dispatch(RISING, z, n, p, algorithm=alg, m=4)
+        if alg == "binsplit-exact":  # one step, no product
+            assert not calls
+        else:
+            assert any(B is not prev[3]
+                       for prev, (_, B, _, _) in zip(calls, calls[1:]))
+        re, im = _rising_exact_gaussian(2, 15, 6, n)
+        assert rep.matrix[0][0].contains(re, im)
 
     def test_step_and_tree_take_one_short_z(self, monkeypatch):
         # p < 2 mantissa_bits(z) <= p + guard: z is short at the working
@@ -1409,6 +1440,22 @@ class TestShortZTree:
 
 
 class TestCrossAlgorithmAgreement:
+    @pytest.mark.parametrize("zq", [Fraction(2, 7), Fraction(-5, 3)])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_multipoint_keeps_rect_delta_bits(self, order, zq):
+        # companions drawn as the recurrences workload draws them, p = 128:
+        # radii divided down the remainder tree left multipoint at -123 to
+        # -86 bits here, where rect-delta kept -3 to 116
+        M = _workload_companions(random.Random(24))[order - 1]
+        p, n = 128, 257
+        exact = unroll_rational(M, zq, n)
+        mp, rd = (eval_dispatch(M, Ball.from_fraction(zq, p), n, p,
+                                algorithm=alg) for alg in ("multipoint",
+                                                           "rect-delta"))
+        assert all(v.contains(e) for vrow, erow in zip(mp.matrix, exact)
+                   for v, e in zip(vrow, erow))
+        assert mp.accuracy_bits >= rd.accuracy_bits - 8
+
     def test_containment_all_engines(self):
         rng = random.Random(2024)
         for _ in range(12):
@@ -1544,6 +1591,23 @@ class TestDenominators:
                 calls.clear()
                 assert (den.rel_accuracy_bits()
                         >= ref.rel_accuracy_bits() - 1), (M.r, n)
+
+
+    def test_complex_chain_denominator(self):
+        # q(z, i) at a full-mantissa complex z: a chain of n ball merges
+        # widened the product's boxes until it contained zero at n = 1024,
+        # on every engine; the tree keeps more than 100 of the 128 bits
+        q = bipoly_from_text("-5 + 5*k - 5*k^2 - 5*x - 5*x*k - 5*x*k^2"
+                             " - 5*x^2 + 5*x^2*k - 5*x^2*k^2")
+        M, p, n = RecMatrix([[bipoly_from_text("1")]], q), 128, 1024
+        re, im = Fraction(1, 3), Fraction(5, 2)
+        z = ComplexBall(Ball.from_fraction(re, p), Ball.from_fraction(im, p))
+        ere, eim = self._exact_den(q, re, im, n)
+        norm = ere ** 2 + eim ** 2
+        for alg in ALGORITHMS:
+            rep = eval_dispatch(M, z, n, p, algorithm=alg)
+            assert rep.matrix[0][0].contains(ere / norm, -eim / norm), alg
+            assert rep.accuracy_bits >= 100, alg
 
 
 class TestInstrumentation:

@@ -194,13 +194,14 @@ class TestProductTreeMultipoint:
     @pytest.mark.parametrize("spread, rad", [(0, 1 << 30), (0, 0), (2, 0)])
     def test_product_radius_covers_the_corner(self, spread, rad):
         # positive coefficients whose exact values are the upper ends of
-        # their balls: then A(0) B(0) is the largest value that the balls
-        # allow, and the remainder tree adds no radius at the point 0.  With
+        # their balls: then A(x) B(x) at a point x >= 0 is the largest value
+        # that the balls allow, and the radius that a leaf of the remainder
+        # tree takes, the radius polynomial at x, must reach it.  With
         # exact balls the radius is what the product floors (p-bit
         # exponents) or the fixed-point form floors (exponents spread over
         # 2p bits), and the values keep 2p bits so that no rounding hides it
         rng = random.Random(41)
-        p = 96
+        p, m = 96, 5
 
         def rand_entry():
             return [Ball(rng.getrandbits(p - 1) | 1 << (p - 1),
@@ -208,18 +209,21 @@ class TestProductTreeMultipoint:
                          rng.randint(1, rad) if rad else 0, -p - 10)
                     for _ in range(rng.randint(1, 9))]
 
+        def upper(e, x0):  # the entry's polynomial of upper ends at x0
+            return sum((b.mid_fraction() + b.rad_fraction()) * x0 ** a
+                       for a, b in enumerate(e))
+
         A, B = ([[rand_entry() for _ in range(2)] for _ in range(2)]
                 for _ in range(2))
         F = _fix_mat_mul(*(_fix_form(X, p + 8, Ball.zero()) for X in (A, B)),
                          p, 8, 2, OpCounter())
-        (mat,) = _values(F, [0], 2 * p)
-        for i in range(2):
-            for j in range(2):
-                corner = sum((a.mid_fraction() + a.rad_fraction())
-                             * (b.mid_fraction() + b.rad_fraction())
-                             for a, b in ((A[i][t][0], B[t][j][0])
-                                          for t in range(2)))
-                assert mat[i][j].contains(corner), (i, j)
+        pts = [0, m, 2 * m]
+        for x0, mat in zip(pts, _values(F, pts, 2 * p)):
+            for i in range(2):
+                for j in range(2):
+                    corner = sum(upper(A[i][t], x0) * upper(B[t][j], x0)
+                                 for t in range(2))
+                    assert mat[i][j].contains(corner), (x0, i, j)
 
 
 def rand_bipoly(rng, maxd=3, bound=9):

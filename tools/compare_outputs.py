@@ -11,8 +11,9 @@ output ball (mantissas in hex) and the output's accuracy in bits; it exits
 pair check), or if an op raises.  diff lists the ops of two dumps whose
 bits or accuracy differ, each with its accuracy change, then a tally line:
 the ops lower in accuracy (with the worst loss), those higher, and those of
-equal accuracy whose bits changed; it exits 1 if any op differs.  The keys
-are workload:seed:index in the workload's op order.
+equal accuracy whose bits changed; then one line per metric with such ops,
+the same three counts; it exits 1 if any op differs.  The keys are
+workload:seed:index in the workload's op order.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def diff(path_a, path_b):
     with open(path_b) as fh:
         b = json.load(fh)
     keys = a.keys() | b.keys()
-    changed, lower, higher, same = 0, [], 0, 0
+    changed, lower = 0, []
+    per_metric = {}  # metric: [higher, lower, equal with changed bits]
     for key in sorted(keys):
         ra, rb = a.get(key), b.get(key)
         if ra == rb:
@@ -110,12 +112,17 @@ def diff(path_a, path_b):
             continue
         if change < 0:
             lower.append((change, key))
-        higher += change > 0
-        same += change == 0 and not same_bits
+        if change or not same_bits:
+            counts = per_metric.setdefault(ra["metric"], [0, 0, 0])
+            counts[0 if change > 0 else 1 if change < 0 else 2] += 1
+    higher, _, same = (sum(c) for c in zip([0, 0, 0], *per_metric.values()))
     worst = " (worst %+d, %s)" % min(lower) if lower else ""
     print("%d of %d ops differ: %d lower in accuracy%s, %d higher, %d equal "
           "with changed bits" % (changed, len(keys), len(lower), worst,
                                  higher, same))
+    for metric in sorted(per_metric):
+        print("%s: %d higher, %d lower, %d equal with changed bits"
+              % (metric, *per_metric[metric]))
     return 1 if changed else 0
 
 
