@@ -7,7 +7,7 @@ naive           one factor at a time, O(n) full-precision multiplications
 binsplit-exact  rect-ps with one subproduct: the exact product of all n
                 factors over Z[x], evaluated once at z
 multipoint      giant-step polynomial in fixed point, evaluated at 0, m,
-                2m, ... by a remainder tree of its integer midpoints
+                2m, ... by integer Horner
 rect-ps         exact subproducts of length ~n~ evaluated entrywise by
                 Paterson-Stockmeyer baby-step giant-step
 rect-split      giant-step products kept at degree O(m) in x, evaluated
@@ -38,8 +38,8 @@ unit 2^(e + s); a ball is put at 2^e alike (_fix_form).  Addition on one
 exponent is exact, and a shift k -> k + c, c > 0, moves midpoints and radii
 alike (_fix_shift).  So a polynomial in k lies within R(k) of its midpoint
 polynomial at every k >= 0, R its radius polynomial (coefficients >= 0):
-the one radius rule, C_a(k) of the difference tables too.  Multipoint's
-remainder tree divides exact midpoints only; a leaf x takes R(x).  A node
+the one radius rule, C_a(k) of the difference tables too.  Multipoint
+takes the exact midpoint polynomial and R at each point x.  A node
 keeps p bits of its smallest nonzero entry, no fewer than p-bit balls
 would, and becomes a ball matrix past the spread cap, entries that span
 more than p bits (_node_round).
@@ -50,14 +50,14 @@ Every engine runs in one driver, _run.  The engine builds its power table
 and hands over its giant steps, in order, and the number of factors they
 cover; the factors left over follow one at a time through the table.  A
 step of a real z is a node: the integer sums of a difference table or of
-an exact subproduct's one fused dot (_dot_step), a remainder-tree leaf,
-or ball steps converted once (_node), each rounded by _node_round, so that
-every operand of a merge is within the cap: at a tiny inexact z a step's
-entries can span more than p bits, and rounding them on one exponent would
-swamp the smallest.  Every merge of the whole product is one node product
-(_node_mul), exact before rounding: one `*` on 1 x 1 below
-intmul.FFT_MIN_BITS, else intmul.mat_mul.  A complex z, and a node past
-the cap, merge by ball_mat_mul.  _run chooses only the order: for a
+an exact subproduct's one fused dot (_dot_step), multipoint's value at a
+point, or ball steps converted once (_node), each rounded by _node_round,
+so that every operand of a merge is within the cap: at a tiny inexact z a
+step's entries can span more than p bits, and rounding them on one
+exponent would swamp the smallest.  Every merge of the whole product is
+one node product (_node_mul), exact before rounding: one `*` on 1 x 1
+below intmul.FFT_MIN_BITS, else intmul.mat_mul.  A complex z, and a node
+past the cap, merge by ball_mat_mul.  _run chooses only the order: for a
 full-mantissa real z the chain V <- S V, since a tree's dense merges cost
 more on sparse companion factors; for a short z (_short_z), whose steps
 have O(m log n) bits, a balanced tree, a stack merged like a binary
@@ -119,8 +119,8 @@ from operator import or_
 from . import balls as bl
 from . import intmul
 from .balls import ComplexBall
-# the convolution shift is not called here, but stays importable from this
-# module, where tracing tools look up the Taylor shifts
+# the convolution shift and the product tree are not called here, but stay
+# importable from this module, where tracing tools look them up
 from .poly import (UniPoly, product_tree, taylor_shift_basecase,  # noqa: F401
                    taylor_shift_convolution)
 from .recmat import (DenominatorZeroError, RecMatrix, eval_factor,
@@ -282,12 +282,6 @@ class PowerTable:
 # ---------------------------------------------------------------------------
 # ball matrices
 # ---------------------------------------------------------------------------
-
-def ball_identity(r: int, like):
-    one = bl.n_one(like)
-    zero = bl.n_zero(like)
-    return [[one if i == j else zero for j in range(r)] for i in range(r)]
-
 
 def ball_mat_mul(A, B, p, counter: OpCounter | None = None):
     """A B for an r x r ball matrix B and A an r x r matrix or a 1 x r row.
@@ -526,7 +520,8 @@ def _run(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     top two while the top covers at least as many factors as the one below
     (the tree) or always (the chain)."""
     if not n:
-        one = ball_identity(M.r, z)
+        one = [[bl.n_one(z) if i == j else bl.n_zero(z) for j in range(M.r)]
+               for i in range(M.r)]
         return one if row is None else [one[row]]
     p = plan.work_prec
     table, covered, steps = _ENGINES[plan.algorithm](M, z, n, plan, counter,
@@ -615,11 +610,15 @@ def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     xtable = PowerTable(z, M.deg_x(), p, counter)
     if not w:
         return xtable, 0, ()
+    # M's entries at x = z, polynomials in k with ball coefficients
+    grid = [[[xtable.eval_int_poly([e.coeff(a, b) for a in
+                                    range(e.deg_x() + 1)], p, counter)
+              for b in range(0 if e.is_zero() else e.deg_k() + 1)]
+             for e in row] for row in M.entries]
     # bits kept under the top coefficient beyond p (8 guard bits): U has
     # degree m deg_k, and its coefficient of k^t is multiplied by up to n^t;
     # on one exponent, a product of m factors compounds m times the size
     # ratio of the nonzero entries
-    grid = _substitute_x(M, xtable, p, counter)
     tops = {max(map(bl._top, es, repeat(-math.inf)), default=-math.inf)
             for row in grid for es in row} - {-math.inf} or {0}
     spread = m * (M.deg_k() * n.bit_length() + max(tops) - min(tops)) + 8
@@ -627,16 +626,8 @@ def _multipoint(M: RecMatrix, z, n: int, plan: EvalPlan, counter: OpCounter,
     tmats = [base] + [_fix_shift(base, j, M.r, counter) for j in range(1, m)]
     U = product_binsplit_exact(
         tmats, lambda A, B: _fix_mat_mul(A, B, p, spread, M.r, counter))
-    steps = _fix_multipoint(U, [i * m for i in range(w)], p, M.r, counter)
-    return xtable, m * w, steps[::-1] if reverse else steps
-
-
-def _substitute_x(M: RecMatrix, xtable: PowerTable, p, counter):
-    """Entries of M as polynomials in k with ball coefficients."""
-    return [[[xtable.eval_int_poly([e.coeff(a, b) for a in range(e.deg_x() + 1)],
-                                   p, counter)
-              for b in range(0 if e.is_zero() else e.deg_k() + 1)]
-             for e in row] for row in M.entries]
+    return xtable, m * w, _fix_multipoint(
+        U, [i * m for i in _order(w, reverse)], p, M.r, counter)
 
 
 def _ball_is_exact_zero(b) -> bool:
@@ -719,46 +710,25 @@ def _poly_mat_mul(A, B):
              for c, bcol in zip(crow, zip(*B))] for crow, arow in zip(C, A)]
 
 
-def _fix_rem(cs, node: UniPoly, counter):
-    """The integer list cs mod a monic node, by exact synthetic division."""
-    *nc, _ = node.coeffs
-    cs, d = list(cs), len(nc)
-    for i in range(len(cs) - 1, d - 1, -1):
-        if cs[i]:
-            for j, c in enumerate(nc, i - d):
-                cs[j] -= cs[i] * c
-            counter.scalar += d
-    return cs[:d]
-
-
 def _fix_multipoint(F, points, p, r0: int, counter: OpCounter):
-    """F(x) at the integer points x >= 0 (see Fixed point), as nodes at F's
-    exponent, or for a complex F (r0 less than its order) complex ball
-    matrices: the midpoints by a remainder tree, the radii by Horner."""
-    out = []
+    """Yields F(x) at the integer points x >= 0 (see Fixed point), by
+    integer Horner of the midpoint and radius polynomials, as nodes at F's
+    exponent, or complex ball matrices for a complex F (r0 less than its
+    order).  scalar counts the Horner steps of the r0 x r0 midpoints."""
+    mids, rads, e = F
     # all-zero radius polynomials (every one at an exact z) are skipped
-    rads = [[rs if any(rs) else () for rs in row] for row in F[1]]
-
-    def descend(node, mids):
-        mids = [[_fix_rem(cs, node.poly,
-                          counter if max(i, j) < r0 else OpCounter())
-                 for j, cs in enumerate(row)] for i, row in enumerate(mids)]
-        if node.left is not None:
-            descend(node.left, mids)
-            return descend(node.right, mids)
-        x = -node.poly.coeffs[0]  # the leaf is k - x
-        leaf = _node_round(
-            [[cs[0] if cs else 0 for cs in row] for row in mids],
-            [[reduce(lambda acc, c: acc * x + c, reversed(rs), 0)
-              for rs in row] for row in rads], F[2], p)
+    rads = [[rs if any(rs) else () for rs in row] for row in rads]
+    counter.scalar += len(points) * sum(max(len(cs) - 1, 0) for row in
+                                        mids[:r0] for cs in row[:r0])
+    for x in points:
+        leaf = _node_round(*([[reduce(lambda acc, c: acc * x + c,
+                                      reversed(cs), 0) for cs in row]
+                              for row in g] for g in (mids, rads)), e, p)
         if len(mids) > r0:  # re + i im from [[re, -im], [im, re]]
             vals = _ball_node(leaf, p)
             leaf = [[ComplexBall(a, b) for a, b in zip(vals[i], vals[i + r0])]
                     [:r0] for i in range(r0)]
-        out.append(leaf)
-
-    descend(product_tree(points), F[0])
-    return out
+        yield leaf
 
 
 def _order(w: int, reverse: bool):

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import balls as bl
 from .balls import Ball, BallDomainError, ComplexBall, _Z
-from .poly import BiPoly
+from .poly import BiPoly, UniPoly
 from .recmat import RecMatrix, rising_factorial_matrix
 from .engines import eval_dispatch
 
@@ -143,6 +144,27 @@ def _check_bernoulli(two_k: int, b: Fraction, primes) -> None:
               and (b > 0) == (two_k % 4 == 2))
     if not ok:
         raise ValueError("B_%d fails the Bernoulli number checks" % two_k)
+
+
+def _check_bernoulli_table(even) -> None:
+    """Raise ValueError unless even[k] = B_2k and B_1 = -1/2 give
+    (e^x - 1)/x sum_j B_j x^j / j! = 1 mod x^(top + 1), by one product mod a
+    random 62-bit prime ell > top + 1, which inverts every j! and every
+    denominator; the lowest wrong entry B_j + delta moves coefficient j by
+    delta / j!, which is 0 mod ell only if ell divides delta's numerator."""
+    top, ell = 2 * len(even) - 2, 4
+    while pow(2, ell - 1, ell) != 1:  # a probable prime, by Fermat
+        ell = random.SystemRandom().getrandbits(62) | 1 << 61 | 1
+    fac = [1]  # j! mod ell
+    for j in range(1, top + 2):
+        fac.append(fac[-1] * j % ell)
+    b = [0, pow(-2, -1, ell)][:top + 1] + [0] * (top - 1)
+    for k, v in enumerate(even):
+        b[2 * k] = v.numerator * pow(v.denominator * fac[2 * k], -1, ell) % ell
+    c = (UniPoly([pow(f, -1, ell) for f in fac[1:]]) * UniPoly(b)).coeffs
+    for j, cj in enumerate((c + [0] * (top + 1))[:top + 1]):
+        if cj % ell != (j == 0):
+            raise ValueError("B_%d in the file fails the series check" % j)
 
 
 # B_2k for k above _ZETA_FROM come from zeta(2k) in reverse order, below it
@@ -280,8 +302,9 @@ class BernoulliCache:
     def load(self, path) -> None:
         """Replace the cache by the numbers in the file when they reach
         further and leave no hole.  The file is untrusted: a file with a
-        hole is ignored, the first entry that cannot be a Bernoulli number
-        raises ValueError, and either way the cache stays as it was."""
+        hole is ignored, the lowest entry that is not the Bernoulli number
+        raises ValueError (_check_bernoulli_table), and either way the cache
+        stays as it was."""
         entries = {}
         with open(path) as fh:
             for line in fh:
@@ -295,21 +318,13 @@ class BernoulliCache:
                 entries[k] = Fraction(bl._str_to_int(num_s),
                                       bl._str_to_int(den_s))
         top = max(entries) if entries else -1
-        if len(entries) != top // 2 + 1:
+        if not entries or len(entries) != top // 2 + 1:
             return  # a hole: refuse the file before any work its top sets
-        primes = _vsc_primes(max(top, 0) // 2)
-        c = bl.mul_2exp(bl.mul(bl.pi(64), bl.pi(64), 64), 2)  # (2 pi)^2
-        g = Ball.from_int(2)  # 2 k! / (2 pi)^k
-        for k in range(0, top + 2, 2):
-            _check_bernoulli(k, entries[k], primes[k // 2])
-            if k:  # |B_k| = g zeta(k), zeta(k) in [1, 1 + 2^(2-k)]
-                g = bl.div(bl.mul_int(g, k * (k - 1), 64), c, 64)
-                if not bl.mul(g, Ball((1 << (k - 1)) + 1, 1 - k, 1, 1 - k),
-                              64).contains(abs(entries[k])):
-                    raise ValueError("|B_%d| in the file is out of range" % k)
+        even = [entries[k] for k in range(0, top + 2, 2)]
+        _check_bernoulli_table(even)
         with self._lock:
             if top >= self.max_index():
-                self._even = [entries[k] for k in range(0, top + 2, 2)]
+                self._even = even
 
 
 _shared_bernoulli = BernoulliCache()

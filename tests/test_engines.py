@@ -1644,6 +1644,20 @@ class TestInstrumentation:
                 assert rep.counter.nonscalar == (m - 1) + (w - 1) + (n - m * w), (n, m)
                 assert rep.matrix[0][0].contains(rising_exact(z, n))
 
+    @pytest.mark.parametrize("n", [16, 100, 1024])
+    def test_multipoint_op_counts(self, n):
+        # (1/2)_n at m = 4, w = n / m steps: scalar counts the two nonzero
+        # coefficients of x + k at z, the m - 1 Taylor shifts of x + k (one
+        # step each) and m Horner steps of the degree-m U at each of the w
+        # points; nonscalar counts U's coefficient products (two 2 x 2 and
+        # one 3 x 3) and the w - 1 merges of the steps
+        m, w, p = 4, n // 4, 4 * n
+        rep = eval_dispatch(RISING, Ball.from_fraction(Fraction(1, 2), p), n,
+                            p, algorithm="multipoint", m=m)
+        assert rep.counter.scalar == 2 + (m - 1) + w * m
+        assert rep.counter.nonscalar == 2 * 4 + 9 + (w - 1)
+        assert rep.matrix[0][0].contains(rising_exact(Fraction(1, 2), n))
+
     def test_positivity_stability(self):
         # all-positive inputs: accuracy loss stays O(log n)
         for n in (10, 100, 1000):

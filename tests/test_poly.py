@@ -1,6 +1,6 @@
 """Exact polynomial layer: products against schoolbook, Taylor-shift
-equivalence, the product tree and the engines' remainder tree against
-Horner, bivariate ring axioms, and the text form round trip."""
+equivalence, the product tree, the engines' multipoint values against
+exact evaluation, bivariate ring axioms, and the text form round trip."""
 
 import random
 import sys
@@ -21,7 +21,7 @@ from holoeval.poly import (BiPoly, UniPoly, bipoly_from_text, bipoly_to_text,
 
 
 def _values(F, points, p):
-    """The ball matrices of the remainder tree's values F(x) at the points."""
+    """The ball matrices of multipoint's values F(x) at the points."""
     return [_ball_node(v, p)
             for v in _fix_multipoint(F, points, p, 2, OpCounter())]
 
@@ -132,8 +132,8 @@ class TestProductTreeMultipoint:
 
     @pytest.mark.parametrize("w", [5, 8])
     def test_remainder_tree_against_horner(self, w):
-        # the multipoint engine's remainder tree on exact integer balls, at
-        # its points 0, m, 2m, ...: every value is Horner's, exactly
+        # the multipoint engine's values on exact integer balls, at its
+        # points 0, m, 2m, ...: every value is the exact one
         rng = random.Random(11 + w)
         m = 4
         polys = [[rand_poly(rng, 3 * w, 100) for _ in range(2)] for _ in range(2)]
@@ -151,8 +151,8 @@ class TestProductTreeMultipoint:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_product_and_remainder_tree_contain_horner(self, w, kind):
         # p-bit balls of random rationals, real and complex: the fixed-point
-        # product A B, whose low bits go into the radius, and the remainder
-        # tree give balls that contain the exact A(x) B(x)
+        # product A B, whose low bits go into the radius, and its values at
+        # the points give balls that contain the exact A(x) B(x)
         rng = random.Random(31 + w)
         m, p, spread = 5, 96, 8
         parts = 1 if kind == "real" else 2
@@ -195,11 +195,11 @@ class TestProductTreeMultipoint:
     def test_product_radius_covers_the_corner(self, spread, rad):
         # positive coefficients whose exact values are the upper ends of
         # their balls: then A(x) B(x) at a point x >= 0 is the largest value
-        # that the balls allow, and the radius that a leaf of the remainder
-        # tree takes, the radius polynomial at x, must reach it.  With
-        # exact balls the radius is what the product floors (p-bit
-        # exponents) or the fixed-point form floors (exponents spread over
-        # 2p bits), and the values keep 2p bits so that no rounding hides it
+        # that the balls allow, and the radius that multipoint takes at x,
+        # the radius polynomial at x, must reach it.  With exact balls the
+        # radius is what the product floors (p-bit exponents) or the
+        # fixed-point form floors (exponents spread over 2p bits), and the
+        # values keep 2p bits so that no rounding hides it
         rng = random.Random(41)
         p, m = 96, 5
 

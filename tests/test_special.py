@@ -205,8 +205,8 @@ class TestBernoulli:
             BernoulliCache().load(path)
 
     def test_load_refuses_a_numerator_off_by_its_denominator(self, tmp_path):
-        # B_14 = 7/6 saved as 13/6 passes the denominator, integrality and
-        # sign checks; only its magnitude gives it away
+        # B_14 = 7/6 saved as 13/6 has the right denominator, integrality
+        # and sign; only its value gives it away
         source = BernoulliCache()
         source.ensure(40)
         path = tmp_path / "bernoulli.txt"
@@ -221,6 +221,35 @@ class TestBernoulli:
         with pytest.raises(ValueError, match="B_14"):
             cache.load(path)
         assert [cache.get(k) for k in range(0, 11, 2)] == before
+        assert cache.max_index() == 10
+
+    @pytest.mark.parametrize("k", [30, 40, 64])
+    def test_load_refuses_an_entry_plus_one(self, tmp_path, k):
+        # from B_30 on, B_k + 1 passes the denominator, integrality and
+        # sign checks and lies within a 64-bit ball of |B_k|; only the exact
+        # generating-function check over the whole table catches it
+        source = BernoulliCache()
+        source.ensure(64)
+        path = tmp_path / "bernoulli.txt"
+        source.save(path)
+        lines = path.read_text().splitlines()
+        idx, num, den = lines[k // 2].split()
+        lines[k // 2] = "%s %d %s" % (idx, int(num) + int(den), den)
+        path.write_text("\n".join(lines) + "\n")
+        cache = BernoulliCache()
+        cache.ensure(10)
+        before = [cache.get(j) for j in range(0, 11, 2)]
+        with pytest.raises(ValueError, match="B_%d " % k):
+            cache.load(path)
+        assert cache.max_index() == 10
+        assert [cache.get(j) for j in range(0, 11, 2)] == before
+
+    def test_load_ignores_an_empty_file(self, tmp_path):
+        path = tmp_path / "bernoulli.txt"
+        path.write_text("# no entries\n")
+        cache = BernoulliCache()
+        cache.ensure(10)
+        cache.load(path)
         assert cache.max_index() == 10
 
     def test_load_refuses_a_hole_before_sizing_by_the_top(self, tmp_path):
