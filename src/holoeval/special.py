@@ -158,7 +158,7 @@ def _check_bernoulli_table(even) -> None:
     fac = [1]  # j! mod ell
     for j in range(1, top + 2):
         fac.append(fac[-1] * j % ell)
-    b = [0, pow(-2, -1, ell)][:top + 1] + [0] * (top - 1)
+    b = [0, pow(-2, -1, ell)][:top + 1] + [0] * (top - 1)  # B_1 = -1/2
     for k, v in enumerate(even):
         b[2 * k] = v.numerator * pow(v.denominator * fac[2 * k], -1, ell) % ell
     c = (UniPoly([pow(f, -1, ell) for f in fac[1:]]) * UniPoly(b)).coeffs
@@ -312,11 +312,10 @@ class BernoulliCache:
                 if not line or line.startswith("#"):
                     continue
                 idx_s, num_s, den_s = line.split()
-                k = int(idx_s)
-                if k < 0 or k % 2:
-                    raise ValueError("index %d in the file is not even" % k)
-                entries[k] = Fraction(bl._str_to_int(num_s),
-                                      bl._str_to_int(den_s))
+                k, den = int(idx_s), bl._str_to_int(den_s)
+                if k < 0 or k % 2 or not den:
+                    raise ValueError("entry %d in the file is malformed" % k)
+                entries[k] = Fraction(bl._str_to_int(num_s), den)
         top = max(entries) if entries else -1
         if not entries or len(entries) != top // 2 + 1:
             return  # a hole: refuse the file before any work its top sets

@@ -244,6 +244,18 @@ class TestBernoulli:
         assert cache.max_index() == 10
         assert [cache.get(j) for j in range(0, 11, 2)] == before
 
+    @pytest.mark.parametrize("text", ["0 1 1\n2 1 0\n", "0 1 1\n3 1 6\n"])
+    def test_load_refuses_a_malformed_entry(self, tmp_path, text):
+        # a zero denominator (no ZeroDivisionError) or an odd index is a
+        # malformed entry: ValueError before any check
+        path = tmp_path / "bernoulli.txt"
+        path.write_text(text)
+        cache = BernoulliCache()
+        cache.ensure(10)
+        with pytest.raises(ValueError, match="malformed"):
+            cache.load(path)
+        assert cache.max_index() == 10
+
     def test_load_ignores_an_empty_file(self, tmp_path):
         path = tmp_path / "bernoulli.txt"
         path.write_text("# no entries\n")
