@@ -2,19 +2,54 @@
 coefficient ring (int, Fraction) and bivariate in (x, k) over the integers.
 
 All arithmetic here is exact; numerical (ball-coefficient) polynomial work
-lives with the evaluation engines.  Large integer-coefficient products go
-through Kronecker substitution so the big-integer backend does the heavy
-multiplication.
+lives with the evaluation engines.  Integer-coefficient products go through
+Kronecker substitution, so that the big-integer backend does the
+multiplication, wherever the cost model _kron_pays finds that it pays.
 """
 
 from __future__ import annotations
 
 import re as _re
+from itertools import chain
+from operator import mul
 
 from . import intmul
 from .balls import _Z, _int_to_str, _str_to_int
 
-_KRON_THRESHOLD = 4096  # schoolbook below this many coefficient products
+# _kron_pays's costs, in bit products of CPython's schoolbook multiplication
+# (0.6 ps each on the 2-CPU Xeon of the README's scan table), fit by
+# tools/kron_scan.py to the benchmark workloads' products
+_PAIR, _CALL, _SLOT, _KRON_MIN = 1 << 17, 1 << 24, 1 << 20, 128
+_bit_length = int.bit_length if _Z is int else (lambda c: c.bit_length())
+
+
+def _kron_pays(r, A, B):
+    """Whether Kronecker packing (_kron_mat_mul) is cheaper than schoolbook
+    for the r x r product A B of integer-coefficient lists (False if one is
+    not an integer, or if r la lb < _KRON_MIN, la and lb the longest entries
+    of A and B).  Schoolbook pays _PAIR and the bit products per product of
+    nonzero coefficients, summed entry by entry; packing pays _CALL, _SLOT
+    per slot packed or unpacked and the bit products of its r^3 products."""
+    la = max(map(len, chain(*A)))
+    lb = max(map(len, chain(*B)))
+    if r * la * lb < _KRON_MIN:
+        return False
+    try:  # coefficient bits per column of A and per row of B
+        cols = [list(map(_bit_length, chain(*col))) for col in zip(*A)]
+        rows = [list(map(_bit_length, chain(*row))) for row in B]
+    except (TypeError, AttributeError):  # not an integer
+        return False
+    ca, cb = max(chain(*cols), default=0), max(chain(*rows), default=0)
+    w, k = 8 * _slot_bytes(r, la, lb, ca, cb), _karatsuba(min(ca, cb))
+    school = sum(_PAIR * (len(a) - a.count(0)) * (len(b) - b.count(0))
+                 + k * sum(a) * sum(b) for a, b in zip(cols, rows))
+    return school > (_CALL + _SLOT * r * r * (la + lb) + r ** 3 * la * lb
+                     * w * w * _karatsuba(min(la, lb) * w))
+
+
+def _karatsuba(m):
+    """Share of its m^2 bit products that an m-bit product costs."""
+    return min(1.0, (2048 / max(m, 1)) ** 0.5)
 
 
 def _trim(coeffs: list) -> list:
@@ -100,7 +135,7 @@ def _list_mul(a: list, b: list) -> list:
     if len(b) == 1:
         c = b[0]
         return [c * x for x in a]
-    if len(a) * len(b) >= _KRON_THRESHOLD and _all_int(a) and _all_int(b):
+    if len(a) * len(b) >= _KRON_MIN and _kron_pays(1, [[a]], [[b]]):
         return _kron_mul(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -111,13 +146,6 @@ def _list_mul(a: list, b: list) -> list:
     return out
 
 
-def _all_int(cs) -> bool:
-    for c in cs:
-        if not isinstance(c, int) and not isinstance(c, type(_Z(0))):
-            return False
-    return True
-
-
 def _kron_mul(a: list, b: list) -> list:
     """Product of two integer-coefficient lists: the 1 x 1 case of
     _kron_mat_mul, so a single big multiplication."""
@@ -126,13 +154,10 @@ def _kron_mul(a: list, b: list) -> list:
 
 def mat_mul_kron(A, B):
     """A B for square matrices of UniPoly entries by _kron_mat_mul, or None
-    when the entries are not integral or too short for packing to pay."""
+    where _kron_pays declines."""
     ca = [[e.coeffs for e in row] for row in A]
     cb = [[e.coeffs for e in row] for row in B]
-    la = max(len(c) for row in ca for c in row)
-    lb = max(len(c) for row in cb for c in row)
-    if la * lb < _KRON_THRESHOLD or not all(
-            _all_int(c) for rows in (ca, cb) for row in rows for c in row):
+    if not _kron_pays(len(ca), ca, cb):
         return None
     return [[UniPoly(c) for c in row] for row in _kron_mat_mul(ca, cb)]
 
@@ -152,20 +177,21 @@ def _kron_mat_mul(A, B):
     terms of absolute value below 2^(ca + cb); so it lies strictly between
     -2^(w-1) and 2^(w-1)."""
     r = len(A)
-    la = max(len(c) for row in A for c in row)
-    lb = max(len(c) for row in B for c in row)
-    width = (max(_max_bits(c) for row in A for c in row)
-             + max(_max_bits(c) for row in B for c in row)
-             + min(la, lb).bit_length() + r.bit_length() + 1)
-    nbytes = (width + 7) >> 3
+    la, lb = (max(map(len, chain(*M))) for M in (A, B))
+    nbytes = _slot_bytes(r, la, lb, *(max(map(_bit_length, chain(*chain(*M))),
+                                          default=0) for M in (A, B)))
     PA = [[_pack(c, nbytes) for c in row] for row in A]
     PB = [[_pack(c, nbytes) for c in row] for row in B]
-    return [[_unpack(v, la + lb - 1, nbytes) for v in row]
-            for row in intmul.mat_mul(PA, PB)]
+    if r * min(la, lb) * 8 * nbytes >= intmul.FFT_MIN_BITS:
+        PC = intmul.mat_mul(PA, PB)
+    else:  # below intmul's crossover: no scan for the FFT size
+        PC = [[sum(map(mul, row, col)) for col in zip(*PB)] for row in PA]
+    return [[_unpack(v, la + lb - 1, nbytes) for v in row] for row in PC]
 
 
-def _max_bits(cs) -> int:
-    return max((int(c if c >= 0 else -c).bit_length() for c in cs), default=0)
+def _slot_bytes(r, la, lb, ca, cb):
+    """Bytes of the slot width w above."""
+    return (ca + cb + min(la, lb).bit_length() + r.bit_length() + 8) >> 3
 
 
 def _bias(n, nbytes):
@@ -181,16 +207,16 @@ def _pack(cs, nbytes):
     between slots; the bias sum_i 2^(w-1) 2^(w i) is then subtracted.
     _unpack adds it back and subtracts 2^(w-1) from every slot."""
     half = 1 << (8 * nbytes - 1)
-    raw = b"".join((int(c) + half).to_bytes(nbytes, "little") for c in cs)
+    raw = b"".join([(int(c) + half).to_bytes(nbytes, "little") for c in cs])
     return _Z(int.from_bytes(raw, "little") - _bias(len(cs), nbytes))
 
 
 def _unpack(v, n, nbytes):
     """Inverse of _pack for n slots whose values lie in (-2^(w-1), 2^(w-1))."""
-    half = 1 << (8 * nbytes - 1)
-    raw = (int(v) + _bias(n, nbytes)).to_bytes(n * nbytes, "little")
-    return [_Z(int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") - half)
-            for i in range(n)]
+    half, size = 1 << (8 * nbytes - 1), n * nbytes
+    raw = memoryview((int(v) + _bias(n, nbytes)).to_bytes(size, "little"))
+    return [int.from_bytes(raw[i:i + nbytes], "little") - half
+            for i in range(0, size, nbytes)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +364,13 @@ class BiPoly:
         ga, gb = self.grid, other.grid
         if not ga or not gb:
             return BiPoly.zero()
-        dka = max(len(r) for r in ga) - 1
-        dkb = max(len(r) for r in gb) - 1
-        nk = dka + dkb + 1
-        terms_a = sum(len(r) for r in ga)
-        terms_b = sum(len(r) for r in gb)
-        if terms_a * terms_b >= _KRON_THRESHOLD:
-            return self._mul_flat(other, nk)
+        nk = max(map(len, ga)) + max(map(len, gb)) - 1
+        if sum(map(len, ga)) * sum(map(len, gb)) >= _KRON_MIN:
+            # 2-D Kronecker: x^a k^b is t^(b + a*nk) in the flat lists
+            fa, fb = _flatten(ga, nk), _flatten(gb, nk)
+            if _kron_pays(1, [[fa]], [[fb]]):
+                p = _kron_mul(fa, fb)
+                return BiPoly([p[i:i + nk] for i in range(0, len(p), nk)])
         out = [[0] * nk for _ in range(len(ga) + len(gb) - 1)]
         for i, ra in enumerate(ga):
             for j, rb in enumerate(gb):
@@ -355,16 +381,6 @@ class BiPoly:
                     for t, ct in enumerate(rb):
                         row[s + t] += cs * ct
         return BiPoly(out)
-
-    def _mul_flat(self, other, nk):
-        """2-D Kronecker: map x^a k^b to t^(b + a*nk) and multiply flat."""
-        fa = _flatten(self.grid, nk)
-        fb = _flatten(other.grid, nk)
-        prod = _list_mul(fa, fb)
-        rows = []
-        for i in range(0, len(prod), nk):
-            rows.append(prod[i:i + nk])
-        return BiPoly(rows)
 
     def eval_k(self, k0) -> UniPoly:
         """Substitute k = k0 exactly; result is a polynomial in x."""

@@ -123,10 +123,10 @@ def eval_factor(M: RecMatrix, i):
 # ---------------------------------------------------------------------------
 
 def mat_mul_exact(A, B):
-    """Schoolbook product of square matrices over any exact ring.  On the
-    FFT path of plain ints, large integer-polynomial matrices go through one
-    Kronecker packing, which lets the products share their transforms."""
-    if intmul.FFT_ACTIVE and isinstance(A[0][0], UniPoly):
+    """Schoolbook product of square matrices over any exact ring; on the FFT
+    path of plain ints, one Kronecker packing where poly._kron_pays finds
+    that it pays (for r >= 2: a 1 x 1 product is UniPoly's, same rule)."""
+    if intmul.FFT_ACTIVE and len(A) > 1 and isinstance(A[0][0], UniPoly):
         out = mat_mul_kron(A, B)
         if out is not None:
             return out

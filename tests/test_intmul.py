@@ -1,8 +1,9 @@
-"""Exact big-integer products (holoeval.intmul) and the Kronecker packing
-built on them (poly._kron_mul, poly.mat_mul_kron), against Python `*` and
-schoolbook.  Every assertion runs twice: on the numpy FFT path, with the
-crossover lowered so that small operands reach it, and with that path
-turned off, which is the gmpy2 / no-numpy code path."""
+"""Exact big-integer products (holoeval.intmul), the Kronecker packing
+built on them (poly._kron_mul, poly.mat_mul_kron) and the rule that picks
+it (poly._kron_pays), against Python `*` and schoolbook.  Every assertion
+runs twice: on the numpy FFT path, with the crossover lowered so that
+small operands reach it, and with that path turned off, which is the
+gmpy2 / no-numpy code path."""
 
 import math
 import random
@@ -13,6 +14,7 @@ import pytest
 import holoeval.balls as bl
 import holoeval.intmul as im
 import holoeval.poly as pm
+import holoeval.recmat as rm
 from holoeval.poly import UniPoly
 
 
@@ -404,7 +406,10 @@ class TestKronecker:
                 assert pm._unpack(v, len(cs), nbytes) == cs
                 assert pm._unpack(v, len(cs) + 2, nbytes) == cs + [0, 0]
 
-    def test_matrix_packing(self, fft):
+    def test_matrix_packing(self, fft, monkeypatch):
+        # packing forced: the rule declines most of these shapes, whose
+        # entries of 2, 60 and 900 bits make the common slot width wasteful
+        monkeypatch.setattr(pm, "_kron_pays", lambda r, A, B: True)
         rng = random.Random(17)
 
         def rand_poly():
@@ -431,3 +436,87 @@ class TestKronecker:
         assert pm.mat_mul_kron(small, small) is None
         frac = [[UniPoly([Fraction(1, 2)] * 80)]]
         assert pm.mat_mul_kron(frac, frac) is None
+
+
+def stirling(lo, n):
+    """Coefficients of (x + lo)(x + lo + 1) ... (x + lo + n - 1); for lo = 0
+    the Stirling numbers of the first kind, from 1 bit to about n log2 n."""
+    cs = [1]
+    for i in range(lo, lo + n):
+        cs = [(cs[j - 1] if j else 0) + (i * cs[j] if j < len(cs) else 0)
+              for j in range(len(cs) + 1)]
+    return cs
+
+
+def rule_shapes():
+    """(r, A, B) of coefficient lists on both sides of poly._kron_pays, for
+    r = 1, 2, 3: Stirling-like coefficients of very uneven size, long
+    coefficients, companion matrices whose entries are empty, constant or
+    of unequal lengths, and midpoints by all-zero radius matrices."""
+    rng = random.Random(31)
+
+    def coeffs(n, bits):
+        return [rng.getrandbits(bits) * rng.choice((-1, 1)) for _ in range(n)]
+
+    def companion(r, n, bits):
+        M = [[[] for _ in range(r)] for _ in range(r)]
+        for i in range(r - 1):
+            M[i][i + 1] = coeffs(1, bits)
+        M[r - 1] = [coeffs(n - j % 2, bits) for j in range(r)]
+        return M
+
+    def full(r, n, bits):
+        return [[coeffs(n, bits) for _ in range(r)] for _ in range(r)]
+
+    return [
+        (1, [[stirling(0, 12)]], [[stirling(12, 12)]]),
+        (1, [[stirling(0, 150)]], [[stirling(150, 150)]]),
+        (1, [[coeffs(4, 8774)]], [[coeffs(4, 8774)]]),
+        (1, [[coeffs(12, 8774)]], [[coeffs(12, 8774)]]),
+        (2, companion(2, 3, 64), companion(2, 3, 64)),
+        (2, companion(2, 33, 256), companion(2, 33, 256)),
+        (2, full(2, 33, 200), full(2, 33, 200)),
+        (2, full(2, 9, 460), [[[0] * 9] * 2] * 2),
+        (3, companion(3, 3, 40), companion(3, 3, 40)),
+        (3, full(3, 17, 128), full(3, 17, 128)),
+        (3, full(3, 17, 300), [[[] for _ in range(3)] for _ in range(3)]),
+    ]
+
+
+def as_unipoly(M):
+    return [[UniPoly(cs) for cs in row] for row in M]
+
+
+class TestPackingRule:
+    def test_shapes_on_both_sides(self):
+        sides = {}
+        for r, A, B in rule_shapes():
+            sides.setdefault(r, set()).add(pm._kron_pays(r, A, B))
+        assert sides == {1: {False, True}, 2: {False, True},
+                         3: {False, True}}
+
+    def test_declines_zero_radii_and_few_long_coefficients(self):
+        shapes = rule_shapes()
+        for i in (2, 7, 10):  # 4 x 4 coefficients of 8774 bits, zero radii
+            assert not pm._kron_pays(*shapes[i])
+
+    def test_packed_equals_schoolbook(self, fft):
+        for r, A, B in rule_shapes():
+            UA, UB = as_unipoly(A), as_unipoly(B)
+            want = poly_mat_schoolbook(UA, UB)
+            assert as_unipoly(pm._kron_mat_mul(A, B)) == want
+            assert rm.mat_mul_exact(UA, UB) == want
+            if r == 1:
+                assert UniPoly(pm._list_mul(A[0][0], B[0][0])) == want[0][0]
+
+    def test_bivariate_paths_agree(self, fft, monkeypatch):
+        rng = random.Random(37)
+        for _ in range(6):
+            a, b = (pm.BiPoly([[rng.getrandbits(rng.choice((3, 90)))
+                                for _ in range(rng.randint(1, 9))]
+                               for _ in range(rng.randint(1, 12))])
+                    for _ in range(2))
+            monkeypatch.setattr(pm, "_kron_pays", lambda r, A, B: False)
+            slow = a * b
+            monkeypatch.setattr(pm, "_kron_pays", lambda r, A, B: True)
+            assert a * b == slow
